@@ -3,7 +3,9 @@
 ``simulated_anneal`` is the annealer stand-in: multi-read single-bit-flip
 Metropolis with a geometric inverse-temperature ladder.  ``brute_force``
 enumerates every assignment (the oracle for small instances) and
-``greedy_descent`` is the cheap classical baseline.
+``greedy_descent`` is the cheap classical baseline.  ``presolve`` fixes the
+variables that first-order persistency settles for every optimum and
+leaves the rest as a smaller instance for a sampler.
 
 Each read r draws its own random stream seeded with ``seed + r``, so reads
 are order-independent and the sampler is deterministic per (instance,
@@ -75,6 +77,14 @@ def energy(q: QuboMatrix, alpha) -> float:
     return float(np.cumsum(terms)[-1])
 
 
+def _coupling(qm: np.ndarray) -> np.ndarray:
+    """c = q + q^T with a zero diagonal: flipping bit i changes the energy
+    by +-(q_ii + sum_j c_ij x_j)."""
+    coupling = qm + qm.T
+    np.fill_diagonal(coupling, 0.0)
+    return coupling
+
+
 def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     """All reads in lockstep.  Returns per-read best assignments, their
     exact energies, the per-sweep best-so-far energy trace, and the final
@@ -85,8 +95,7 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     reads = schedule.num_reads
     betas = np.geomspace(schedule.beta_start, schedule.beta_end, schedule.sweeps)
     diag = np.diag(qm).copy()
-    coupling = qm + qm.T
-    np.fill_diagonal(coupling, 0.0)
+    coupling = _coupling(qm)
 
     rngs = [np.random.default_rng(schedule.seed + r) for r in range(reads)]
     state = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
@@ -158,8 +167,7 @@ def greedy_descent(q: QuboMatrix, seed: int = 0) -> SampleResult:
     n = q.n
     qm = q.q
     diag = np.diag(qm).copy()
-    coupling = qm + qm.T
-    np.fill_diagonal(coupling, 0.0)
+    coupling = _coupling(qm)
     state = np.random.default_rng(seed).integers(0, 2, size=n).astype(float)
     field = coupling @ state
     while True:
@@ -173,3 +181,69 @@ def greedy_descent(q: QuboMatrix, seed: int = 0) -> SampleResult:
     best = state.astype(int)
     e = energy(q, best)
     return SampleResult(best, e, np.array([e]))
+
+
+@dataclass(frozen=True)
+class Presolved:
+    """Variables fixed by ``presolve`` and the instance left over.
+
+    ``values`` holds the fixed bits (0 at free variables); ``residual`` is
+    the instance over the free variables, in index order, with the fixed
+    ones folded into its diagonal, so that for any residual assignment r
+    E(full) = E_residual(r) + ``offset``; ``offset`` is the energy of
+    ``values``.  When nothing is fixed, ``residual`` is the input instance
+    itself.
+    """
+
+    fixed: np.ndarray
+    values: np.ndarray
+    residual: QuboMatrix
+    offset: float
+
+    def complete(self, q: QuboMatrix, sub: SampleResult | None) -> SampleResult:
+        """Full-instance result from a solver's result on the residual
+        (``None`` when no variable is left)."""
+        if sub is None:
+            return SampleResult(self.values.copy(), self.offset, np.array([self.offset]))
+        if not self.fixed.any():
+            return sub
+        alpha = self.values.copy()
+        alpha[~self.fixed] = sub.best_assignment
+        return SampleResult(alpha, energy(q, alpha), sub.energies + self.offset)
+
+
+def presolve(q: QuboMatrix) -> Presolved:
+    """First-order persistency (Boros & Hammer, Discrete Appl. Math. 123,
+    2002), iterated to a fixpoint.
+
+    With c = q + q^T (zero diagonal) and lin_i = q_ii + sum over j fixed
+    to 1 of c_ij, flipping x_i from 0 to 1 changes the energy by lin_i plus
+    the couplings to the free variables that are set.  So x_i = 1 holds in
+    some optimum when lin_i + sum_free max(0, c_ij) <= 0, and x_i = 0 when
+    lin_i + sum_free min(0, c_ij) >= 0 (1 wins when both hold).  Each rule
+    holds whatever the other bits are, so every variable that qualifies in
+    a round is fixed at once; a round repeats while it fixes something.
+    """
+    qm = q.q
+    n = q.n
+    coupling = _coupling(qm)
+    positive = np.maximum(coupling, 0.0)
+    negative = np.minimum(coupling, 0.0)
+    diag = np.diag(qm)
+    fixed = np.zeros(n, dtype=bool)
+    values = np.zeros(n, dtype=int)
+    while True:
+        free = ~fixed
+        lin = diag + coupling @ values
+        ones = free & (lin + positive @ free <= 0.0)
+        zeros = free & ~ones & (lin + negative @ free >= 0.0)
+        if not (ones.any() or zeros.any()):
+            break
+        values[ones] = 1
+        fixed |= ones | zeros
+    if not fixed.any():
+        return Presolved(fixed, values, q, 0.0)
+    keep = np.flatnonzero(~fixed)
+    residual = qm[np.ix_(keep, keep)]
+    np.fill_diagonal(residual, lin[keep])
+    return Presolved(fixed, values, QuboMatrix(residual), energy(q, values))

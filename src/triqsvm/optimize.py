@@ -18,7 +18,14 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .anneal import AnnealSchedule, SampleResult, brute_force, greedy_descent, simulated_anneal
+from .anneal import (
+    AnnealSchedule,
+    SampleResult,
+    brute_force,
+    greedy_descent,
+    presolve,
+    simulated_anneal,
+)
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
 from .qkernel import FeatureMapSpec
@@ -137,7 +144,8 @@ def initial_theta(p: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     """Outer-loop settings: iteration cap, early-stop threshold, solver
-    backend, QUBO builder, kernel kind and the master seed."""
+    backend, QUBO builder, kernel kind and the master seed.  ``slack_c`` is
+    the dual builder's diagonal penalty; the paper builder has none."""
 
     max_iterations: int = 10
     target_accuracy: float = 1.0
@@ -193,16 +201,31 @@ def report_to_dict(report: TrainReport) -> dict:
 
 
 def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
-    if cfg.solver_backend == "anneal":
-        schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
-        result = simulated_anneal(q, schedule)
-        info = {"backend": "anneal", **asdict(schedule)}
-    elif cfg.solver_backend == "exact":
+    """Solve the QUBO with the configured backend.
+
+    ``exact`` enumerates the whole instance.  ``anneal`` and ``greedy``
+    first run ``presolve``: when it fixes every variable (as on any
+    ``paper`` instance with kernel values in [0, 1]) no sampler runs; when
+    it fixes none the backend gets ``q`` itself; otherwise the backend
+    solves the residual and the fixed bits are put back.  Their solver
+    info reports ``presolve_fixed`` and ``residual_n``.
+    """
+    if cfg.solver_backend == "exact":
         result = brute_force(q)
         info = {"backend": "exact", "global_optimum": True}
     else:
-        result = greedy_descent(q, seed=cfg.seed)
-        info = {"backend": "greedy", "seed": cfg.seed}
+        pre = presolve(q)
+        residual = pre.residual
+        if cfg.solver_backend == "anneal":
+            schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
+            sub = simulated_anneal(residual, schedule) if residual.n else None
+            info = {"backend": "anneal", **asdict(schedule)}
+        else:
+            sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
+            info = {"backend": "greedy", "seed": cfg.seed}
+        result = pre.complete(q, sub)
+        info["presolve_fixed"] = int(pre.fixed.sum())
+        info["residual_n"] = residual.n
     info["best_energy"] = float(result.best_energy)
     info["selected"] = int(result.best_assignment.sum())
     return result, info
@@ -252,8 +275,10 @@ def train(
         try:
             kernel = _kernel_for(cfg, theta, d, base_gamma)
             k = kernel_gram(kernel, train_set.points)
-            builder = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
-            q = builder(k, train_set.labels, slack_c=cfg.slack_c)
+            if cfg.qubo_builder == "paper":
+                q = build_qubo_paper(k, train_set.labels)
+            else:
+                q = build_qubo_dual(k, train_set.labels, slack_c=cfg.slack_c)
             sample, solver_info = _solve_qubo(q, cfg)
             beta = compute_beta(sample.best_assignment, train_set.labels, k)
             model = TrainedModel(

@@ -81,25 +81,20 @@ def _check_sizes(k: np.ndarray, labels: np.ndarray) -> None:
         )
 
 
-def build_qubo_paper(gram, labels, slack_c: float = 0.0) -> QuboMatrix:
+def build_qubo_paper(gram, labels) -> QuboMatrix:
     """Pairwise QUBO: q[m][n] = -1/2 (y_n y_m + K[m][n]) y_m y_n for m != n.
 
-    The diagonal stays zero.  ``slack_c`` is accepted for interface
-    symmetry with the dual builder but has no effect here; this form has
-    no slack term.
+    The diagonal is zero.  Each entry is evaluated as
+    ((-0.5 * (y_n y_m + K[m][n])) * y_m) * y_n; that order is part of the
+    contract (worked examples assert exact floats).
     """
     k = _entries(gram)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)
-    n = len(labels)
-    q = np.zeros((n, n))
-    # Explicit loop: the add-then-multiply order per entry is part of the
-    # contract (worked examples assert exact floats).
-    for nn in range(n):
-        for mm in range(n):
-            if mm != nn:
-                kernel_tot = labels[nn] * labels[mm] + k[mm, nn]
-                q[mm, nn] = -0.5 * kernel_tot * labels[mm] * labels[nn]
+    y_m = labels[:, None]
+    y_n = labels[None, :]
+    q = ((-0.5 * (y_n * y_m + k)) * y_m) * y_n
+    np.fill_diagonal(q, 0.0)
     return QuboMatrix(q)
 
 

@@ -1,0 +1,205 @@
+"""First-order persistency presolve and its use in the training loop."""
+
+import numpy as np
+import pytest
+
+import triqsvm.optimize as optimize
+from triqsvm.anneal import (
+    AnnealSchedule,
+    Presolved,
+    brute_force,
+    energy,
+    presolve,
+    simulated_anneal,
+)
+from triqsvm.datagen import SplitSpec, adhoc_generate, split
+from triqsvm.kernels import RbfKernel, default_rbf_gamma, kernel_gram
+from triqsvm.optimize import TrainConfig, _solve_qubo, train
+from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.qubo import QuboMatrix, build_qubo_dual, build_qubo_paper, model_to_dict
+
+
+def all_energies(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = q.shape[0]
+    codes = np.arange(2**n)
+    bits = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
+    return bits, ((bits @ q) * bits).sum(axis=1)
+
+
+def partly_fixable(rng: np.random.Generator, n: int) -> QuboMatrix:
+    """Random couplings plus a few variables whose diagonal outweighs them,
+    so that persistency fixes some variables and leaves the rest."""
+    q = rng.uniform(-1, 1, (n, n))
+    strong = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+    sign = rng.choice([-1.0, 1.0], size=strong.size)
+    q[strong, strong] = sign * rng.uniform(2 * n, 3 * n, strong.size)
+    return QuboMatrix(q)
+
+
+def tied(rng: np.random.Generator, n: int) -> QuboMatrix:
+    """Coefficients on a coarse grid with many zeros, so that the rules'
+    sums often land exactly on 0."""
+    return QuboMatrix(rng.choice([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0], size=(n, n)))
+
+
+def chain(n: int) -> QuboMatrix:
+    """x_0 is fixed to 1 on its own; x_i becomes fixable only once x_{i-1}
+    is fixed to 1, so the fixpoint takes n rounds."""
+    q = np.zeros((n, n))
+    q[0, 0] = -1.0
+    for i in range(1, n):
+        q[i, i] = 1.0
+        q[i - 1, i] = -2.0
+    return QuboMatrix(q)
+
+
+def gap_sets(seed: int, delta: float = 0.6, n_train: int = 50, n_test: int = 10):
+    ds = adhoc_generate(n_train + n_test, delta, seed=seed)
+    return split(ds, SplitSpec(n_train, n_test, seed=seed))
+
+
+def no_presolve(q: QuboMatrix) -> Presolved:
+    n = q.n
+    return Presolved(np.zeros(n, dtype=bool), np.zeros(n, dtype=int), q, 0.0)
+
+
+class TestPaperInstances:
+    def test_quantum_kernel_fixes_every_variable_to_one(self):
+        train_set, _ = gap_sets(300)
+        spec = FeatureMapSpec(n=2, theta=np.array([0.7, -1.9]))
+        q = build_qubo_paper(gram(train_set.points, spec), train_set.labels)
+        pre = presolve(q)
+        assert pre.fixed.all()
+        assert np.all(pre.values == 1)
+        assert pre.residual.n == 0
+
+    def test_rbf_kernel_fixes_every_variable_to_one(self):
+        train_set, _ = gap_sets(600, delta=0.0)
+        kernel = RbfKernel(gamma=default_rbf_gamma(train_set.points))
+        q = build_qubo_paper(kernel_gram(kernel, train_set.points), train_set.labels)
+        pre = presolve(q)
+        assert pre.fixed.all()
+        assert np.all(pre.values == 1)
+
+    def test_solver_skips_sampling_and_reports_full_energy(self, monkeypatch):
+        train_set, _ = gap_sets(300)
+        k = gram(train_set.points, FeatureMapSpec(n=2, theta=np.array([0.3, 2.2]))).entries
+        q = build_qubo_paper(k, train_set.labels)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler called on a fully presolved instance")
+
+        monkeypatch.setattr(optimize, "simulated_anneal", refuse)
+        monkeypatch.setattr(optimize, "greedy_descent", refuse)
+        for backend in ("anneal", "greedy"):
+            result, info = _solve_qubo(q, TrainConfig(solver_backend=backend, seed=1))
+            assert result.best_assignment.tolist() == [1] * 50
+            assert result.best_energy == energy(q, np.ones(50))
+            assert info["presolve_fixed"] == 50
+            assert info["residual_n"] == 0
+            assert info["selected"] == 50
+
+
+class TestDualInstances:
+    def test_quantum_dual_fixes_nothing_and_anneals_unchanged(self):
+        train_set, _ = gap_sets(1000, delta=0.0, n_train=30)
+        k = gram(train_set.points, FeatureMapSpec(n=2, theta=np.array([1.1, -0.4]))).entries
+        q = build_qubo_dual(k, train_set.labels)
+        pre = presolve(q)
+        assert not pre.fixed.any()
+        assert pre.residual is q
+
+        schedule = AnnealSchedule(num_reads=8, sweeps=100, seed=5)
+        result, info = _solve_qubo(q, TrainConfig(seed=5, qubo_builder="dual", schedule=schedule))
+        direct = simulated_anneal(q, schedule)
+        assert np.array_equal(result.best_assignment, direct.best_assignment)
+        assert result.best_energy == direct.best_energy
+        assert np.array_equal(result.energies, direct.energies)
+        assert info["presolve_fixed"] == 0
+        assert info["residual_n"] == 30
+
+
+class TestPersistency:
+    def test_random_instances_against_brute_force(self):
+        rng = np.random.default_rng(2002)
+        partial = 0
+        for inst in range(240):
+            n = int(rng.integers(1, 13))
+            kind = inst % 3
+            if kind == 0:
+                q = QuboMatrix(rng.uniform(-1, 1, (n, n)))
+            elif kind == 1:
+                q = partly_fixable(rng, max(n, 4))
+            else:
+                q = tied(rng, n)
+            pre = presolve(q)
+            exact = brute_force(q)
+            bits, energies = all_energies(q.q)
+            optimal = np.abs(energies - exact.best_energy) <= 1e-12
+            agrees = np.all(bits[:, pre.fixed] == pre.values[pre.fixed], axis=1)
+            assert np.any(optimal & agrees), f"instance {inst}: fixing excludes every optimum"
+            assert np.all(pre.values[~pre.fixed] == 0)
+
+            sub = brute_force(pre.residual) if pre.residual.n else None
+            full = pre.complete(q, sub)
+            assert abs(full.best_energy - exact.best_energy) <= 1e-12
+            assert full.best_energy == energy(q, full.best_assignment)
+            partial += 0 < pre.fixed.sum() < n
+        assert partial >= 50
+
+    def test_residual_energy_plus_offset_is_full_energy(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            q = partly_fixable(rng, 10)
+            pre = presolve(q)
+            free = ~pre.fixed
+            for _ in range(5):
+                r = rng.integers(0, 2, int(free.sum()))
+                alpha = pre.values.copy()
+                alpha[free] = r
+                assert energy(pre.residual, r) + pre.offset == pytest.approx(
+                    energy(q, alpha), abs=1e-12
+                )
+
+    def test_fixpoint_follows_a_chain(self):
+        pre = presolve(chain(6))
+        assert pre.fixed.all()
+        assert pre.values.tolist() == [1] * 6
+
+    def test_ties_fix_to_one(self):
+        pre = presolve(QuboMatrix(np.zeros((3, 3))))
+        assert pre.values.tolist() == [1, 1, 1]
+
+    def test_partial_fix_rebuilds_full_assignment(self):
+        q = np.array([[-5.0, 0.3, -0.2], [0.3, 0.0, -1.0], [-0.2, -1.0, 0.4]])
+        q[1, 1], q[2, 2] = 0.5, 0.6
+        pre = presolve(QuboMatrix(q))
+        assert pre.fixed.tolist() == [True, False, False]
+        assert pre.residual.n == 2
+        result, info = _solve_qubo(QuboMatrix(q), TrainConfig(solver_backend="greedy", seed=3))
+        exact = brute_force(QuboMatrix(q))
+        assert result.best_energy == pytest.approx(exact.best_energy, abs=1e-12)
+        assert result.best_assignment[0] == 1
+        assert info["presolve_fixed"] == 1
+        assert info["residual_n"] == 2
+
+
+class TestTrainSkipsAnnealer:
+    def test_paper_training_matches_annealed_run(self, monkeypatch):
+        train_set, val_set = gap_sets(300)
+        cfg = TrainConfig(seed=300, max_iterations=2)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "presolve", no_presolve)
+            annealed = train(train_set, val_set, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annealer called on a paper instance")
+
+        monkeypatch.setattr(optimize, "simulated_anneal", refuse)
+        presolved = train(train_set, val_set, cfg)
+        assert presolved.failures == []
+        assert model_to_dict(presolved.best_model) == model_to_dict(annealed.best_model)
+        assert presolved.accuracy_per_iteration == annealed.accuracy_per_iteration
+        assert presolved.solver["presolve_fixed"] == 50
+        assert presolved.solver["residual_n"] == 0
