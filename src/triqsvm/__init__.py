@@ -27,17 +27,7 @@ from .optimize import (
     initial_theta,
     train,
 )
-from .qkernel import (
-    FeatureMapSpec,
-    GramMatrix,
-    StateVector,
-    apply_hadamard_layer,
-    apply_phase_evolution,
-    expectation_zz,
-    feature_state,
-    gram,
-    kernel_entry,
-)
+from .qkernel import FeatureMapSpec, GramMatrix, expectation_zz, feature_states, gram
 from .qubo import (
     QuboMatrix,
     TrainedModel,

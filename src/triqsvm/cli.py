@@ -4,18 +4,16 @@ and multi-size sweeps.
 Exit codes: 0 on success, 1 for validation errors (bad flags, missing or
 malformed files), 2 for runtime or numeric failures.  Every JSON artifact
 carries ``schema_version`` and echoes the flags and seeds that produced it.
-The environment variable ``TRIQSVM_THREADS`` caps inner parallelism
-(0 or unset means one worker per CPU).
+Every command runs on one thread; ``map`` scores its whole grid with one
+batched ``decision_values`` call.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,15 +45,6 @@ SWEEP_METHODS = {
 }
 
 DEFAULT_SWEEP_SIZES = (50, 100, 200, 300, 500)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("TRIQSVM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TRIQSVM_THREADS must be an integer, got {raw!r}") from None
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _utc_now() -> str:
@@ -242,19 +231,6 @@ def cmd_evaluate(model_file, dataset_file, out):
     })
 
 
-def _grid_decisions(model, grid: np.ndarray) -> np.ndarray:
-    workers = _worker_count()
-    if workers <= 1 or grid.shape[0] < 64:
-        return decision_values(grid, model)
-    chunks = np.array_split(np.arange(grid.shape[0]), workers)
-    values = np.empty(grid.shape[0])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(decision_values, grid[idx], model): idx for idx in chunks if idx.size}
-        for future, idx in futures.items():
-            values[idx] = future.result()
-    return values
-
-
 def _svg_map(path, xs, ys, values, labels, resolution, domain, overlays):
     lo1, hi1, lo2, hi2 = domain
     size = 480
@@ -324,8 +300,8 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
     g1 = np.linspace(bounds[0], bounds[1], resolution)
     g2 = np.linspace(bounds[2], bounds[3], resolution)
     # Row-major with x2 fastest.
-    grid = np.array([(a, b) for a in g1 for b in g2])
-    values = _grid_decisions(model, grid)
+    grid = np.column_stack([np.repeat(g1, resolution), np.tile(g2, resolution)])
+    values = decision_values(grid, model)
     labels = np.where(values >= 0.0, 1, -1)
     with Path(out).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("x1,x2,decision_value,label\n")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qkernel import FeatureMapSpec, expectation_zz, feature_state
+from .qkernel import FeatureMapSpec, expectation_zz, feature_states
 
 DEFAULT_GAP = 0.6
 
@@ -113,8 +113,10 @@ def adhoc_generate(m: int, delta: float, n: int = 2, seed: int = 0) -> Dataset:
 
     A candidate x is kept only when |<Phi(x)|V^dag ZZ V|Phi(x)>| exceeds
     ``delta`` and its class quota is not yet full; everything else is
-    rejected and resampled.  Raises when ``delta`` makes the rejection loop
-    exceed its attempt budget.
+    rejected and resampled.  Candidates are drawn and scored in chunks, but
+    accepted in draw order, so the result equals a one-at-a-time rejection
+    loop.  Raises when ``delta`` makes the rejection loop exceed its attempt
+    budget.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
@@ -127,22 +129,25 @@ def adhoc_generate(m: int, delta: float, n: int = 2, seed: int = 0) -> Dataset:
     points = np.empty((m, n))
     labels = np.empty(m, dtype=int)
     filled = 0
+    drawn = 0
     cap = RESAMPLE_CAP_PER_SAMPLE * m
-    for _ in range(cap):
-        if filled == m:
-            break
+    while filled < m and drawn < cap:
+        count = min(max(64, 4 * (m - filled)), cap - drawn)
+        drawn += count
         # 2*pi*(1 - u) with u in [0, 1) lands in (0, 2*pi].
-        x = 2.0 * np.pi * (1.0 - rng.random(n))
-        e = expectation_zz(feature_state(x, spec), v)
-        if abs(e) <= delta:
-            continue
-        label = 1 if e > 0 else -1
-        if quota[label] == 0:
-            continue
-        quota[label] -= 1
-        points[filled] = x
-        labels[filled] = label
-        filled += 1
+        x = 2.0 * np.pi * (1.0 - rng.random((count, n)))
+        e = expectation_zz(feature_states(x, spec), v)
+        label = np.where(e > 0, 1, -1)
+        keep = np.abs(e) > delta
+        for lab in (1, -1):
+            # The first quota[lab] gap-clearing candidates of each class win.
+            mine = keep & (label == lab)
+            keep &= ~mine | (np.cumsum(mine) <= quota[lab])
+            quota[lab] -= min(quota[lab], int(mine.sum()))
+        taken = np.flatnonzero(keep)
+        points[filled : filled + taken.size] = x[taken]
+        labels[filled : filled + taken.size] = label[taken]
+        filled += taken.size
     if filled < m:
         raise RuntimeError(
             f"gap infeasible: {filled}/{m} samples after {cap} attempts at delta={delta}"

@@ -54,8 +54,8 @@ def kernel_cross(kernel: Kernel, points, queries) -> np.ndarray:
             f"queries {queries.shape[1]}-dimensional"
         )
     if isinstance(kernel, FeatureMapSpec):
-        sp = np.stack([qkernel.feature_state(p, kernel).amplitudes for p in points])
-        sq = np.stack([qkernel.feature_state(q, kernel).amplitudes for q in queries])
+        sp = qkernel.feature_states(points, kernel)
+        sq = qkernel.feature_states(queries, kernel)
         return np.abs(sp.conj() @ sq.T) ** 2
     if isinstance(kernel, RbfKernel):
         d2 = ((points[:, None, :] - queries[None, :, :]) ** 2).sum(axis=2)
@@ -80,9 +80,9 @@ def kernel_to_dict(kernel: Kernel) -> dict:
         return {
             "kind": "quantum-zz",
             "n": kernel.n,
-            "reps": kernel.reps,
+            "reps": 2,
             "theta": [float(t) for t in kernel.theta],
-            "data_map": kernel.data_map,
+            "data_map": "zz-detune",
         }
     if isinstance(kernel, RbfKernel):
         return {"kind": "rbf", "gamma": kernel.gamma}
@@ -94,12 +94,13 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 def kernel_from_dict(data: dict) -> Kernel:
     kind = data.get("kind")
     if kind == "quantum-zz":
-        return FeatureMapSpec(
-            n=int(data["n"]),
-            theta=np.asarray(data["theta"], dtype=float),
-            reps=int(data.get("reps", 2)),
-            data_map=data.get("data_map", "zz-detune"),
-        )
+        # The only circuit this package simulates: two repetitions of the
+        # zz-detune data map.  Model files naming any other are rejected.
+        if int(data.get("reps", 2)) != 2:
+            raise ValueError("the feature block is applied exactly twice (reps must be 2)")
+        if data.get("data_map", "zz-detune") != "zz-detune":
+            raise ValueError(f"unknown data map {data['data_map']!r}")
+        return FeatureMapSpec(n=int(data["n"]), theta=np.asarray(data["theta"], dtype=float))
     if kind == "rbf":
         return RbfKernel(gamma=float(data["gamma"]))
     if kind == "linear":

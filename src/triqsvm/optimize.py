@@ -144,8 +144,7 @@ def initial_theta(p: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     """Outer-loop settings: iteration cap, early-stop threshold, solver
-    backend, QUBO builder, kernel kind and the master seed.  ``slack_c`` is
-    the dual builder's diagonal penalty; the paper builder has none."""
+    backend, QUBO builder, kernel kind and the master seed."""
 
     max_iterations: int = 10
     target_accuracy: float = 1.0
@@ -153,7 +152,6 @@ class TrainConfig:
     qubo_builder: str = "paper"
     kernel_kind: str = "quantum-zz"
     seed: int = 0
-    slack_c: float = 0.0
     schedule: AnnealSchedule | None = None
 
     def __post_init__(self):
@@ -278,7 +276,7 @@ def train(
             if cfg.qubo_builder == "paper":
                 q = build_qubo_paper(k, train_set.labels)
             else:
-                q = build_qubo_dual(k, train_set.labels, slack_c=cfg.slack_c)
+                q = build_qubo_dual(k, train_set.labels)
             sample, solver_info = _solve_qubo(q, cfg)
             beta = compute_beta(sample.best_assignment, train_set.labels, k)
             model = TrainedModel(

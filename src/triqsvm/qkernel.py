@@ -1,9 +1,15 @@
 """Dense statevector simulation of the two-repetition Pauli-Z feature map.
 
-The feature circuit alternates a Hadamard layer with a diagonal phase
-evolution whose angles come from a data map.  States are stored as full
-complex amplitude vectors of length 2**n.  Qubit 0 is the most significant
-bit of the basis index, so for n=2 the basis order is |00>, |01>, |10>, |11>.
+The feature state of a data point x is
+
+    |Phi(x)> = D(x) H D(x) H |0...0>,
+
+with H a Hadamard on every qubit and D(x) the diagonal phase evolution
+whose angles come from the data map (the ZZ feature map of Havlicek et al.,
+Nature 567, 209, 2019).  States are stored as full complex amplitude
+vectors of length 2**n, a batch of points at a time.  Qubit 0 is the most
+significant bit of the basis index, so for n=2 the basis order is |00>,
+|01>, |10>, |11>.
 
 A basis state |b> picks up the phase
 
@@ -22,15 +28,13 @@ from itertools import combinations
 
 import numpy as np
 
-NORM_ATOL = 1e-10
-
-# Amplitude of the bounded one-body detuning used by the "zz-detune" data
-# map.  The detuning is periodic in theta and vanishes at every integer
-# theta, so theta=(1,...,1) reproduces the plain angles phi_i(x) = x_i used
-# to label generated data.
+# Amplitude of the bounded one-body detuning of the data map.  The
+# detuning is periodic in theta and vanishes at every integer theta, so
+# theta=(1,...,1) reproduces the plain angles phi_i(x) = x_i used to label
+# generated data.
 DETUNE_AMPLITUDE = np.pi / 8
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -46,122 +50,75 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized n-qubit state; amplitudes indexed with qubit 0 as MSB."""
-
-    amplitudes: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        if self.n < 1:
-            raise ValueError("qubit count must be >= 1")
-        if amp.shape != (2**self.n,):
-            raise ValueError(f"expected {2 ** self.n} amplitudes, got {amp.shape}")
-        norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
-
-
-def zero_state(n: int) -> StateVector:
-    """The all-zeros computational basis state |0...0>."""
-    amp = np.zeros(2**n, dtype=complex)
-    amp[0] = 1.0
-    return StateVector(amp, n)
-
-
-def _zz_detune_map(x: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One-body: data angle plus a bounded periodic detuning controlled by
-    # theta.  Two-body: the usual (pi - x_i)(pi - x_j) pair interaction,
-    # independent of theta.  At integer theta the detuning is exactly zero.
-    one = x + DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
-    two = np.array([(np.pi - x[i]) * (np.pi - x[j]) for i, j in combinations(range(len(x)), 2)])
-    return one, two
-
-
-DATA_MAPS = {
-    "zz-detune": _zz_detune_map,
-}
-
-
-@dataclass(frozen=True)
 class FeatureMapSpec:
-    """Configuration of the feature circuit: qubit count, training
-    parameters theta (one per qubit), repetition count and data-map name."""
+    """Configuration of the feature circuit: qubit count and training
+    parameters theta (one per qubit)."""
 
     n: int = 2
     theta: np.ndarray = field(default_factory=lambda: np.ones(2))
-    reps: int = 2
-    data_map: str = "zz-detune"
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
-        if self.reps != 2:
-            raise ValueError("the feature block is applied exactly twice (reps must be 2)")
         if theta.shape != (self.n,):
             raise ValueError(f"theta must have one entry per qubit, got shape {theta.shape}")
         if np.any(np.abs(theta) > 2 * np.pi):
             raise ValueError("all |theta_k| must be <= 2*pi")
-        if self.data_map not in DATA_MAPS:
-            raise ValueError(f"unknown data map {self.data_map!r}")
-
-    def angles(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """One-body and two-body phase angles for data point x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"data point must have dimension {self.n}, got shape {x.shape}")
-        return DATA_MAPS[self.data_map](x, self.theta)
 
 
-def apply_hadamard_layer(state: StateVector) -> StateVector:
-    """Apply a Hadamard gate to every qubit."""
-    t = state.amplitudes.reshape((2,) * state.n)
-    for ax in range(state.n):
-        t = np.moveaxis(np.tensordot(_HADAMARD, t, axes=([1], [ax])), 0, ax)
-    return StateVector(t.reshape(-1), state.n)
+def _angles(points: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-body and two-body angles of the data map, one row per point.
 
-
-def apply_phase_evolution(state: StateVector, one_body, two_body) -> StateVector:
-    """Apply the diagonal phase evolution with the given angle sets.
-
-    ``one_body`` holds one angle per qubit, ``two_body`` one angle per qubit
-    pair in :func:`pair_order` order.  Only phases change; amplitude
-    magnitudes are untouched.
+    One-body: the data coordinate plus a bounded periodic detuning
+    controlled by theta (exactly zero at integer theta).  Two-body:
+    (pi - x_i)(pi - x_j) per pair in :func:`pair_order`, independent of theta.
     """
-    n = state.n
-    one_body = np.asarray(one_body, dtype=float)
-    two_body = np.asarray(two_body, dtype=float)
-    n_pairs = n * (n - 1) // 2
-    if one_body.shape != (n,):
-        raise ValueError(f"expected {n} one-body angles, got shape {one_body.shape}")
-    if two_body.shape != (n_pairs,):
-        raise ValueError(f"expected {n_pairs} two-body angles, got shape {two_body.shape}")
-    z = _z_table(n)
-    phase = one_body @ z
-    for k, (i, j) in enumerate(pair_order(n)):
-        phase = phase + two_body[k] * z[i] * z[j]
-    return StateVector(state.amplitudes * np.exp(1j * phase), n)
+    i, j = np.array(pair_order(points.shape[1]), dtype=int).reshape(-1, 2).T
+    one = points + DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
+    return one, (np.pi - points[:, i]) * (np.pi - points[:, j])
 
 
-def feature_state(x, spec: FeatureMapSpec) -> StateVector:
-    """Run the feature circuit on |0...0> for data point x."""
-    one, two = spec.angles(x)
-    state = zero_state(spec.n)
-    for _ in range(spec.reps):
-        state = apply_hadamard_layer(state)
-        state = apply_phase_evolution(state, one, two)
+def _phase_diagonal(one: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """Diagonal of the phase evolution D for each row of angles."""
+    z = _z_table(one.shape[1])
+    phase = one @ z
+    for k, (i, j) in enumerate(pair_order(one.shape[1])):
+        phase = phase + two[:, k : k + 1] * z[i] * z[j]
+    return np.exp(1j * phase)
+
+
+def _hadamard_layer(state: np.ndarray) -> np.ndarray:
+    """A Hadamard on every qubit of a batch of states, shape (m, 2**n).
+
+    The real matrix acts on the float view of the amplitudes, so every
+    qubit axis is one (2, 2) @ (2, N >= 2) BLAS product whatever the batch
+    size, and row k of a batch equals a batch of one bit for bit.
+    """
+    m, dim = state.shape
+    n = dim.bit_length() - 1
+    # Axes: batch, one per qubit, then (real, imag).
+    t = state.view(float).reshape((m,) + (2,) * n + (2,))
+    for ax in range(1, n + 1):
+        t = np.moveaxis(np.tensordot(_HADAMARD, t, axes=([1], [ax])), 0, ax)
+    return np.ascontiguousarray(t).view(complex).reshape(m, dim)
+
+
+def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
+    """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != spec.n:
+        raise ValueError(
+            f"data points must have dimension {spec.n}, got shape {points.shape}"
+        )
+    m, n = points.shape
+    diag = _phase_diagonal(*_angles(points, spec.theta))
+    state = np.zeros((m, 2**n), dtype=complex)
+    state[:, 0] = 1.0
+    for _ in range(2):
+        state = _hadamard_layer(state) * diag
     return state
-
-
-def kernel_entry(x, z, spec: FeatureMapSpec) -> float:
-    """Squared overlap |<Phi(x)|Phi(z)>|^2, in [0, 1]."""
-    a = feature_state(x, spec).amplitudes
-    b = feature_state(z, spec).amplitudes
-    return float(np.abs(np.vdot(a, b)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -188,7 +145,7 @@ def gram(points, spec: FeatureMapSpec) -> GramMatrix:
     m = points.shape[0]
     if m < 1 or points.size == 0:
         raise ValueError("at least one data point is required")
-    states = np.stack([feature_state(p, spec).amplitudes for p in points])
+    states = feature_states(points, spec)
     k = np.empty((m, m))
     for i in range(m):
         row = np.abs(states[i:].conj() @ states[i]) ** 2
@@ -197,18 +154,24 @@ def gram(points, spec: FeatureMapSpec) -> GramMatrix:
     return GramMatrix(k, m)
 
 
-def expectation_zz(state: StateVector, v: np.ndarray) -> float:
-    """Expectation <psi| V^dag (Z x ... x Z) V |psi>, a real in [-1, 1]."""
+def expectation_zz(states, v: np.ndarray) -> np.ndarray:
+    """Expectations <psi| V^dag (Z x ... x Z) V |psi> of a batch of states.
+
+    ``states`` has shape (m, 2**n); the result holds m reals in [-1, 1].
+    V's unitarity is checked once per call.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=complex))
     v = np.asarray(v, dtype=complex)
-    dim = 2**state.n
+    dim = states.shape[1]
+    n = dim.bit_length() - 1
     if v.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {v.shape}")
     residual = np.max(np.abs(v.conj().T @ v - np.eye(dim)))
     if residual > 1e-10:
         raise ValueError(f"matrix is not unitary (max |V^dag V - I| = {residual:.2e})")
-    w = v @ state.amplitudes
-    signs = np.prod(_z_table(state.n), axis=0)
-    value = np.vdot(w, signs * w)
-    if abs(value.imag) >= 1e-10:
+    w = states @ v.T
+    signs = np.prod(_z_table(n), axis=0)
+    value = np.sum(w.conj() * (signs * w), axis=1)
+    if np.any(np.abs(value.imag) >= 1e-10):
         raise ArithmeticError(f"expectation has imaginary residue {value.imag!r}")
-    return float(value.real)
+    return value.real

@@ -98,18 +98,17 @@ def build_qubo_paper(gram, labels) -> QuboMatrix:
     return QuboMatrix(q)
 
 
-def build_qubo_dual(gram, labels, slack_c: float = 0.0) -> QuboMatrix:
+def build_qubo_dual(gram, labels) -> QuboMatrix:
     """Standard dual objective as a QUBO over binary weights.
 
     Off-diagonal entries are y_m y_n K[m][n] / 2; the diagonal carries
-    K[n][n]/2 - 1 (the linear -sum(alpha) term) plus the optional slack
-    penalty ``slack_c``.
+    K[n][n]/2 - 1 (the linear -sum(alpha) term).
     """
     k = _entries(gram)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)
     q = 0.5 * np.outer(labels, labels) * k
-    np.fill_diagonal(q, 0.5 * np.diag(k) - 1.0 + slack_c)
+    np.fill_diagonal(q, 0.5 * np.diag(k) - 1.0)
     return QuboMatrix(q)
 
 

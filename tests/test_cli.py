@@ -45,15 +45,14 @@ class TestGenData:
         assert ds.m == 60
         # Gap re-check through the library path.
         from triqsvm.datagen import labelling_map
-        from triqsvm.qkernel import expectation_zz, feature_state
+        from triqsvm.qkernel import expectation_zz, feature_states
 
         rng = np.random.default_rng(300)
         z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
         q, r = np.linalg.qr(z)
         v = q * (np.diag(r) / np.abs(np.diag(r)))
         spec = labelling_map(2)
-        for x in ds.points:
-            assert abs(expectation_zz(feature_state(x, spec), v)) > 0.6
+        assert np.all(np.abs(expectation_zz(feature_states(ds.points, spec), v)) > 0.6)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import triqsvm.datagen as datagen
 from triqsvm.datagen import (
+    RESAMPLE_CAP_PER_SAMPLE,
     Dataset,
     SplitSpec,
     adhoc_generate,
@@ -17,7 +19,25 @@ from triqsvm.datagen import (
     write_dataset_csv,
 )
 
-from oracles import oracle_expectation_zz, oracle_feature_state
+from oracles import oracle_expectation_zz, oracle_feature_state, random_unitary
+
+
+def sequential_generate(m, delta, seed, n=2):
+    """The rejection loop one candidate at a time, on the dense oracles."""
+    rng = np.random.default_rng(seed)
+    v = random_unitary(2**n, rng)
+    quota = {1: (m + 1) // 2, -1: m // 2}
+    points, labels = [], []
+    while len(points) < m:
+        x = 2.0 * np.pi * (1.0 - rng.random(n))
+        e = oracle_expectation_zz(oracle_feature_state(x, np.ones(n)), v)
+        label = 1 if e > 0 else -1
+        if abs(e) <= delta or quota[label] == 0:
+            continue
+        quota[label] -= 1
+        points.append(x)
+        labels.append(label)
+    return np.array(points), np.array(labels)
 
 
 class TestDataset:
@@ -64,6 +84,14 @@ class TestAdhocGenerate:
             assert abs(e) > 0.6
             assert label == (1 if e > 0 else -1)
 
+    @pytest.mark.parametrize("delta, n", [(0.6, 2), (0.0, 2), (0.3, 3)])
+    @pytest.mark.parametrize("seed", [300, 1, 2])
+    def test_matches_sequential_rejection_loop(self, delta, n, seed):
+        ds = adhoc_generate(41, delta, n=n, seed=seed)
+        points, labels = sequential_generate(41, delta, seed, n=n)
+        assert np.array_equal(ds.points, points)
+        assert np.array_equal(ds.labels, labels)
+
     def test_points_in_half_open_domain(self):
         ds = adhoc_generate(200, 0.3, seed=5)
         assert np.all(ds.points > 0.0)
@@ -96,6 +124,19 @@ class TestAdhocGenerate:
     def test_infeasible_gap_exhausts_cap(self):
         with pytest.raises(RuntimeError, match="gap infeasible"):
             adhoc_generate(1, 0.99, seed=0)
+
+    def test_infeasible_gap_scores_exactly_the_cap(self, monkeypatch):
+        scored = []
+
+        def counting(points, spec):
+            scored.append(len(points))
+            return feature_states(points, spec)
+
+        feature_states = datagen.feature_states
+        monkeypatch.setattr(datagen, "feature_states", counting)
+        with pytest.raises(RuntimeError, match="gap infeasible"):
+            adhoc_generate(3, 0.999, seed=1)
+        assert sum(scored) == 3 * RESAMPLE_CAP_PER_SAMPLE
 
 
 class TestLoadCsv:

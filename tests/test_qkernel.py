@@ -1,18 +1,16 @@
-"""Statevector, feature map and kernel tests against dense-matrix oracles."""
+"""Feature map, batched statevector and kernel tests against dense-matrix oracles."""
 
 import numpy as np
 import pytest
 
+from triqsvm.kernels import kernel_cross, kernel_from_dict
 from triqsvm.qkernel import (
     FeatureMapSpec,
-    StateVector,
-    apply_hadamard_layer,
-    apply_phase_evolution,
+    _hadamard_layer,
+    _phase_diagonal,
     expectation_zz,
-    feature_state,
+    feature_states,
     gram,
-    kernel_entry,
-    zero_state,
 )
 
 from oracles import (
@@ -38,29 +36,34 @@ FROZEN_STATE = np.array(
 )
 FROZEN_KERNEL = 0.38970797962515047
 
+QUANTUM_KERNEL = {"kind": "quantum-zz", "n": 2, "reps": 2, "theta": [0.0, 0.0],
+                  "data_map": "zz-detune"}
+
 
 def spec2(theta=(1.0, 1.0)):
     return FeatureMapSpec(n=2, theta=np.asarray(theta, dtype=float))
 
 
-class TestStateVector:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            StateVector(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), 2)
+def kernel_value(x, z, spec):
+    """K(x, z) as the trainer sees it: an entry of the Gram matrix."""
+    return float(gram([x, z], spec).entries[0, 1])
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), 2)
 
-    def test_rejects_zero_qubits(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0], dtype=complex), 0)
+def basis(dim, k):
+    """Batch of one computational basis state |k>."""
+    return np.eye(dim, dtype=complex)[[k]]
 
 
 class TestFeatureMapSpec:
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(ValueError, match="qubit count"):
+            FeatureMapSpec(n=0, theta=np.zeros(0))
+
     def test_reps_is_fixed_to_two(self):
+        # Model files name the repetition count; only 2 is simulated.
+        assert isinstance(kernel_from_dict(QUANTUM_KERNEL), FeatureMapSpec)
         with pytest.raises(ValueError, match="reps"):
-            FeatureMapSpec(n=2, theta=np.zeros(2), reps=3)
+            kernel_from_dict(dict(QUANTUM_KERNEL, reps=3))
 
     def test_theta_bound(self):
         with pytest.raises(ValueError, match="theta"):
@@ -72,99 +75,101 @@ class TestFeatureMapSpec:
 
     def test_unknown_data_map(self):
         with pytest.raises(ValueError, match="data map"):
-            FeatureMapSpec(n=2, theta=np.zeros(2), data_map="nope")
+            kernel_from_dict(dict(QUANTUM_KERNEL, data_map="nope"))
 
 
 class TestHadamardLayer:
     def test_zero_state_becomes_uniform(self):
-        out = apply_hadamard_layer(zero_state(2))
-        np.testing.assert_allclose(out.amplitudes, np.full(4, 0.5), atol=1e-14)
+        out = _hadamard_layer(basis(4, 0))
+        np.testing.assert_allclose(out, np.full((1, 4), 0.5), atol=1e-14)
 
     def test_involution(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            amp = random_state(8, rng)
-            state = StateVector(amp, 3)
-            back = apply_hadamard_layer(apply_hadamard_layer(state))
-            np.testing.assert_allclose(back.amplitudes, amp, atol=1e-12)
+        amp = np.stack([random_state(8, rng) for _ in range(20)])
+        back = _hadamard_layer(_hadamard_layer(amp))
+        np.testing.assert_allclose(back, amp, atol=1e-12)
 
     def test_basis_ten(self):
         # |10> is basis index 2: qubit 0 is the MSB.
-        amp = np.zeros(4, dtype=complex)
-        amp[2] = 1.0
-        out = apply_hadamard_layer(StateVector(amp, 2))
-        np.testing.assert_allclose(out.amplitudes, [0.5, 0.5, -0.5, -0.5], atol=1e-14)
+        out = _hadamard_layer(basis(4, 2))
+        np.testing.assert_allclose(out, [[0.5, 0.5, -0.5, -0.5]], atol=1e-14)
 
     def test_matches_kron_oracle(self):
         rng = np.random.default_rng(6)
         h = hadamard_all(3)
-        for _ in range(10):
-            amp = random_state(8, rng)
-            out = apply_hadamard_layer(StateVector(amp, 3))
-            np.testing.assert_allclose(out.amplitudes, h @ amp, atol=1e-12)
+        amp = np.stack([random_state(8, rng) for _ in range(10)])
+        np.testing.assert_allclose(_hadamard_layer(amp), amp @ h.T, atol=1e-12)
 
 
 class TestPhaseEvolution:
     def test_zero_angles_are_identity(self):
-        state = apply_hadamard_layer(zero_state(2))
-        out = apply_phase_evolution(state, [0.0, 0.0], [0.0])
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-14)
+        diag = _phase_diagonal(np.zeros((1, 2)), np.zeros((1, 1)))
+        np.testing.assert_array_equal(diag, np.ones((1, 4)))
 
     def test_pair_angle_pi_is_global_phase(self):
         # (1-2b1)(1-2b2) is +-1, and exp(+-i pi) = -1 either way, so the
         # kernel value against the pre-image is unchanged.
-        state = apply_hadamard_layer(zero_state(2))
-        out = apply_phase_evolution(state, [0.0, 0.0], [np.pi])
-        np.testing.assert_allclose(out.amplitudes, -state.amplitudes, atol=1e-12)
-        overlap = abs(np.vdot(state.amplitudes, out.amplitudes)) ** 2
+        state = _hadamard_layer(basis(4, 0))
+        out = state * _phase_diagonal(np.zeros((1, 2)), np.array([[np.pi]]))
+        np.testing.assert_allclose(out, -state, atol=1e-12)
+        overlap = abs(np.vdot(state, out)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_on_uniform(self):
-        state = apply_hadamard_layer(zero_state(2))
-        out = apply_phase_evolution(state, [np.pi / 2, 0.0], [0.0])
-        np.testing.assert_allclose(out.amplitudes, [0.5j, 0.5j, -0.5j, -0.5j], atol=1e-12)
+        state = _hadamard_layer(basis(4, 0))
+        out = state * _phase_diagonal(np.array([[np.pi / 2, 0.0]]), np.zeros((1, 1)))
+        np.testing.assert_allclose(out, [[0.5j, 0.5j, -0.5j, -0.5j]], atol=1e-12)
 
     def test_magnitudes_never_change(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            amp = random_state(4, rng)
-            angles = rng.uniform(-10, 10, 3)
-            out = apply_phase_evolution(StateVector(amp, 2), angles[:2], angles[2:])
-            np.testing.assert_allclose(np.abs(out.amplitudes), np.abs(amp), atol=1e-12)
-
-    def test_angle_count_validation(self):
-        state = zero_state(2)
-        with pytest.raises(ValueError, match="one-body"):
-            apply_phase_evolution(state, [0.0], [0.0])
-        with pytest.raises(ValueError, match="two-body"):
-            apply_phase_evolution(state, [0.0, 0.0], [0.0, 0.0])
+        angles = rng.uniform(-10, 10, (50, 3))
+        diag = _phase_diagonal(angles[:, :2], angles[:, 2:])
+        np.testing.assert_allclose(np.abs(diag), 1.0, atol=1e-12)
 
 
 class TestFeatureState:
     def test_all_angles_cancel_to_zero_state(self):
         # At theta=(0,0), x=(pi,pi) the angles are (pi, pi, 0); two one-body
         # pi rotations compose to the identity, leaving |00> exactly.
-        out = feature_state([np.pi, np.pi], spec2((0.0, 0.0)))
-        np.testing.assert_allclose(out.amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        out = feature_states([np.pi, np.pi], spec2((0.0, 0.0)))
+        np.testing.assert_allclose(out, [[1.0, 0.0, 0.0, 0.0]], atol=1e-12)
 
     def test_frozen_reference_point(self):
-        out = feature_state(FROZEN_X, spec2(FROZEN_THETA))
-        np.testing.assert_allclose(out.amplitudes, FROZEN_STATE, atol=1e-12)
-        np.testing.assert_allclose(
-            out.amplitudes, oracle_feature_state(FROZEN_X, FROZEN_THETA), atol=1e-12
-        )
+        out = feature_states(FROZEN_X, spec2(FROZEN_THETA))[0]
+        np.testing.assert_allclose(out, FROZEN_STATE, atol=1e-12)
+        np.testing.assert_allclose(out, oracle_feature_state(FROZEN_X, FROZEN_THETA), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(5):
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, n)
+            points = rng.uniform(0, 2 * np.pi, (40, n))
+            got = feature_states(points, FeatureMapSpec(n=n, theta=theta))
+            want = np.stack([oracle_feature_state(x, theta) for x in points])
+            assert got.shape == (40, 2**n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_rows_equal_batches_of_one(self, n):
+        rng = np.random.default_rng(30 + n)
+        spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        points = rng.uniform(0, 2 * np.pi, (257, n))
+        batch = feature_states(points, spec)
+        for k in (0, 1, 128, 256):
+            assert feature_states(points[k], spec).tobytes() == batch[k : k + 1].tobytes()
 
     def test_unit_norm_for_random_inputs(self):
         rng = np.random.default_rng(8)
-        for _ in range(100):
-            x = rng.uniform(0, 2 * np.pi, 2)
+        for _ in range(10):
+            points = rng.uniform(0, 2 * np.pi, (10, 2))
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            out = feature_state(x, spec2(theta))
-            assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
+            norms = np.sum(np.abs(feature_states(points, spec2(theta))) ** 2, axis=1)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            feature_state([1.0, 2.0, 3.0], spec2())
+            feature_states([1.0, 2.0, 3.0], spec2())
 
 
 class TestKernelEntry:
@@ -173,32 +178,33 @@ class TestKernelEntry:
         for _ in range(10):
             x = rng.uniform(0, 2 * np.pi, 2)
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            assert kernel_entry(x, x, spec2(theta)) == pytest.approx(1.0, abs=1e-12)
+            assert kernel_value(x, x, spec2(theta)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(10)
         spec = spec2((0.3, -1.2))
-        for _ in range(100):
-            x, z = rng.uniform(0, 2 * np.pi, (2, 2))
-            assert abs(kernel_entry(x, z, spec) - kernel_entry(z, x, spec)) <= 1e-12
+        points = rng.uniform(0, 2 * np.pi, (100, 2))
+        cross = kernel_cross(spec, points, points)
+        assert np.max(np.abs(cross - cross.T)) <= 1e-12
 
     def test_frozen_cross_value(self):
-        value = kernel_entry(FROZEN_X, FROZEN_Z, spec2(FROZEN_THETA))
+        value = kernel_value(FROZEN_X, FROZEN_Z, spec2(FROZEN_THETA))
         assert value == pytest.approx(FROZEN_KERNEL, abs=1e-10)
         assert value == pytest.approx(oracle_kernel(FROZEN_X, FROZEN_Z, FROZEN_THETA), abs=1e-10)
 
     def test_bounds(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            x, z = rng.uniform(0, 2 * np.pi, (2, 2))
+        for _ in range(10):
+            points = rng.uniform(0, 2 * np.pi, (10, 2))
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            value = kernel_entry(x, z, spec2(theta))
-            assert -1e-12 <= value <= 1.0 + 1e-12
+            values = gram(points, spec2(theta)).entries
+            assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
 
     def test_repeat_calls_bit_identical(self):
-        x, z = [0.7, 5.1], [2.9, 0.4]
+        points = [[0.7, 5.1], [2.9, 0.4]]
         spec = spec2((1.7, -0.6))
-        assert kernel_entry(x, z, spec) == kernel_entry(x, z, spec)
+        assert gram(points, spec).entries.tobytes() == gram(points, spec).entries.tobytes()
+        assert feature_states(points, spec).tobytes() == feature_states(points, spec).tobytes()
 
 
 class TestGram:
@@ -218,12 +224,14 @@ class TestGram:
     def test_entries_match_kernel_entry(self):
         rng = np.random.default_rng(13)
         points = rng.uniform(0, 2 * np.pi, (4, 2))
-        spec = spec2((2.0, -0.3))
-        g = gram(points, spec)
+        theta = (2.0, -0.3)
+        g = gram(points, spec2(theta))
+        np.testing.assert_allclose(g.entries, kernel_cross(spec2(theta), points, points),
+                                   rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):
                 assert g.entries[i, j] == pytest.approx(
-                    kernel_entry(points[i], points[j], spec), abs=1e-12
+                    oracle_kernel(points[i], points[j], theta), abs=1e-12
                 )
 
     def test_psd_for_many_points(self):
@@ -241,38 +249,36 @@ class TestGram:
 
 class TestExpectationZZ:
     def test_identity_on_zero_state(self):
-        assert expectation_zz(zero_state(2), np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+        assert expectation_zz(basis(4, 0), np.eye(4)) == pytest.approx([1.0], abs=1e-12)
 
     def test_identity_on_basis_01(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[1] = 1.0
-        assert expectation_zz(StateVector(amp, 2), np.eye(4)) == pytest.approx(-1.0, abs=1e-12)
+        assert expectation_zz(basis(4, 1), np.eye(4)) == pytest.approx([-1.0], abs=1e-12)
 
     def test_matches_dense_sandwich(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             v = random_unitary(4, rng)
-            amp = random_state(4, rng)
-            got = expectation_zz(StateVector(amp, 2), v)
-            assert got == pytest.approx(oracle_expectation_zz(amp, v), abs=1e-10)
-            assert -1.0 - 1e-10 <= got <= 1.0 + 1e-10
+            amp = np.stack([random_state(4, rng) for _ in range(5)])
+            got = expectation_zz(amp, v)
+            want = [oracle_expectation_zz(a, v) for a in amp]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            assert np.all(np.abs(got) <= 1.0 + 1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            expectation_zz(zero_state(2), np.eye(4) * 1.5)
+            expectation_zz(basis(4, 0), np.eye(4) * 1.5)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="matrix"):
-            expectation_zz(zero_state(2), np.eye(8))
+            expectation_zz(basis(4, 0), np.eye(8))
 
 
 class TestNormPreservation:
     def test_all_operations_preserve_norm(self):
         rng = np.random.default_rng(16)
-        spec = spec2((1.3, -2.1))
-        for _ in range(20):
-            x = rng.uniform(0, 2 * np.pi, 2)
-            state = feature_state(x, spec)
-            state = apply_hadamard_layer(state)
-            state = apply_phase_evolution(state, rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 1))
-            assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
+        points = rng.uniform(0, 2 * np.pi, (20, 2))
+        state = feature_states(points, spec2((1.3, -2.1)))
+        state = _hadamard_layer(state)
+        state = state * _phase_diagonal(rng.uniform(-3, 3, (20, 2)), rng.uniform(-3, 3, (20, 1)))
+        norms = np.sum(np.abs(state) ** 2, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)

@@ -98,11 +98,6 @@ class TestBuildQuboDual:
                 dual = bits.sum() - 0.5 * ay @ k @ ay
                 assert energy == pytest.approx(-dual, abs=1e-9)
 
-    def test_slack_penalty_lands_on_diagonal(self):
-        q0 = build_qubo_dual(np.eye(2), np.array([1, 1]), slack_c=0.0).q
-        q1 = build_qubo_dual(np.eye(2), np.array([1, 1]), slack_c=0.25).q
-        np.testing.assert_allclose(q1 - q0, 0.25 * np.eye(2))
-
 
 class TestComputeBeta:
     def test_empty_alpha_gives_label_mean(self):
