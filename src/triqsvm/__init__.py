@@ -7,7 +7,6 @@ a classical derivative-free optimizer, composed into one training cycle.
 from .anneal import AnnealSchedule, SampleResult, brute_force, energy, greedy_descent, simulated_anneal
 from .datagen import (
     Dataset,
-    HaarUnitary,
     SplitSpec,
     adhoc_generate,
     haar_unitary,
@@ -34,9 +33,7 @@ from .qubo import (
     accuracy,
     build_qubo_dual,
     build_qubo_paper,
-    classify,
     compute_beta,
-    decision_value,
     load_model,
     save_model,
 )

@@ -295,6 +295,8 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
         if len(parts) != 4:
             raise ValueError("domain must be 'x1min,x1max,x2min,x2max'")
         bounds = tuple(float(v) for v in parts)
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("domain extents must be finite")
         if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
             raise ValueError("domain extents must be increasing")
     g1 = np.linspace(bounds[0], bounds[1], resolution)

@@ -56,13 +56,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class HaarUnitary:
-    """A unitary matrix drawn from the Haar measure."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """Sizes and seed of a random train/test split.
 
@@ -91,7 +84,7 @@ def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def haar_unitary(dim: int, seed: int) -> HaarUnitary:
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-random unitary of the given dimension, deterministic per seed.
 
     Only products V^dag O V of the result are ever consumed downstream, so
@@ -99,7 +92,7 @@ def haar_unitary(dim: int, seed: int) -> HaarUnitary:
     """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    return HaarUnitary(_haar_from_rng(dim, np.random.default_rng(seed)))
+    return _haar_from_rng(dim, np.random.default_rng(seed))
 
 
 def labelling_map(n: int) -> FeatureMapSpec:

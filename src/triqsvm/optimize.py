@@ -1,11 +1,12 @@
 """Derivative-free training of the kernel parameters.
 
 ``cobyla_minimize`` wraps the linear-approximation trust-region method
-(COBYLA) behind a bounds-aware, budget-aware interface that always returns
-the best feasible point actually evaluated.  ``train`` runs the outer
-cycle: build the kernel matrix for the current parameters, build and solve
-the QUBO, compute the offset, score the validation set, and feed
-1 - accuracy back to the optimizer.  The reported model is the iteration
+(COBYLA) behind an interface that evaluates only inside the box, stops at
+the evaluation budget, and returns the best point evaluated.  ``train``
+runs the outer cycle: build the kernel matrix for the current parameters,
+build and solve the QUBO, compute the offset, score the validation set,
+and feed 1 - accuracy back to the optimizer, until the iteration cap or
+the target accuracy ends the run.  The reported model is the iteration
 with the highest validation accuracy (earliest on ties).
 """
 
@@ -55,10 +56,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Best feasible point found, its value, and the number of objective
+    """Best point evaluated, its value, and the number of objective
     evaluations (never more than ``max_evals``).  ``converged`` is True when
-    the solver reported success (the trust region reached ``rho_end``)
-    without asking for more than ``max_evals`` evaluations."""
+    the solver reported success (the trust region reached ``rho_end``)."""
 
     x: np.ndarray
     fun: float
@@ -66,17 +66,23 @@ class MinimizeResult:
     converged: bool
 
 
+class _Stop(Exception):
+    """Ends a ``cobyla_minimize`` run: raised once the evaluation budget is
+    spent, and by ``train``'s objective once the target accuracy is met."""
+
+
 def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) -> MinimizeResult:
     """Minimize a black-box function over a box via COBYLA.
 
-    ``bounds`` is a sequence of (low, high) per coordinate, enforced as
-    linear inequality constraints; trial points may overshoot them by at
-    most ``rho_begin``.  ``max_evals`` is a hard cap on objective calls,
-    also below the p + 2 that PRIMA-based COBYLA needs for its initial
-    simplex: once it is spent, further requests are answered with the best
-    value seen, without calling the objective.  Exhausting ``max_evals``
-    before the trust region reaches ``rho_end`` is not an error: the best
-    point seen so far comes back with ``converged=False``.
+    ``bounds`` is a sequence of (low, high) per coordinate, given to COBYLA
+    as linear inequality constraints.  Trial points outside the box are
+    projected onto it, so the objective only ever sees points inside it.
+    ``max_evals`` is a hard cap on objective calls, also below the p + 2
+    that PRIMA-based COBYLA needs for its initial simplex: the request
+    after the last one allowed ends the run.  A run that ends on the budget,
+    or because the objective raised ``_Stop``, reports ``converged=False``
+    and returns the best point evaluated so far (``x0`` with ``fun`` = inf
+    when no evaluation returned a value below inf).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -88,19 +94,18 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
     if np.any(x0 < lows) or np.any(x0 > highs):
         raise ValueError("x0 must lie within bounds")
 
-    requests = [0]
     best = {"x": x0.copy(), "fun": np.inf}
+    evaluations = 0
 
     def wrapped(x):
-        requests[0] += 1
-        if requests[0] > config.max_evals:
-            return best["fun"]
-        value = float(objective(np.asarray(x, dtype=float)))
-        # Track the best point that actually respects the box (tiny slack
-        # for constraint-boundary arithmetic).
-        if value < best["fun"] and np.all(x >= lows - 1e-9) and np.all(x <= highs + 1e-9):
-            best["x"] = np.array(x, dtype=float)
-            best["fun"] = value
+        nonlocal evaluations
+        if evaluations == config.max_evals:
+            raise _Stop
+        evaluations += 1
+        x = np.clip(x, lows, highs)
+        value = float(objective(x))
+        if value < best["fun"]:
+            best["x"], best["fun"] = x, value
         return value
 
     constraints = []
@@ -108,29 +113,28 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
         constraints.append({"type": "ineq", "fun": lambda x, i=i: x[i] - lows[i]})
         constraints.append({"type": "ineq", "fun": lambda x, i=i: highs[i] - x[i]})
 
-    result = _scipy_minimize(
-        wrapped,
-        x0,
-        method="COBYLA",
-        constraints=constraints,
-        options={
-            "rhobeg": config.rho_begin,
-            "tol": config.rho_end,
-            # PRIMA raises a smaller budget to p + 2 with a warning; the
-            # cap in ``wrapped`` keeps ``max_evals`` hard.
-            "maxiter": max(config.max_evals, x0.size + 2),
-        },
-    )
-    if not np.isfinite(best["fun"]):
-        best["x"], best["fun"] = np.asarray(result.x, dtype=float), float(result.fun)
-    return MinimizeResult(
-        x=best["x"],
-        fun=float(best["fun"]),
-        evaluations=min(requests[0], config.max_evals),
+    try:
+        result = _scipy_minimize(
+            wrapped,
+            x0,
+            method="COBYLA",
+            constraints=constraints,
+            options={
+                "rhobeg": config.rho_begin,
+                "tol": config.rho_end,
+                # PRIMA raises a smaller budget to p + 2 with a warning;
+                # ``wrapped`` keeps ``max_evals`` hard.
+                "maxiter": max(config.max_evals, x0.size + 2),
+            },
+        )
         # ``success`` is status 1 on the Fortran COBYLA (scipy < 1.16) and
         # SMALL_TR_RADIUS or FTARGET_ACHIEVED on PRIMA, so no status code
         # is hard-coded here.
-        converged=bool(result.success) and requests[0] <= config.max_evals,
+        converged = bool(result.success)
+    except _Stop:
+        converged = False
+    return MinimizeResult(
+        x=best["x"], fun=best["fun"], evaluations=evaluations, converged=converged
     )
 
 
@@ -238,24 +242,21 @@ def _kernel_for(cfg: TrainConfig, theta: np.ndarray, d: int, base_gamma: float):
     return LinearKernel()
 
 
-def train(
-    train_set: Dataset,
-    val_set: Dataset,
-    cfg: TrainConfig,
-    opt: OptimizerConfig | None = None,
-) -> TrainReport:
+def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
     """Run the outer training cycle and keep the best-scoring iteration.
 
     Each objective evaluation is one full pass: kernel matrix, QUBO,
-    solve, offset, validation accuracy.  Evaluations after the target
-    accuracy has been met are short-circuited and not counted.  An
-    iteration that raises is recorded with accuracy 0 and loss 1.
+    solve, offset, validation accuracy.  The run ends after
+    ``max_iterations`` evaluations, or at the first one that reaches
+    ``target_accuracy``.  COBYLA's trial θ is projected onto
+    [-2*pi, 2*pi]^p before it is evaluated, so ``best_theta`` is the θ
+    actually used.  An iteration that raises is recorded with accuracy 0
+    and loss 1.
     """
     if train_set.m == 0 or val_set.m == 0:
         raise ValueError("training and validation sets must be nonempty")
     if train_set.d != val_set.d:
         raise ValueError("training and validation dimensions differ")
-    opt = opt if opt is not None else OptimizerConfig()
     d = train_set.d
     p = d if cfg.kernel_kind == "quantum-zz" else 1
     base_gamma = default_rbf_gamma(train_set.points) if cfg.kernel_kind == "rbf" else 1.0
@@ -264,11 +265,9 @@ def train(
     x0 = initial_theta(p, cfg.seed)
     accuracies: list[float] = []
     failures: list[str] = []
-    state = {"best_acc": -1.0, "best": None, "met": False, "last_loss": 1.0}
+    state = {"best_acc": -1.0, "best": None}
 
     def objective(theta: np.ndarray) -> float:
-        if state["met"]:
-            return state["last_loss"]
         iteration = len(accuracies) + 1
         try:
             kernel = _kernel_for(cfg, theta, d, base_gamma)
@@ -297,14 +296,11 @@ def train(
             state["best_acc"] = acc
             state["best"] = (np.array(theta, dtype=float), model, solver_info)
         if acc >= cfg.target_accuracy:
-            state["met"] = True
-        state["last_loss"] = 1.0 - acc
+            raise _Stop
         return 1.0 - acc
 
-    budget = min(opt.max_evals, cfg.max_iterations)
-    effective = OptimizerConfig(rho_begin=opt.rho_begin, rho_end=opt.rho_end, max_evals=budget)
-    bounds = [(-THETA_BOUND, THETA_BOUND)] * p
-    cobyla_minimize(objective, x0, bounds, effective)
+    opt = OptimizerConfig(max_evals=cfg.max_iterations)
+    cobyla_minimize(objective, x0, [(-THETA_BOUND, THETA_BOUND)] * p, opt)
 
     if state["best"] is None:
         raise RuntimeError(f"every training iteration failed: {failures}")

@@ -64,7 +64,8 @@ class FeatureMapSpec:
             raise ValueError("qubit count must be >= 1")
         if theta.shape != (self.n,):
             raise ValueError(f"theta must have one entry per qubit, got shape {theta.shape}")
-        if np.any(np.abs(theta) > 2 * np.pi):
+        # Written so that a NaN entry fails the check too.
+        if not np.all(np.abs(theta) <= 2 * np.pi):
             raise ValueError("all |theta_k| must be <= 2*pi")
 
 

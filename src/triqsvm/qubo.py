@@ -57,13 +57,22 @@ class TrainedModel:
     builder: str = "paper"
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=int)
+        alpha = np.asarray(self.alpha)
+        labels = np.asarray(self.train_labels)
         self.train_points = np.atleast_2d(np.asarray(self.train_points, dtype=float))
-        self.train_labels = np.asarray(self.train_labels, dtype=int)
-        if self.alpha.shape[0] != self.train_points.shape[0]:
-            raise ValueError("alpha length must equal the training set size")
+        m = self.train_points.shape[0]
+        # Elementwise comparisons, not np.isin: a model is built on every
+        # training iteration, and np.isin costs 30 us a call.
+        if alpha.shape != (m,) or not np.all((alpha == 0) | (alpha == 1)):
+            raise ValueError("alpha must hold one 0 or 1 per training point")
+        if labels.shape != (m,) or not np.all((labels == -1) | (labels == 1)):
+            raise ValueError("train_labels must hold one -1 or +1 per training point")
+        if not np.all(np.isfinite(self.train_points)):
+            raise ValueError("train_points must be finite")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
+        self.alpha = alpha.astype(int)
+        self.train_labels = labels.astype(int)
 
 
 def _entries(gram) -> np.ndarray:
@@ -132,16 +141,6 @@ def decision_values(xs, model: TrainedModel) -> np.ndarray:
     return (model.alpha * model.train_labels) @ cross + model.beta
 
 
-def decision_value(x, model: TrainedModel) -> float:
-    """sum_m alpha_m y_m K(x_m, x) + beta for one query point."""
-    return float(decision_values(np.atleast_2d(np.asarray(x, dtype=float)), model)[0])
-
-
-def classify(x, model: TrainedModel) -> int:
-    """Label of the query point; a decision value of exactly 0 maps to +1."""
-    return 1 if decision_value(x, model) >= 0.0 else -1
-
-
 def accuracy(model: TrainedModel, ds: Dataset) -> float:
     """Fraction of dataset points classified to their stored label."""
     if ds.m == 0:
@@ -165,10 +164,10 @@ def model_to_dict(model: TrainedModel) -> dict:
 def model_from_dict(data: dict) -> TrainedModel:
     try:
         return TrainedModel(
-            alpha=np.asarray(data["alpha"], dtype=int),
+            alpha=np.asarray(data["alpha"]),
             beta=float(data["beta"]),
             train_points=np.asarray(data["train_points"], dtype=float),
-            train_labels=np.asarray(data["train_labels"], dtype=int),
+            train_labels=np.asarray(data["train_labels"]),
             kernel=kernel_from_dict(data["kernel"]),
             builder=str(data.get("builder", "paper")),
         )

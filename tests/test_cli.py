@@ -13,12 +13,11 @@ from triqsvm.qubo import decision_values, load_model, save_model, TrainedModel
 from triqsvm.qkernel import FeatureMapSpec
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "triqsvm", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -233,18 +232,27 @@ class TestMap:
         text = svg.read_text()
         assert text.startswith("<svg") and "circle" in text
 
-    def test_threads_env_does_not_change_output(self, tmp_path):
-        import os
-
-        model_path = constant_positive_model(tmp_path)
+    def test_repeat_run_is_byte_identical(self, tmp_path, small_dataset):
+        out_dir = tmp_path / "run"
+        result = run_cli("train", "--data", small_dataset, *QUICK_TRAIN,
+                         "--seed", 300, "--out", out_dir)
+        assert result.returncode == 0, result.stderr
         outputs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"map{threads}.csv"
-            env = dict(os.environ, TRIQSVM_THREADS=threads)
-            assert run_cli("map", model_path, "--resolution", 9, "--out", out,
-                           env=env).returncode == 0
-            outputs.append(out.read_bytes())
+        for run in ("a", "b"):
+            out, svg = tmp_path / f"map-{run}.csv", tmp_path / f"map-{run}.svg"
+            result = run_cli("map", out_dir / "model.json", "--resolution", 9, "--out", out,
+                             "--svg", svg, "--train-data", small_dataset)
+            assert result.returncode == 0, result.stderr
+            outputs.append((out.read_bytes(), svg.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_domain_must_be_finite(self, tmp_path):
+        model_path = constant_positive_model(tmp_path)
+        for domain in ("0,inf,0,1", "0,1,-inf,1", "nan,1,0,1"):
+            result = run_cli("map", model_path, "--resolution", 2, "--domain", domain,
+                             "--out", tmp_path / "m.csv")
+            assert result.returncode == 1, domain
+            assert "domain" in result.stderr
 
     def test_resolution_validated(self, tmp_path):
         model_path = constant_positive_model(tmp_path)

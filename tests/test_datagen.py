@@ -53,16 +53,16 @@ class TestDataset:
 class TestHaarUnitary:
     def test_unitarity(self):
         for seed in (0, 1, 99):
-            v = haar_unitary(4, seed).matrix
+            v = haar_unitary(4, seed)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
 
     def test_deterministic_per_seed(self):
-        a = haar_unitary(4, 42).matrix
-        b = haar_unitary(4, 42).matrix
+        a = haar_unitary(4, 42)
+        b = haar_unitary(4, 42)
         assert np.array_equal(a, b)
 
     def test_column_norms(self):
-        v = haar_unitary(8, 7).matrix
+        v = haar_unitary(8, 7)
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-10)
 
     def test_small_dimension_rejected(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from triqsvm.anneal import AnnealSchedule, brute_force
+import triqsvm.optimize as optimize
 from triqsvm.datagen import Dataset, adhoc_generate, split, SplitSpec
 from triqsvm.kernels import kernel_gram
 from triqsvm.optimize import (
@@ -18,6 +19,22 @@ from triqsvm.optimize import (
 from triqsvm.qubo import build_qubo_paper
 
 BOX = [(-2 * np.pi, 2 * np.pi)] * 2
+
+
+def spy_on_requests(monkeypatch):
+    """Count every call COBYLA makes to the function it is handed."""
+    requests = [0]
+    minimize = optimize._scipy_minimize
+
+    def spy(fun, *args, **kwargs):
+        def counted(x):
+            requests[0] += 1
+            return fun(x)
+
+        return minimize(counted, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", spy)
+    return requests
 
 
 class TestCobylaMinimize:
@@ -70,9 +87,11 @@ class TestCobylaMinimize:
         assert result.fun <= float(np.sum(np.array([3.0, 3.0]) ** 2))
 
     @pytest.mark.parametrize("max_evals", [1, 2, 3])
-    def test_budget_below_initial_simplex_is_hard(self, max_evals):
+    def test_budget_below_initial_simplex_is_hard(self, max_evals, monkeypatch):
         # PRIMA-based COBYLA needs p + 2 = 4 evaluations at p = 2 and raises
-        # a smaller budget with a warning; the wrapper must still stop.
+        # a smaller budget with a warning; the wrapper must still stop, and
+        # the request after the last allowed evaluation ends the run.
+        requests = spy_on_requests(monkeypatch)
         seen = []
 
         def objective(x):
@@ -88,6 +107,7 @@ class TestCobylaMinimize:
                 OptimizerConfig(rho_begin=0.5, rho_end=1e-6, max_evals=max_evals),
             )
         assert len(seen) <= max_evals
+        assert requests[0] <= max_evals + 1
         assert result.evaluations <= max_evals
         assert not result.converged
         assert result.fun == min(float(np.sum((x - 1.0) ** 2)) for x in seen)
@@ -110,6 +130,23 @@ class TestCobylaMinimize:
         for x in seen:
             assert np.all(x >= -1.0 - rho - 1e-9)
             assert np.all(x <= 1.0 + rho + 1e-9)
+
+    def test_evaluates_only_inside_bounds(self):
+        seen = []
+
+        def objective(x):
+            seen.append(x.copy())
+            return float(np.sum((x - 5.0) ** 2))  # pulls toward the upper bound
+
+        result = cobyla_minimize(
+            objective,
+            np.zeros(2),
+            [(-1.0, 1.0)] * 2,
+            OptimizerConfig(rho_begin=0.8, rho_end=1e-6, max_evals=200),
+        )
+        assert np.all(np.abs(np.array(seen)) <= 1.0)
+        assert any(np.array_equal(result.x, x) for x in seen)
+        np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_x0_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
@@ -159,12 +196,26 @@ def quick_sets(seed=300, n_train=12, n_test=4):
 
 
 class TestTrain:
-    def test_zero_target_stops_after_first_iteration(self):
+    def test_zero_target_stops_after_first_iteration(self, monkeypatch):
+        # Once the target is met COBYLA gets no further answers, so the
+        # first request is also the last.
+        requests = spy_on_requests(monkeypatch)
         train_set, val_set = quick_sets()
         cfg = TrainConfig(target_accuracy=0.0, solver_backend="exact", seed=300)
         report = train(train_set, val_set, cfg)
+        assert requests[0] == 1
         assert report.iterations_used == 1
         assert report.best_model is not None
+
+    def test_overshoot_is_evaluated_not_failed(self):
+        # COBYLA steps past theta_2 = 2*pi on iteration 3 of this run; the
+        # step is projected onto the box and evaluated, not logged as a
+        # failure.
+        ds = adhoc_generate(30, 0.0, seed=1)
+        train_set, val_set = split(ds, SplitSpec(20, 10, seed=8))
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=8))
+        assert report.failures == []
+        assert np.all(np.abs(report.best_theta) <= 2 * np.pi)
 
     def test_linear_kernel_separates_blobs(self):
         train_set, val_set = two_blob_sets()

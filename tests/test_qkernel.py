@@ -69,6 +69,10 @@ class TestFeatureMapSpec:
         with pytest.raises(ValueError, match="theta"):
             FeatureMapSpec(n=2, theta=np.array([0.0, 7.0]))
 
+    def test_theta_nan_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            FeatureMapSpec(n=2, theta=np.array([np.nan, 1.0]))
+
     def test_theta_length(self):
         with pytest.raises(ValueError):
             FeatureMapSpec(n=2, theta=np.zeros(3))

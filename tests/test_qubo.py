@@ -13,9 +13,8 @@ from triqsvm.qubo import (
     accuracy,
     build_qubo_dual,
     build_qubo_paper,
-    classify,
     compute_beta,
-    decision_value,
+    decision_values,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -146,11 +145,11 @@ def quantum_model(points, labels, theta=(1.0, 1.0), alpha=None, beta=0.0):
 class TestDecisionAndClassify:
     def test_zero_alpha_leaves_only_offset(self):
         model = quantum_model([[1.0, 2.0]], [1], alpha=np.array([0]), beta=0.3)
-        assert decision_value([0.5, 0.5], model) == pytest.approx(0.3, abs=1e-12)
+        assert decision_values([[0.5, 0.5]], model)[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_self_kernel_single_support(self):
         model = quantum_model([[1.0, 2.0]], [1], alpha=np.array([1]), beta=0.0)
-        assert decision_value([1.0, 2.0], model) == pytest.approx(1.0, abs=1e-12)
+        assert decision_values([[1.0, 2.0]], model)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_oracle_recompute(self):
         rng = np.random.default_rng(4)
@@ -159,21 +158,27 @@ class TestDecisionAndClassify:
         alpha = rng.integers(0, 2, 5)
         theta = (0.8, -1.4)
         model = quantum_model(points, labels, theta=theta, alpha=alpha, beta=0.17)
-        x = rng.uniform(0, 2 * np.pi, 2)
-        expected = sum(
-            a * y * oracle_kernel(p, x, theta) for a, y, p in zip(alpha, labels, points)
-        ) + 0.17
-        assert decision_value(x, model) == pytest.approx(expected, abs=1e-10)
+        xs = rng.uniform(0, 2 * np.pi, (3, 2))
+        expected = [
+            sum(a * y * oracle_kernel(p, x, theta) for a, y, p in zip(alpha, labels, points))
+            + 0.17
+            for x in xs
+        ]
+        np.testing.assert_allclose(decision_values(xs, model), expected, rtol=0, atol=1e-10)
 
     def test_classify_signs_and_tie(self):
+        # A decision value of exactly 0 is labelled +1, by ``accuracy``
+        # and by the ``map`` command alike.
         for beta, expected in [(0.3, 1), (-0.01, -1), (0.0, 1)]:
             model = quantum_model([[1.0, 2.0]], [1], alpha=np.array([0]), beta=beta)
-            assert classify([0.1, 0.1], model) == expected
+            value = decision_values([[0.1, 0.1]], model)[0]
+            assert value == beta
+            assert accuracy(model, Dataset(np.array([[0.1, 0.1]]), np.array([expected]))) == 1.0
 
     def test_dimension_mismatch(self):
         model = quantum_model([[1.0, 2.0]], [1])
         with pytest.raises(ValueError, match="dimension"):
-            decision_value([1.0, 2.0, 3.0], model)
+            decision_values([[1.0, 2.0, 3.0]], model)
 
 
 class TestAccuracy:
@@ -253,6 +258,33 @@ class TestModelSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON"):
+            load_model(path)
+
+    def test_nan_theta_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self._model(), path)
+        data = json.loads(path.read_text())
+        data["kernel"]["theta"][0] = float("nan")
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="theta"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("alpha", [1, 0, 2, 1], "alpha"),
+        ("alpha", [1, 0, 0.5, 1], "alpha"),
+        ("train_labels", [1, -1, 0, -1], "train_labels"),
+        ("train_labels", [1, -1, 1], "train_labels"),
+        ("train_points", [[0.0, 1.0], [1.0, float("inf")], [2.0, 2.0], [3.0, 0.5]],
+         "finite"),
+        ("train_points", [[0.0, 1.0], [float("nan"), 1.0], [2.0, 2.0], [3.0, 0.5]],
+         "finite"),
+    ], ids=["alpha-two", "alpha-half", "label-zero", "labels-short", "points-inf", "points-nan"])
+    def test_out_of_range_fields_rejected(self, tmp_path, field, value, match):
+        data = model_to_dict(self._model())
+        data[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
             load_model(path)
 
     def test_missing_field_rejected(self, tmp_path):
