@@ -10,11 +10,27 @@ leaves the rest as a smaller instance for a sampler.
 Each read r draws its own random stream seeded with ``seed + r``, so reads
 are order-independent and the sampler is deterministic per (instance,
 schedule).
+
+The Metropolis sweeps run in a small C kernel (``_metropolis.c``),
+compiled with the system ``cc`` on first use into a per-user cache and
+loaded with ctypes.  Its results are bit-identical to the numpy loop,
+which stays as the reference and is the path taken, after one
+RuntimeWarning, when the kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +41,11 @@ BRUTE_FORCE_MAX = 20
 # Sweeps whose uniforms are drawn per chunk; each read's stream is generated
 # sequentially, so the chunk size cannot change results.
 _SWEEP_CHUNK = 200
+
+_KERNEL_SOURCE = Path(__file__).with_name("_metropolis.c")
+# No fused multiply-add (some targets contract a * b + c by default) and no
+# fast-math or -march=native: the kernel must round exactly as numpy does.
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @dataclass(frozen=True)
@@ -43,6 +64,8 @@ class AnnealSchedule:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        if not np.isfinite([self.beta_start, self.beta_end]).all():
+            raise ValueError("beta_start and beta_end must be finite")
         if not 0.0 < self.beta_start < self.beta_end:
             raise ValueError("need 0 < beta_start < beta_end")
 
@@ -85,23 +108,128 @@ def _coupling(qm: np.ndarray) -> np.ndarray:
     return coupling
 
 
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = Path.home() / ".cache"
+    return Path(base) / "triqsvm"
+
+
+def _build_kernel() -> Path:
+    """Path of the compiled kernel, compiling it into the cache unless a
+    library for the same source, flags, compiler and machine is there."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler 'cc' on PATH")
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_KERNEL_FLAGS).encode(), cc.encode(), platform.machine().encode()]
+    )).hexdigest()[:16]
+    cache = _cache_dir()
+    library = cache / f"metropolis-{key}.so"
+    if library.exists():
+        return library
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    # Compile to a private name and rename into place, so processes that
+    # compile at once never load a half-written library.
+    fd, partial = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", partial],
+                              input=source, capture_output=True, timeout=120)
+        if proc.returncode != 0:
+            raise OSError(f"{cc} exited with {proc.returncode}: "
+                          f"{proc.stderr.decode(errors='replace').strip()}")
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return library
+
+
+@functools.cache
+def _kernel():
+    """The compiled Metropolis kernel, or None when it cannot be built or
+    loaded; the reason is given once, as a RuntimeWarning."""
+    try:
+        function = ctypes.CDLL(str(_build_kernel())).metropolis
+    except (OSError, subprocess.SubprocessError) as exc:
+        warnings.warn(f"annealer kernel unavailable, using the numpy loop: {exc}",
+                      RuntimeWarning, stacklevel=3)
+        return None
+    function.argtypes = [ctypes.c_long] * 5 + [ctypes.POINTER(ctypes.c_double)] * 10
+    function.restype = None
+    return function
+
+
+def _sweeps_c(kernel, first, log_u, betas, diag, coupling, state, field, running,
+              best_energy, best_state, trace):
+    """One chunk of sweeps through the C kernel, in place."""
+    reads, count, n = log_u.shape
+    arrays = (
+        (diag, (n,)), (coupling, (n, n)), (log_u, (reads, count, n)),
+        (betas, betas.shape[:1]), (state, (reads, n)), (field, (reads, n)),
+        (running, (reads,)), (best_energy, (reads,)), (best_state, (reads, n)),
+        (trace, (reads, betas.shape[0])),
+    )
+    pointers = []
+    for array, shape in arrays:
+        if array.dtype != np.float64 or array.shape != shape or not array.flags.c_contiguous:
+            raise ValueError(f"kernel argument must be C-contiguous float64 of shape {shape}")
+        pointers.append(array.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+    if not 0 <= first <= betas.shape[0] - count:
+        raise ValueError("sweep chunk runs past the schedule")
+    kernel(reads, n, count, first, betas.shape[0], *pointers)
+
+
+def _sweeps_numpy(first, log_u, betas, diag, coupling, state, field, running,
+                  best_energy, best_state, trace):
+    """One chunk of sweeps with all reads in lockstep, in place: the
+    reference for the C kernel."""
+    n = log_u.shape[2]
+    for s in range(log_u.shape[1]):
+        threshold = log_u[:, s, :] / betas[first + s]
+        for i in range(n):
+            sign = 1.0 - 2.0 * state[:, i]
+            delta = sign * (diag[i] + field[:, i])
+            flip = sign * (delta < threshold[:, i])
+            state[:, i] += flip
+            running += delta * np.abs(flip)
+            field += flip[:, None] * coupling[i]
+        improved = running < best_energy
+        if improved.any():
+            best_energy[improved] = running[improved]
+            best_state[improved] = state[improved]
+        trace[:, first + s] = best_energy
+
+
 def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
-    """All reads in lockstep.  Returns per-read best assignments, their
+    """All reads of one anneal.  Returns per-read best assignments, their
     exact energies, the per-sweep best-so-far energy trace, and the final
     states with their incrementally tracked energies (the latter two exist
-    so tests can check the incremental bookkeeping against energy())."""
+    so tests can check the incremental bookkeeping against energy()).
+
+    numpy draws each read's -log(u) thresholds in chunks of sweeps, and the
+    C kernel (or, without it, the numpy loop) runs the chunk's sweeps; the
+    two give bit-identical results.
+    """
     qm = q.q
     n = qm.shape[0]
     reads = schedule.num_reads
     betas = np.geomspace(schedule.beta_start, schedule.beta_end, schedule.sweeps)
     diag = np.diag(qm).copy()
     coupling = _coupling(qm)
+    kernel = _kernel()
+    sweeps = _sweeps_numpy if kernel is None else functools.partial(_sweeps_c, kernel)
 
     rngs = [np.random.default_rng(schedule.seed + r) for r in range(reads)]
     state = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
-    running = np.array([energy(q, row) for row in state])
+    # Adding 0.0 turns -0.0 into +0.0.  Neither array can then hold a
+    # negative zero, so the signed zero the numpy loop adds on a rejected
+    # flip is a no-op, and the C kernel can skip that update.
+    running = np.array([energy(q, row) for row in state]) + 0.0
     # field[r, i] = sum_{j != i} (q[i][j] + q[j][i]) * state[r, j]
-    field = state @ coupling.T
+    field = state @ coupling.T + 0.0
     best_energy = running.copy()
     best_state = state.copy()
     trace = np.empty((reads, schedule.sweeps))
@@ -112,20 +240,8 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
         # -log(u)/beta as the acceptance threshold on the energy delta is
         # equivalent to u < exp(-beta * delta) and needs no exp per step.
         log_u = np.stack([-np.log(rng.random((count, n))) for rng in rngs])
-        for s in range(count):
-            threshold = log_u[:, s, :] / betas[done + s]
-            for i in range(n):
-                sign = 1.0 - 2.0 * state[:, i]
-                delta = sign * (diag[i] + field[:, i])
-                flip = sign * (delta < threshold[:, i])
-                state[:, i] += flip
-                running += delta * np.abs(flip)
-                field += flip[:, None] * coupling[i]
-            improved = running < best_energy
-            if improved.any():
-                best_energy[improved] = running[improved]
-                best_state[improved] = state[improved]
-            trace[:, done + s] = best_energy
+        sweeps(done, log_u, betas, diag, coupling, state, field, running,
+               best_energy, best_state, trace)
         done += count
 
     exact = np.array([energy(q, row) for row in best_state])

@@ -1,8 +1,16 @@
-"""Energy evaluation and the three QUBO solvers."""
+"""Energy evaluation, the three QUBO solvers and the annealer's C kernel."""
+
+import os
+import shutil
+import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from triqsvm import anneal
 from triqsvm.anneal import (
     AnnealSchedule,
     _anneal_reads,
@@ -11,7 +19,9 @@ from triqsvm.anneal import (
     greedy_descent,
     simulated_anneal,
 )
-from triqsvm.qubo import QuboMatrix, build_qubo_paper
+from triqsvm.datagen import adhoc_generate
+from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.qubo import QuboMatrix, build_qubo_dual, build_qubo_paper
 
 TOY = QuboMatrix(np.array([[-1.0, 0.0], [0.0, 2.0]]))
 
@@ -104,6 +114,16 @@ class TestSimulatedAnneal:
         with pytest.raises(ValueError):
             AnnealSchedule(beta_start=0.0)
 
+    @pytest.mark.parametrize("bounds", [
+        {"beta_end": float("inf")},
+        {"beta_start": float("inf")},
+        {"beta_start": float("nan")},
+        {"beta_end": float("nan")},
+    ])
+    def test_beta_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            AnnealSchedule(**bounds)
+
 
 class TestBruteForce:
     def test_toy_instance(self):
@@ -161,3 +181,130 @@ class TestGreedyDescent:
             if annealed.best_energy <= greedy.best_energy + 1e-12:
                 schedule_wins += 1
         assert schedule_wins >= 45
+
+
+def dual_instance(m: int) -> QuboMatrix:
+    ds = adhoc_generate(m, 0.0, seed=1)
+    spec = FeatureMapSpec(n=2, theta=np.array([0.3, -1.2]))
+    return build_qubo_dual(gram(ds.points, spec), ds.labels)
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test, so that the
+    test's environment decides how it loads."""
+    anneal._kernel.cache_clear()
+    yield
+    anneal._kernel.cache_clear()
+
+
+@pytest.fixture
+def needs_compiler():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler 'cc' on PATH")
+
+
+class TestKernel:
+    @pytest.mark.parametrize("make_q, schedule", [
+        (lambda: dual_instance(50), AnnealSchedule(num_reads=50, sweeps=1000, seed=1)),
+        (lambda: dual_instance(200), AnnealSchedule(num_reads=50, sweeps=200, seed=2)),
+        # Integer couplings in {-1, 0, 1}: many flips change the energy by
+        # exactly zero; 450 sweeps end in a partial chunk.
+        (lambda: QuboMatrix(np.random.default_rng(3).integers(-1, 2, (12, 12)).astype(float)),
+         AnnealSchedule(num_reads=20, sweeps=450, seed=4)),
+        (lambda: QuboMatrix(np.array([[-0.5]])), AnnealSchedule(num_reads=7, sweeps=300, seed=5)),
+        (lambda: dual_instance(30), AnnealSchedule(num_reads=1, sweeps=500, seed=6)),
+    ], ids=["dual-50", "dual-200", "integer-12", "n-1", "one-read"])
+    def test_byte_identical_to_numpy_loop(self, monkeypatch, needs_compiler, make_q, schedule):
+        q = make_q()
+        assert anneal._kernel() is not None
+        compiled = _anneal_reads(q, schedule)
+        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+        reference = _anneal_reads(q, schedule)
+        for got, want in zip(compiled, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_arguments_are_checked(self, needs_compiler):
+        reads, count, n = 2, 3, 4
+        arrays = [np.zeros(shape) for shape in [(reads, count, n), (count,), (n,), (n, n),
+                                                (reads, n), (reads, n), (reads,), (reads,),
+                                                (reads, n), (reads, count)]]
+        anneal._sweeps_c(anneal._kernel(), 0, *arrays)
+        for k, bad in [(0, arrays[0].astype(np.float32)), (3, np.zeros((n, n)).T),
+                       (3, np.zeros((n + 1, n + 1))), (4, np.zeros((2 * reads, n))[::2])]:
+            wrong = list(arrays)
+            wrong[k] = bad
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                anneal._sweeps_c(anneal._kernel(), 0, *wrong)
+        for first in (-1, 1):
+            with pytest.raises(ValueError, match="past the schedule"):
+                anneal._sweeps_c(anneal._kernel(), first, *arrays)
+
+    def test_compiles_into_cache_and_reloads_without_compiler_run(
+            self, monkeypatch, tmp_path, needs_compiler, fresh_kernel):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert anneal._kernel() is not None
+        cache = tmp_path / "triqsvm"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+        def no_compiler_run(*args, **kwargs):
+            raise AssertionError("the cached kernel was compiled again")
+
+        anneal._kernel.cache_clear()
+        monkeypatch.setattr(anneal.subprocess, "run", no_compiler_run)
+        assert anneal._kernel() is not None
+
+    def test_without_compiler_warns_once_and_matches(self, monkeypatch, tmp_path,
+                                                     needs_compiler, fresh_kernel):
+        q = QuboMatrix(np.random.default_rng(17).uniform(-1, 1, (15, 15)))
+        schedule = AnnealSchedule(num_reads=6, sweeps=120, seed=18)
+        compiled = simulated_anneal(q, schedule)
+        anneal._kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", "")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback = simulated_anneal(q, schedule)
+            simulated_anneal(q, schedule)
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+            "annealer kernel unavailable, using the numpy loop: no C compiler 'cc' on PATH"
+        ]
+        assert fallback.best_assignment.tolist() == compiled.best_assignment.tolist()
+        assert fallback.best_energy == compiled.best_energy
+        assert fallback.energies.tobytes() == compiled.energies.tobytes()
+
+    def test_import_compiles_nothing(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        subprocess.run([sys.executable, "-c", "import triqsvm, triqsvm.cli"], env=env,
+                       check=True, timeout=120)
+        assert not (tmp_path / "triqsvm").exists()
+
+    def test_concurrent_first_compiles(self, tmp_path, needs_compiler):
+        script = (
+            "import numpy as np\n"
+            "from triqsvm import anneal\n"
+            "from triqsvm.qubo import QuboMatrix\n"
+            "assert anneal._kernel() is not None\n"
+            "q = QuboMatrix(np.random.default_rng(0).uniform(-1, 1, (20, 20)))\n"
+            "r = anneal.simulated_anneal(q, anneal.AnnealSchedule(num_reads=4, sweeps=100))\n"
+            "print(r.best_assignment.tolist(), r.energies.tobytes().hex())\n"
+        )
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for _ in range(4)]
+        outputs = []
+        try:
+            for proc in procs:
+                out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+                assert "RuntimeWarning" not in err, err
+                outputs.append(out)
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        assert len(set(outputs)) == 1 and outputs[0]
+        assert [p.suffix for p in (tmp_path / "triqsvm").iterdir()] == [".so"]

@@ -127,6 +127,15 @@ class TestTrain:
         assert (reports[0]["train_report"]["accuracy_per_iteration"]
                 == reports[1]["train_report"]["accuracy_per_iteration"])
 
+    def test_infinite_beta_end_is_validation_error(self, small_dataset, tmp_path):
+        out = tmp_path / "run"
+        result = run_cli("train", "--data", small_dataset, "--n-train", 12, "--qubo", "dual",
+                         "--max-iters", 1, "--reads", 2, "--sweeps", 10,
+                         "--beta-end", "inf", "--out", out)
+        assert result.returncode == 1
+        assert "finite" in result.stderr
+        assert not (out / "report.json").exists()
+
     def test_holdout_third_split(self, tmp_path):
         data = tmp_path / "d.csv"
         assert run_cli("gen-data", "--m", 24, "--seed", 4, "--out", data).returncode == 0
