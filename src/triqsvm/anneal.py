@@ -16,10 +16,17 @@ compiled with the system ``cc`` on first use into a per-user cache and
 loaded with ctypes.  Its results are bit-identical to the numpy loop,
 which stays as the reference and is the path taken, after one
 RuntimeWarning, when the kernel cannot be built or loaded.
+
+With the kernel, the reads are split into contiguous blocks, one per
+usable CPU, and each block runs the whole schedule in its own thread: the
+kernel call, the uniform draws and the log all release the GIL.  Blocks
+share no read and no random stream, so any block count gives the same
+bits.  The numpy loop holds the GIL and runs as one block.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import functools
 import hashlib
@@ -203,15 +210,26 @@ def _sweeps_numpy(first, log_u, betas, diag, coupling, state, field, running,
         trace[:, first + s] = best_energy
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     """All reads of one anneal.  Returns per-read best assignments, their
     exact energies, the per-sweep best-so-far energy trace, and the final
     states with their incrementally tracked energies (the latter two exist
     so tests can check the incremental bookkeeping against energy()).
 
-    numpy draws each read's -log(u) thresholds in chunks of sweeps, and the
-    C kernel (or, without it, the numpy loop) runs the chunk's sweeps; the
-    two give bit-identical results.
+    The reads run in contiguous blocks, one per usable CPU with the C
+    kernel and a single block with the numpy loop.  Each block runs the
+    schedule in chunks of sweeps: it draws its reads' -log(u) thresholds
+    into a fresh array, then the kernel (or the numpy loop) runs the
+    chunk on the block's rows.  Every block count, and either loop, gives
+    bit-identical results.
     """
     qm = q.q
     n = qm.shape[0]
@@ -234,15 +252,32 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     best_state = state.copy()
     trace = np.empty((reads, schedule.sweeps))
 
-    done = 0
-    while done < schedule.sweeps:
-        count = min(_SWEEP_CHUNK, schedule.sweeps - done)
-        # -log(u)/beta as the acceptance threshold on the energy delta is
-        # equivalent to u < exp(-beta * delta) and needs no exp per step.
-        log_u = np.stack([-np.log(rng.random((count, n))) for rng in rngs])
-        sweeps(done, log_u, betas, diag, coupling, state, field, running,
-               best_energy, best_state, trace)
-        done += count
+    def run_block(a: int, b: int) -> None:
+        done = 0
+        while done < schedule.sweeps:
+            count = min(_SWEEP_CHUNK, schedule.sweeps - done)
+            # -log(u)/beta as the acceptance threshold on the energy delta is
+            # equivalent to u < exp(-beta * delta) and needs no exp per step.
+            log_u = np.empty((b - a, count, n))
+            for rng, row in zip(rngs[a:b], log_u):
+                rng.random(out=row)
+            np.negative(np.log(log_u, out=log_u), out=log_u)
+            sweeps(done, log_u, betas, diag, coupling, state[a:b], field[a:b], running[a:b],
+                   best_energy[a:b], best_state[a:b], trace[a:b])
+            done += count
+
+    workers = 1 if kernel is None else min(reads, _usable_cpus())
+    if workers == 1:
+        run_block(0, reads)
+    else:
+        edges = [reads * w // workers for w in range(workers + 1)]
+        # The calling thread runs the first block; leaving the with block
+        # joins every pool thread, also when a block raised.
+        with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run_block, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+            run_block(edges[0], edges[1])
+            for future in futures:
+                future.result()
 
     exact = np.array([energy(q, row) for row in best_state])
     return best_state.astype(int), exact, trace, state.astype(int), running

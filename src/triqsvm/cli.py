@@ -4,8 +4,10 @@ and multi-size sweeps.
 Exit codes: 0 on success, 1 for validation errors (bad flags, missing or
 malformed files), 2 for runtime or numeric failures.  Every JSON artifact
 carries ``schema_version`` and echoes the flags and seeds that produced it.
-Every command runs on one thread; ``map`` scores its whole grid with one
-batched ``decision_values`` call.
+``train`` and ``sweep`` anneal on up to one thread per usable CPU (the
+annealer's reads run in parallel blocks); every other command runs on one
+thread, and ``map`` scores its whole grid with one batched
+``decision_values`` call.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ SWEEP_METHODS = {
 }
 
 DEFAULT_SWEEP_SIZES = (50, 100, 200, 300, 500)
+
+# Map rows converted to Python objects and written per batch.
+_MAP_CSV_ROWS = 1024
 
 
 def _utc_now() -> str:
@@ -307,8 +312,13 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
     labels = np.where(values >= 0.0, 1, -1)
     with Path(out).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("x1,x2,decision_value,label\n")
-        for (x1, x2), value, label in zip(grid, values, labels):
-            fh.write(f"{float(x1)!r},{float(x2)!r},{float(value)!r},{int(label)}\n")
+        # repr of a Python float is the same text as of a numpy float64, and
+        # faster; converting a slice at a time keeps the lists small.
+        for start in range(0, len(grid), _MAP_CSV_ROWS):
+            rows = slice(start, start + _MAP_CSV_ROWS)
+            fh.writelines(f"{x1!r},{x2!r},{value!r},{label}\n" for (x1, x2), value, label
+                          in zip(grid[rows].tolist(), values[rows].tolist(),
+                                 labels[rows].tolist()))
     _write_json(str(out) + ".meta.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "map",

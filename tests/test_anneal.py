@@ -1,10 +1,12 @@
-"""Energy evaluation, the three QUBO solvers and the annealer's C kernel."""
+"""Energy evaluation, the three QUBO solvers, the annealer's C kernel and
+its parallel read blocks."""
 
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -277,9 +279,11 @@ class TestKernel:
 
     def test_import_compiles_nothing(self, tmp_path):
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
-        subprocess.run([sys.executable, "-c", "import triqsvm, triqsvm.cli"], env=env,
-                       check=True, timeout=120)
+        script = "import threading, triqsvm, triqsvm.cli; print(threading.active_count())"
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True, timeout=120)
         assert not (tmp_path / "triqsvm").exists()
+        assert result.stdout.strip() == "1"
 
     def test_concurrent_first_compiles(self, tmp_path, needs_compiler):
         script = (
@@ -308,3 +312,60 @@ class TestKernel:
                 proc.wait()
         assert len(set(outputs)) == 1 and outputs[0]
         assert [p.suffix for p in (tmp_path / "triqsvm").iterdir()] == [".so"]
+
+
+class TestParallelReads:
+    @pytest.mark.parametrize("make_q, schedule", [
+        (lambda: dual_instance(50), AnnealSchedule(num_reads=50, sweeps=1000, seed=1)),
+        # Seven reads split unevenly over 2, 3 and 64 workers; 450 sweeps
+        # end in a partial chunk.
+        (lambda: dual_instance(30), AnnealSchedule(num_reads=7, sweeps=450, seed=8)),
+    ], ids=["dual-50", "seven-reads"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, needs_compiler,
+                                                   make_q, schedule):
+        q = make_q()
+        with monkeypatch.context() as patch:
+            patch.setattr(anneal, "_kernel", lambda: None)
+            reference = _anneal_reads(q, schedule)
+        assert anneal._kernel() is not None
+        for workers in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(anneal, "_usable_cpus", lambda workers=workers: workers)
+            for got, want in zip(_anneal_reads(q, schedule), reference):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"{workers} workers"
+
+    def test_worker_error_propagates_and_threads_are_joined(self, monkeypatch, needs_compiler):
+        sweeps_c = anneal._sweeps_c
+
+        def fail_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("block failed in a pool thread")
+            sweeps_c(*args)
+
+        assert anneal._kernel() is not None
+        monkeypatch.setattr(anneal, "_sweeps_c", fail_off_main_thread)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed in a pool thread"):
+            simulated_anneal(dual_instance(30), AnnealSchedule(num_reads=6, sweeps=450, seed=9))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("serial", ["numpy-loop", "one-cpu"])
+    def test_serial_paths_open_no_pool(self, monkeypatch, needs_compiler, serial):
+        q = dual_instance(30)
+        schedule = AnnealSchedule(num_reads=9, sweeps=450, seed=10)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        expected = simulated_anneal(q, schedule)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was opened")
+
+        monkeypatch.setattr(anneal.concurrent.futures, "ThreadPoolExecutor", no_pool)
+        if serial == "numpy-loop":
+            monkeypatch.setattr(anneal, "_kernel", lambda: None)
+        else:
+            monkeypatch.setattr(anneal, "_usable_cpus", lambda: 1)
+        got = simulated_anneal(q, schedule)
+        assert got.best_assignment.tolist() == expected.best_assignment.tolist()
+        assert got.best_energy == expected.best_energy
+        assert got.energies.tobytes() == expected.energies.tobytes()

@@ -255,6 +255,31 @@ class TestMap:
             outputs.append((out.read_bytes(), svg.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_csv_matches_per_row_formatting(self, tmp_path):
+        # 37 x 37 = 1369 rows: one full batch of rows and a partial one.
+        rng = np.random.default_rng(37)
+        model = TrainedModel(
+            alpha=np.array([1, 0, 1, 1, 0, 1]),
+            beta=-0.25,
+            train_points=rng.uniform(0.0, 2.0 * np.pi, (6, 2)),
+            train_labels=np.array([1, -1, -1, 1, 1, -1]),
+            kernel=FeatureMapSpec(n=2, theta=np.array([0.3, -1.2])),
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        out = tmp_path / "map.csv"
+        result = run_cli("map", model_path, "--resolution", 37, "--out", out)
+        assert result.returncode == 0, result.stderr
+        axis = np.linspace(0.0, 2.0 * np.pi, 37)
+        grid = np.column_stack([np.repeat(axis, 37), np.tile(axis, 37)])
+        values = decision_values(grid, load_model(model_path))
+        lines = ["x1,x2,decision_value,label\n"]
+        for (x1, x2), value in zip(grid, values):
+            label = 1 if value >= 0.0 else -1
+            lines.append(f"{float(x1)!r},{float(x2)!r},{float(value)!r},{label}\n")
+        assert len(set(np.sign(values))) == 2
+        assert out.read_bytes() == "".join(lines).encode()
+
     def test_domain_must_be_finite(self, tmp_path):
         model_path = constant_positive_model(tmp_path)
         for domain in ("0,inf,0,1", "0,1,-inf,1", "nan,1,0,1"):
