@@ -7,7 +7,9 @@ carries ``schema_version`` and echoes the flags and seeds that produced it.
 ``train`` and ``sweep`` anneal on up to one thread per usable CPU (the
 annealer's reads run in parallel blocks); every other command runs on one
 thread, and ``map`` scores its whole grid with one batched
-``decision_values`` call.
+``decision_values`` call.  ``map`` formats each grid axis once and every
+cell reuses its axes' text, in the CSV and the SVG alike; per cell, the
+CSV formats only the decision value.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ SWEEP_METHODS = {
 }
 
 DEFAULT_SWEEP_SIZES = (50, 100, 200, 300, 500)
-
-# Map rows converted to Python objects and written per batch.
-_MAP_CSV_ROWS = 1024
 
 
 def _utc_now() -> str:
@@ -236,33 +235,42 @@ def cmd_evaluate(model_file, dataset_file, out):
     })
 
 
-def _svg_map(path, xs, ys, values, labels, resolution, domain, overlays):
+def _svg_map(path, g1, g2, labels, domain, overlays):
+    """Render the map's labels as a heat grid, with optional point overlays.
+
+    Cell i * len(g2) + j sits at (g1[i], g2[j]), so the position text of
+    each grid axis is formatted once.
+    """
     lo1, hi1, lo2, hi2 = domain
     size = 480
     margin = 40
-    cell = size / resolution
+    cell = size / len(g1)
 
-    def px(x1, x2):
+    def sx(x1):
         u = (x1 - lo1) / (hi1 - lo1) if hi1 > lo1 else 0.5
+        return margin + u * size
+
+    def sy(x2):
         v = (x2 - lo2) / (hi2 - lo2) if hi2 > lo2 else 0.5
-        return margin + u * size, margin + (1.0 - v) * size
+        return margin + (1.0 - v) * size
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{size + 2 * margin}" height="{size + 2 * margin}">',
         f'<rect width="{size + 2 * margin}" height="{size + 2 * margin}" fill="white"/>',
     ]
-    for x1, x2, label in zip(xs, ys, labels):
-        cx, cy = px(x1, x2)
-        color = "#d62728" if label > 0 else "#1f77b4"
-        parts.append(
-            f'<rect x="{cx - cell / 2:.2f}" y="{cy - cell / 2:.2f}" '
-            f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}" fill-opacity="0.55"/>'
-        )
+    x_text = [f'<rect x="{sx(x1) - cell / 2:.2f}" ' for x1 in g1.tolist()]
+    y_text = [f'y="{sy(x2) - cell / 2:.2f}" ' for x2 in g2.tolist()]
+    colors = {1: "#d62728", -1: "#1f77b4"}
+    fill = {label: f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}" fill-opacity="0.55"/>'
+            for label, color in colors.items()}
+    for i, head in enumerate(x_text):
+        row = labels[i * len(g2) : (i + 1) * len(g2)].tolist()
+        parts.extend([f"{head}{y}{fill[label]}" for y, label in zip(y_text, row)])
     for ds, shape in overlays:
         for row, label in zip(ds.points, ds.labels):
-            cx, cy = px(row[0], row[1])
-            color = "#d62728" if label > 0 else "#1f77b4"
+            cx, cy = sx(row[0]), sy(row[1])
+            color = colors[label]
             if shape == "circle":
                 parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{color}" '
                              f'stroke="black" stroke-width="0.7"/>')
@@ -310,15 +318,19 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
     grid = np.column_stack([np.repeat(g1, resolution), np.tile(g2, resolution)])
     values = decision_values(grid, model)
     labels = np.where(values >= 0.0, 1, -1)
+    # Row i * resolution + j of the grid is (g1[i], g2[j]), so each axis is
+    # formatted once.  repr of a Python float is the same text as of a numpy
+    # float64, and faster; converting one x1 row at a time keeps the lists
+    # small.
+    x1_text = [f"{x!r}," for x in g1.tolist()]
+    x2_text = [f"{x!r}," for x in g2.tolist()]
+    label_text = {1: ",1\n", -1: ",-1\n"}
     with Path(out).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("x1,x2,decision_value,label\n")
-        # repr of a Python float is the same text as of a numpy float64, and
-        # faster; converting a slice at a time keeps the lists small.
-        for start in range(0, len(grid), _MAP_CSV_ROWS):
-            rows = slice(start, start + _MAP_CSV_ROWS)
-            fh.writelines(f"{x1!r},{x2!r},{value!r},{label}\n" for (x1, x2), value, label
-                          in zip(grid[rows].tolist(), values[rows].tolist(),
-                                 labels[rows].tolist()))
+        for i, head in enumerate(x1_text):
+            row = slice(i * resolution, (i + 1) * resolution)
+            fh.write("".join([f"{head}{x2}{value!r}{label_text[label]}" for x2, value, label
+                              in zip(x2_text, values[row].tolist(), labels[row].tolist())]))
     _write_json(str(out) + ".meta.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "map",
@@ -332,7 +344,7 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
             overlays.append((read_dataset_csv(train_data), "circle"))
         if test_data is not None:
             overlays.append((read_dataset_csv(test_data), "triangle"))
-        _svg_map(svg, grid[:, 0], grid[:, 1], values, labels, resolution, bounds, overlays)
+        _svg_map(svg, g1, g2, labels, bounds, overlays)
     click.echo(f"wrote {grid.shape[0]} cells to {out}")
 
 

@@ -249,9 +249,9 @@ def write_dataset_csv(ds: Dataset, path) -> None:
     path = Path(path)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("f1,f2,label\n")
-        for row, label in zip(ds.points, ds.labels):
-            # repr of a Python float is the shortest exact round trip.
-            fh.write(f"{float(row[0])!r},{float(row[1])!r},{int(label)}\n")
+        # repr of a Python float is the shortest exact round trip.
+        fh.writelines(f"{x1!r},{x2!r},{label}\n"
+                      for (x1, x2), label in zip(ds.points.tolist(), ds.labels.tolist()))
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -107,19 +107,20 @@ def _hadamard_layer(state: np.ndarray) -> np.ndarray:
 
 
 def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
-    """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n)."""
+    """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n).
+
+    H|0...0> is the same for every point, so it is computed once as a
+    single row and the first phase layer broadcasts it over the batch.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != spec.n:
         raise ValueError(
             f"data points must have dimension {spec.n}, got shape {points.shape}"
         )
-    m, n = points.shape
     diag = _phase_diagonal(*_angles(points, spec.theta))
-    state = np.zeros((m, 2**n), dtype=complex)
-    state[:, 0] = 1.0
-    for _ in range(2):
-        state = _hadamard_layer(state) * diag
-    return state
+    zero = np.zeros((1, 2**spec.n), dtype=complex)
+    zero[0, 0] = 1.0
+    return _hadamard_layer(_hadamard_layer(zero) * diag) * diag
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from triqsvm.datagen import read_dataset_csv
+from triqsvm import anneal
+from triqsvm.anneal import AnnealSchedule
+from triqsvm.cli import cli
+from triqsvm.datagen import SplitSpec, adhoc_generate, read_dataset_csv, split
+from triqsvm.optimize import TrainConfig, train
 from triqsvm.qubo import decision_values, load_model, save_model, TrainedModel
 from triqsvm.qkernel import FeatureMapSpec
 
@@ -162,6 +166,79 @@ def constant_positive_model(tmp_path):
     return path
 
 
+def mixed_model(tmp_path):
+    """A stored quantum model whose decision values take both signs."""
+    rng = np.random.default_rng(37)
+    model = TrainedModel(
+        alpha=np.array([1, 0, 1, 1, 0, 1]),
+        beta=-0.25,
+        train_points=rng.uniform(0.0, 2.0 * np.pi, (6, 2)),
+        train_labels=np.array([1, -1, -1, 1, 1, -1]),
+        kernel=FeatureMapSpec(n=2, theta=np.array([0.3, -1.2])),
+    )
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path
+
+
+def map_grid(resolution, domain=(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)):
+    """The map's grid, row-major with x2 fastest."""
+    g1 = np.linspace(domain[0], domain[1], resolution)
+    g2 = np.linspace(domain[2], domain[3], resolution)
+    return np.column_stack([np.repeat(g1, resolution), np.tile(g2, resolution)])
+
+
+def per_row_map_csv(grid, values):
+    """The map CSV formatted one cell at a time from numpy scalars."""
+    lines = ["x1,x2,decision_value,label\n"]
+    for (x1, x2), value in zip(grid, values):
+        label = 1 if value >= 0.0 else -1
+        lines.append(f"{float(x1)!r},{float(x2)!r},{float(value)!r},{label}\n")
+    return "".join(lines).encode()
+
+
+def per_cell_svg(xs, ys, labels, resolution, domain, overlays):
+    """The map SVG with every cell's position computed and formatted on
+    its own."""
+    lo1, hi1, lo2, hi2 = domain
+    size = 480
+    margin = 40
+    cell = size / resolution
+
+    def px(x1, x2):
+        u = (x1 - lo1) / (hi1 - lo1) if hi1 > lo1 else 0.5
+        v = (x2 - lo2) / (hi2 - lo2) if hi2 > lo2 else 0.5
+        return margin + u * size, margin + (1.0 - v) * size
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{size + 2 * margin}" height="{size + 2 * margin}">',
+        f'<rect width="{size + 2 * margin}" height="{size + 2 * margin}" fill="white"/>',
+    ]
+    for x1, x2, label in zip(xs, ys, labels):
+        cx, cy = px(x1, x2)
+        color = "#d62728" if label > 0 else "#1f77b4"
+        parts.append(
+            f'<rect x="{cx - cell / 2:.2f}" y="{cy - cell / 2:.2f}" '
+            f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}" fill-opacity="0.55"/>'
+        )
+    for ds, shape in overlays:
+        for row, label in zip(ds.points, ds.labels):
+            cx, cy = px(row[0], row[1])
+            color = "#d62728" if label > 0 else "#1f77b4"
+            if shape == "circle":
+                parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{color}" '
+                             f'stroke="black" stroke-width="0.7"/>')
+            else:
+                parts.append(
+                    f'<polygon points="{cx:.2f},{cy - 5:.2f} {cx - 4.5:.2f},{cy + 4:.2f} '
+                    f'{cx + 4.5:.2f},{cy + 4:.2f}" fill="{color}" '
+                    f'stroke="black" stroke-width="0.7"/>'
+                )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
 class TestEvaluate:
     def test_perfect_fit_prints_one(self, tmp_path):
         model_path = constant_positive_model(tmp_path)
@@ -256,29 +333,48 @@ class TestMap:
         assert outputs[0] == outputs[1]
 
     def test_csv_matches_per_row_formatting(self, tmp_path):
-        # 37 x 37 = 1369 rows: one full batch of rows and a partial one.
-        rng = np.random.default_rng(37)
-        model = TrainedModel(
-            alpha=np.array([1, 0, 1, 1, 0, 1]),
-            beta=-0.25,
-            train_points=rng.uniform(0.0, 2.0 * np.pi, (6, 2)),
-            train_labels=np.array([1, -1, -1, 1, 1, -1]),
-            kernel=FeatureMapSpec(n=2, theta=np.array([0.3, -1.2])),
-        )
-        model_path = tmp_path / "model.json"
-        save_model(model, model_path)
+        # 37 x 37 = 1369 rows.
+        model_path = mixed_model(tmp_path)
         out = tmp_path / "map.csv"
         result = run_cli("map", model_path, "--resolution", 37, "--out", out)
         assert result.returncode == 0, result.stderr
-        axis = np.linspace(0.0, 2.0 * np.pi, 37)
-        grid = np.column_stack([np.repeat(axis, 37), np.tile(axis, 37)])
+        grid = map_grid(37)
         values = decision_values(grid, load_model(model_path))
-        lines = ["x1,x2,decision_value,label\n"]
-        for (x1, x2), value in zip(grid, values):
-            label = 1 if value >= 0.0 else -1
-            lines.append(f"{float(x1)!r},{float(x2)!r},{float(value)!r},{label}\n")
         assert len(set(np.sign(values))) == 2
-        assert out.read_bytes() == "".join(lines).encode()
+        assert out.read_bytes() == per_row_map_csv(grid, values)
+
+    @pytest.mark.parametrize("resolution, domain", [
+        # Negative coordinates, and coordinates whose shortest round-trip
+        # text runs to 17 significant digits.
+        (37, (-1.5, 0.25, -3.0, 3.0)),
+        (2, (0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)),
+    ], ids=["negative-domain", "resolution-2"])
+    def test_csv_matches_per_row_formatting_on_other_grids(self, tmp_path, resolution, domain):
+        model_path = mixed_model(tmp_path)
+        out = tmp_path / "map.csv"
+        result = run_cli("map", model_path, "--resolution", resolution,
+                         "--domain", ",".join(map(repr, domain)), "--out", out)
+        assert result.returncode == 0, result.stderr
+        grid = map_grid(resolution, domain)
+        values = decision_values(grid, load_model(model_path))
+        assert out.read_bytes() == per_row_map_csv(grid, values)
+
+    def test_svg_matches_per_cell_rendering(self, tmp_path, small_dataset):
+        model_path = mixed_model(tmp_path)
+        test_data = tmp_path / "test.csv"
+        assert run_cli("gen-data", "--m", 10, "--seed", 600, "--out", test_data).returncode == 0
+        svg = tmp_path / "map.svg"
+        result = run_cli("map", model_path, "--resolution", 37, "--out", tmp_path / "map.csv",
+                         "--svg", svg, "--train-data", small_dataset, "--test-data", test_data)
+        assert result.returncode == 0, result.stderr
+        grid = map_grid(37)
+        labels = np.where(decision_values(grid, load_model(model_path)) >= 0.0, 1, -1)
+        assert len(set(labels.tolist())) == 2
+        overlays = [(read_dataset_csv(small_dataset), "circle"),
+                    (read_dataset_csv(test_data), "triangle")]
+        domain = (0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)
+        want = per_cell_svg(grid[:, 0], grid[:, 1], labels, 37, domain, overlays)
+        assert svg.read_bytes() == want
 
     def test_domain_must_be_finite(self, tmp_path):
         model_path = constant_positive_model(tmp_path)
@@ -292,6 +388,41 @@ class TestMap:
         model_path = constant_positive_model(tmp_path)
         result = run_cli("map", model_path, "--resolution", 1, "--out", tmp_path / "m.csv")
         assert result.returncode == 1
+
+
+class TestQuietStdout:
+    """Whatever drives the library in process may keep its own result on
+    stdout, so training, scoring and the map's single line leave nothing
+    else there.  capfd captures file descriptor 1, which also catches
+    writes from C code and child processes."""
+
+    @pytest.mark.parametrize("backend, qubo", [
+        ("anneal", "paper"), ("anneal", "dual"), ("greedy", "paper"),
+    ])
+    def test_train_and_scoring_write_nothing(self, capfd, monkeypatch, tmp_path,
+                                             backend, qubo):
+        # An empty kernel cache, so a dual anneal compiles the kernel here.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        anneal._kernel.cache_clear()
+        ds = adhoc_generate(30, 0.0, seed=5)
+        train_set, val_set = split(ds, SplitSpec(20, 5, seed=5))
+        cfg = TrainConfig(max_iterations=2, solver_backend=backend, qubo_builder=qubo,
+                          seed=5, schedule=AnnealSchedule(num_reads=4, sweeps=50, seed=5))
+        capfd.readouterr()
+        try:
+            report = train(train_set, val_set, cfg)
+            decision_values(val_set.points, report.best_model)
+        finally:
+            anneal._kernel.cache_clear()
+        assert capfd.readouterr().out == ""
+
+    def test_map_prints_one_line(self, capfd, tmp_path):
+        model_path = mixed_model(tmp_path)
+        out = tmp_path / "map.csv"
+        capfd.readouterr()
+        cli.main(args=["map", str(model_path), "--resolution", "5", "--out", str(out)],
+                 standalone_mode=False)
+        assert capfd.readouterr().out == f"wrote 25 cells to {out}\n"
 
 
 class TestSweep:

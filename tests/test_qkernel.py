@@ -6,6 +6,7 @@ import pytest
 from triqsvm.kernels import kernel_cross, kernel_from_dict
 from triqsvm.qkernel import (
     FeatureMapSpec,
+    _angles,
     _hadamard_layer,
     _phase_diagonal,
     expectation_zz,
@@ -162,6 +163,21 @@ class TestFeatureState:
         batch = feature_states(points, spec)
         for k in (0, 1, 128, 256):
             assert feature_states(points[k], spec).tobytes() == batch[k : k + 1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 7, 257, 10_000])
+    def test_shared_first_layer_matches_per_row_layers(self, n, m):
+        # The two layers applied to a batch of |0...0> rows, as they were
+        # before H|0...0> was computed once and broadcast.
+        rng = np.random.default_rng(40 + n)
+        spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        points = rng.uniform(-3.0, 7.0, (m, n))
+        diag = _phase_diagonal(*_angles(points, spec.theta))
+        state = np.zeros((m, 2**n), dtype=complex)
+        state[:, 0] = 1.0
+        for _ in range(2):
+            state = _hadamard_layer(state) * diag
+        assert feature_states(points, spec).tobytes() == state.tobytes()
 
     def test_unit_norm_for_random_inputs(self):
         rng = np.random.default_rng(8)
