@@ -404,10 +404,8 @@ def _write_sweep_rows(path: Path, rows: dict) -> None:
 @click.option("--sweeps", type=int, default=1000, show_default=True)
 @click.option("--beta-start", type=float, default=0.1, show_default=True)
 @click.option("--beta-end", type=float, default=10.0, show_default=True)
-@click.option("--include-500-quantum", is_flag=True,
-              help="Also run quantum-kernel methods at 500 training points.")
 def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, reads,
-              sweeps, beta_start, beta_end, include_500_quantum):
+              sweeps, beta_start, beta_end):
     """Accuracy/iteration table across training sizes, methods and seeds.
 
     Completed (size, method, seed) rows found in the output file are kept,
@@ -427,8 +425,7 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, re
         "flags": {"data": str(data) if data else None, "sizes": list(sizes),
                   "seeds": list(seeds), "methods": method_names, "delta": delta,
                   "max_iters": max_iters, "target_acc": target_acc, "reads": reads,
-                  "sweeps": sweeps, "beta_start": beta_start, "beta_end": beta_end,
-                  "include_500_quantum": include_500_quantum},
+                  "sweeps": sweeps, "beta_start": beta_start, "beta_end": beta_end},
         "method_map": {name: {"kernel": SWEEP_METHODS[name][0],
                               "backend": SWEEP_METHODS[name][1]}
                        for name in method_names},
@@ -441,8 +438,6 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, re
                 dataset = adhoc_generate(size + n_test, delta, n=2, seed=seed)
             for method in method_names:
                 kernel_kind, backend = SWEEP_METHODS[method]
-                if size >= 500 and kernel_kind == "quantum-zz" and not include_500_quantum:
-                    continue
                 key = (size, method, seed)
                 if key in rows:
                     continue

@@ -1,7 +1,9 @@
-"""Energy evaluation, the three QUBO solvers, the annealer's C kernel and
-its parallel read blocks."""
+"""Energy evaluation, the three QUBO solvers, the annealer's C kernel at every
+lane width, and its parallel read blocks."""
 
+import functools
 import os
+import platform
 import shutil
 import stat
 import subprocess
@@ -206,6 +208,29 @@ def needs_compiler():
         pytest.skip("no C compiler 'cc' on PATH")
 
 
+def lane_widths(kernel) -> list[int]:
+    """Every lane width the kernel runs on this CPU, 1 (per-read) first."""
+    return [lanes for lanes in anneal._LANE_WIDTHS if lanes <= kernel.lanes]
+
+
+def assert_same_reads(q, schedule, reference, monkeypatch, message=""):
+    """_anneal_reads at every lane width gives the reference's bytes."""
+    kernel = anneal._kernel()
+    assert kernel is not None
+    for lanes in lane_widths(kernel):
+        monkeypatch.setattr(anneal, "_kernel", lambda lanes=lanes: kernel._replace(lanes=lanes))
+        for got, want in zip(_anneal_reads(q, schedule), reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f"{lanes} lanes{message}"
+    monkeypatch.setattr(anneal, "_kernel", lambda: kernel)
+
+
+def numpy_reads(q, schedule, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(anneal, "_kernel", lambda: None)
+        return _anneal_reads(q, schedule)
+
+
 class TestKernel:
     @pytest.mark.parametrize("make_q, schedule", [
         (lambda: dual_instance(50), AnnealSchedule(num_reads=50, sweeps=1000, seed=1)),
@@ -216,32 +241,106 @@ class TestKernel:
          AnnealSchedule(num_reads=20, sweeps=450, seed=4)),
         (lambda: QuboMatrix(np.array([[-0.5]])), AnnealSchedule(num_reads=7, sweeps=300, seed=5)),
         (lambda: dual_instance(30), AnnealSchedule(num_reads=1, sweeps=500, seed=6)),
-    ], ids=["dual-50", "dual-200", "integer-12", "n-1", "one-read"])
+        # Read counts that are not all multiples of 4 or 8, so that blocks
+        # end in reads run one at a time.
+        *[(lambda: dual_instance(30), AnnealSchedule(num_reads=reads, sweeps=450, seed=reads))
+          for reads in (3, 7, 8, 9, 25, 61)],
+        (lambda: QuboMatrix(np.array([[0.25]])), AnnealSchedule(num_reads=9, sweeps=450, seed=7)),
+        (lambda: QuboMatrix(np.random.default_rng(8).integers(-1, 2, (12, 12)).astype(float)),
+         AnnealSchedule(num_reads=25, sweeps=450, seed=9)),
+        (lambda: dual_instance(200), AnnealSchedule(num_reads=9, sweeps=450, seed=10)),
+    ], ids=["dual-50", "dual-200", "integer-12", "n-1", "one-read", "reads-3", "reads-7",
+            "reads-8", "reads-9", "reads-25", "reads-61", "n-1-nine-reads",
+            "integer-12-25-reads", "dual-200-partial-chunk"])
     def test_byte_identical_to_numpy_loop(self, monkeypatch, needs_compiler, make_q, schedule):
         q = make_q()
         assert anneal._kernel() is not None
-        compiled = _anneal_reads(q, schedule)
-        monkeypatch.setattr(anneal, "_kernel", lambda: None)
-        reference = _anneal_reads(q, schedule)
-        for got, want in zip(compiled, reference):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert_same_reads(q, schedule, numpy_reads(q, schedule, monkeypatch), monkeypatch)
 
     def test_kernel_arguments_are_checked(self, needs_compiler):
         reads, count, n = 2, 3, 4
+        kernel = anneal._kernel()
         arrays = [np.zeros(shape) for shape in [(reads, count, n), (count,), (n,), (n, n),
                                                 (reads, n), (reads, n), (reads,), (reads,),
                                                 (reads, n), (reads, count)]]
-        anneal._sweeps_c(anneal._kernel(), 0, *arrays)
+        for lanes in lane_widths(kernel):
+            anneal._sweeps_c(kernel, lanes, np.zeros(anneal._scratch_size(n, lanes)), 0, *arrays)
+        lanes = kernel.lanes
+        scratch = np.zeros(anneal._scratch_size(n, lanes))
         for k, bad in [(0, arrays[0].astype(np.float32)), (3, np.zeros((n, n)).T),
                        (3, np.zeros((n + 1, n + 1))), (4, np.zeros((2 * reads, n))[::2])]:
             wrong = list(arrays)
             wrong[k] = bad
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                anneal._sweeps_c(anneal._kernel(), 0, *wrong)
+                anneal._sweeps_c(kernel, lanes, scratch, 0, *wrong)
+        for bad in (scratch[:-1], np.zeros(anneal._scratch_size(n + 1, lanes)),
+                    scratch.astype(np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                anneal._sweeps_c(kernel, lanes, bad, 0, *arrays)
+        # Widths the kernel has no body for, and the widths this CPU lacks.
+        missing = [0, 2, 3, 16, -8] + [w for w in anneal._LANE_WIDTHS if w > kernel.lanes]
+        for bad in missing:
+            with pytest.raises(ValueError, match="not available on this CPU"):
+                anneal._sweeps_c(kernel, bad, np.zeros(anneal._scratch_size(n, abs(bad))), 0,
+                                 *arrays)
         for first in (-1, 1):
             with pytest.raises(ValueError, match="past the schedule"):
-                anneal._sweeps_c(anneal._kernel(), first, *arrays)
+                anneal._sweeps_c(kernel, lanes, scratch, first, *arrays)
+
+    def test_delta_equal_to_threshold_is_rejected_at_every_width(self, needs_compiler):
+        # The threshold is the quotient -log(u) / beta.  For these values
+        # -log(u) * (1 / beta) rounds above it, so a kernel that multiplied
+        # by 1 / beta, or compared with <=, would accept a flip whose energy
+        # change equals the quotient.
+        rng = np.random.default_rng(19)
+        while True:
+            log_u, beta = rng.uniform(0.1, 5.0, 2)
+            if log_u * (1.0 / beta) > log_u / beta:
+                break
+        kernel = anneal._kernel()
+        reads = 9
+        for lanes in lane_widths(kernel):
+            runs = []
+            for run in (anneal._sweeps_numpy, functools.partial(
+                    anneal._sweeps_c, kernel, lanes, np.zeros(anneal._scratch_size(1, lanes)))):
+                arrays = [np.full((reads, 1, 1), log_u), np.array([beta]),
+                          np.array([log_u / beta]), np.zeros((1, 1)), np.zeros((reads, 1)),
+                          np.zeros((reads, 1)), np.zeros(reads), np.zeros(reads),
+                          np.zeros((reads, 1)), np.zeros((reads, 1))]
+                run(0, *arrays)
+                runs.append(arrays)
+            assert runs[0][4].tolist() == [[0.0]] * reads
+            for got, want in zip(*runs):
+                assert got.tobytes() == want.tobytes(), f"{lanes} lanes"
+
+    def test_lanes_follow_the_cpu(self, needs_compiler):
+        flags = set()
+        if os.path.exists("/proc/cpuinfo"):
+            with open("/proc/cpuinfo") as info:
+                for line in info:
+                    if line.startswith("flags"):
+                        flags = set(line.split(":", 1)[1].split())
+                        break
+        if not flags or platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip("CPU flags are read from /proc/cpuinfo on x86-64")
+        widest = 4 if "avx2" in flags else 1
+        if widest == 4 and "avx512f" in flags:
+            widest = 8
+        assert anneal._kernel().lanes == widest
+
+    def test_reads_run_at_the_widest_width(self, monkeypatch, needs_compiler):
+        kernel = anneal._kernel()
+        sweeps_c = anneal._sweeps_c
+        used = []
+
+        def record(loaded, lanes, *args):
+            used.append(lanes)
+            sweeps_c(loaded, lanes, *args)
+
+        monkeypatch.setattr(anneal, "_sweeps_c", record)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        simulated_anneal(dual_instance(30), AnnealSchedule(num_reads=20, sweeps=450, seed=3))
+        assert used and set(used) == {kernel.lanes}
 
     def test_compiles_into_cache_and_reloads_without_compiler_run(
             self, monkeypatch, tmp_path, needs_compiler, fresh_kernel):
@@ -320,19 +419,18 @@ class TestParallelReads:
         # Seven reads split unevenly over 2, 3 and 64 workers; 450 sweeps
         # end in a partial chunk.
         (lambda: dual_instance(30), AnnealSchedule(num_reads=7, sweeps=450, seed=8)),
-    ], ids=["dual-50", "seven-reads"])
+        # Blocks of 12 and 13, or 8, 8 and 9 reads: full lane groups plus
+        # a per-read remainder in the same block.
+        (lambda: dual_instance(30), AnnealSchedule(num_reads=25, sweeps=450, seed=11)),
+    ], ids=["dual-50", "seven-reads", "twenty-five-reads"])
     def test_worker_count_does_not_change_results(self, monkeypatch, needs_compiler,
                                                    make_q, schedule):
         q = make_q()
-        with monkeypatch.context() as patch:
-            patch.setattr(anneal, "_kernel", lambda: None)
-            reference = _anneal_reads(q, schedule)
+        reference = numpy_reads(q, schedule, monkeypatch)
         assert anneal._kernel() is not None
         for workers in (1, 2, 3, 7, 64):
             monkeypatch.setattr(anneal, "_usable_cpus", lambda workers=workers: workers)
-            for got, want in zip(_anneal_reads(q, schedule), reference):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), f"{workers} workers"
+            assert_same_reads(q, schedule, reference, monkeypatch, f", {workers} workers")
 
     def test_worker_error_propagates_and_threads_are_joined(self, monkeypatch, needs_compiler):
         sweeps_c = anneal._sweeps_c

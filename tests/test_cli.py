@@ -461,6 +461,18 @@ class TestSweep:
         assert rows[("classical", "7")]["iterations"] == "9"
         assert ("hqsvm", "7") in rows
 
+    def test_quantum_methods_run_at_500_points(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = run_cli("sweep", "--out", out, "--sizes", "500", "--seeds", "300",
+                         "--methods", "qsvm", "--max-iters", 2)
+        assert result.returncode == 0, result.stderr
+        with out.open() as fh:
+            rows = [r for r in csv.DictReader(fh) if r["seed"] == "300"]
+        assert [(r["train_pts"], r["test_pts"], r["method"]) for r in rows] == [
+            ("500", "100", "qsvm")]
+        flags = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["flags"]
+        assert "include_500_quantum" not in flags
+
     def test_unknown_method_rejected(self, tmp_path):
         result = run_cli("sweep", "--out", tmp_path / "s.csv", "--methods", "zen")
         assert result.returncode == 1
