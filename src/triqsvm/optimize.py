@@ -75,8 +75,8 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
     """Minimize a black-box function over a box via COBYLA.
 
     ``bounds`` is a sequence of (low, high) per coordinate, given to COBYLA
-    as linear inequality constraints.  Trial points outside the box are
-    projected onto it, so the objective only ever sees points inside it.
+    as its ``bounds``.  Any trial point outside the box is projected onto
+    it, so the objective only ever sees points inside it.
     ``max_evals`` is a hard cap on objective calls, also below the p + 2
     that PRIMA-based COBYLA needs for its initial simplex: the request
     after the last one allowed ends the run.  A run that ends on the budget,
@@ -108,17 +108,12 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
             best["x"], best["fun"] = x, value
         return value
 
-    constraints = []
-    for i in range(x0.size):
-        constraints.append({"type": "ineq", "fun": lambda x, i=i: x[i] - lows[i]})
-        constraints.append({"type": "ineq", "fun": lambda x, i=i: highs[i] - x[i]})
-
     try:
         result = _scipy_minimize(
             wrapped,
             x0,
             method="COBYLA",
-            constraints=constraints,
+            bounds=list(zip(lows, highs)),
             options={
                 "rhobeg": config.rho_begin,
                 "tol": config.rho_end,

@@ -102,7 +102,12 @@ def build_qubo_paper(gram, labels) -> QuboMatrix:
     _check_sizes(k, labels)
     y_m = labels[:, None]
     y_n = labels[None, :]
-    q = ((-0.5 * (y_n * y_m + k)) * y_m) * y_n
+    # The contract's order of operations, in place on one n x n array.
+    q = y_n * y_m
+    q += k
+    q *= -0.5
+    q *= y_m
+    q *= y_n
     np.fill_diagonal(q, 0.0)
     return QuboMatrix(q)
 

@@ -40,6 +40,8 @@ def reject_non_finite(name):
 
 @pytest.mark.parametrize("workload, trace, names", [
     ("dual-anneal", 1, "per_layer"),
+    ("hqsvm-paper", 1, "per_layer"),
+    ("qsvm-hard", 1, "per_layer"),
     ("hqsvm-paper", 0, "end_to_end"),
 ])
 def test_run_ends_with_its_result_line(tmp_path, workload, trace, names):

@@ -267,6 +267,57 @@ class TestGram:
             gram(np.empty((0, 2)), spec2())
 
 
+def row_loop_gram(points, spec):
+    """The Gram as it was once built: one matrix-vector product per row."""
+    states = feature_states(points, spec)
+    m = len(states)
+    k = np.empty((m, m))
+    for i in range(m):
+        row = np.abs(states[i:].conj() @ states[i]) ** 2
+        k[i, i:] = row
+        k[i:, i] = row
+    return k
+
+
+# Sizes on both sides of every 64-row block edge.
+BLOCK_EDGE_SIZES = (1, 2, 63, 64, 65, 129, 200, 500)
+
+
+class TestBlockedGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", BLOCK_EDGE_SIZES)
+    def test_matches_row_loop(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        points = rng.uniform(0, 2 * np.pi, (m, n))
+        spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        entries = gram(points, spec).entries
+        assert entries.shape == (m, m)
+        # Both sides round a 2**(n+1)-term dot product and square it; at
+        # n = 4 diagonal entries just below 1 differ by up to 5 ulp.
+        assert np.max(np.abs(entries - row_loop_gram(points, spec))) <= 2e-15
+
+    @pytest.mark.parametrize("m", BLOCK_EDGE_SIZES)
+    def test_exactly_symmetric_and_repeatable(self, m):
+        rng = np.random.default_rng(m)
+        points = rng.uniform(0, 2 * np.pi, (m, 2))
+        spec = spec2((0.3, -1.2))
+        entries = gram(points, spec).entries
+        assert np.array_equal(entries, entries.T)
+        assert entries.tobytes() == gram(points, spec).entries.tobytes()
+
+    @pytest.mark.parametrize("m", [65, 200])
+    def test_rows_follow_a_permutation_of_the_points(self, m):
+        # Permuting the points moves every entry to another block, so
+        # another product computes it.
+        rng = np.random.default_rng(m + 1)
+        points = rng.uniform(0, 2 * np.pi, (m, 2))
+        spec = spec2((1.7, -0.6))
+        perm = rng.permutation(m)
+        entries = gram(points, spec).entries
+        permuted = gram(points[perm], spec).entries
+        assert np.max(np.abs(permuted - entries[np.ix_(perm, perm)])) <= 1e-15
+
+
 class TestExpectationZZ:
     def test_identity_on_zero_state(self):
         assert expectation_zz(basis(4, 0), np.eye(4)) == pytest.approx([1.0], abs=1e-12)

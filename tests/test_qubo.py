@@ -65,6 +65,20 @@ class TestBuildQuboPaper:
         with pytest.raises(ValueError):
             build_qubo_paper(np.eye(3), np.array([1, -1]))
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 50, 200])
+    def test_bytes_equal_the_contract_expression(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            k = rng.uniform(-1.0, 2.0, (m, m))
+            k[rng.random((m, m)) < 0.2] = 0.0
+            k[rng.random((m, m)) < 0.2] = -0.0
+            labels = np.where(rng.random(m) < 0.5, 1, -1)
+            y_m = labels.astype(float)[:, None]
+            y_n = labels.astype(float)[None, :]
+            expected = ((-0.5 * (y_n * y_m + k)) * y_m) * y_n
+            np.fill_diagonal(expected, 0.0)
+            assert build_qubo_paper(k, labels).q.tobytes() == expected.tobytes()
+
 
 class TestBuildQuboDual:
     def test_single_point_prefers_selection(self):
