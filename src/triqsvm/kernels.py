@@ -23,8 +23,10 @@ class RbfKernel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        # An infinite gamma makes exp(-gamma * 0) NaN at the training
+        # points; written so that NaN fails the check too.
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,9 @@ def kernel_cross(kernel: Kernel, points, queries) -> np.ndarray:
             f"queries {queries.shape[1]}-dimensional"
         )
     if isinstance(kernel, FeatureMapSpec):
-        sp = qkernel.feature_states(points, kernel)
-        sq = qkernel.feature_states(queries, kernel)
-        return np.abs(sp.conj() @ sq.T) ** 2
+        return qkernel.cross_from_states(
+            qkernel.feature_states(points, kernel), qkernel.feature_states(queries, kernel)
+        )
     if isinstance(kernel, RbfKernel):
         d2 = ((points[:, None, :] - queries[None, :, :]) ** 2).sum(axis=2)
         return np.exp(-kernel.gamma * d2)

@@ -29,7 +29,7 @@ from .anneal import (
 )
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
-from .qkernel import FeatureMapSpec
+from .qkernel import FeatureMapSpec, feature_states, gram_from_states
 from .qubo import TrainedModel, accuracy, build_qubo_dual, build_qubo_paper, compute_beta
 
 BACKENDS = ("anneal", "exact", "greedy")
@@ -168,13 +168,16 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Outcome of one training run."""
+    """Outcome of one training run.  ``states_built`` counts the feature
+    states (simulated circuits) the run built: m + v per scored quantum
+    iteration, 0 for classical kernels."""
 
     best_theta: np.ndarray
     best_model: TrainedModel
     best_accuracy: float
     accuracy_per_iteration: list[float]
     iterations_used: int
+    states_built: int
     wall_time: float
     config: dict
     solver: dict
@@ -189,6 +192,7 @@ def report_to_dict(report: TrainReport) -> dict:
         "best_accuracy": report.best_accuracy,
         "accuracy_per_iteration": [float(a) for a in report.accuracy_per_iteration],
         "iterations_used": report.iterations_used,
+        "states_built": report.states_built,
         "wall_time": report.wall_time,
         "config": report.config,
         "solver": report.solver,
@@ -241,7 +245,10 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     """Run the outer training cycle and keep the best-scoring iteration.
 
     Each objective evaluation is one full pass: kernel matrix, QUBO,
-    solve, offset, validation accuracy.  The run ends after
+    solve, offset, validation accuracy.  On the quantum kernel the
+    training points' feature states are built once per pass: the Gram
+    comes from them and the pass's model keeps them, so scoring the
+    validation set simulates only its own circuits.  The run ends after
     ``max_iterations`` evaluations, or at the first one that reaches
     ``target_accuracy``.  COBYLA's trial θ is projected onto
     [-2*pi, 2*pi]^p before it is evaluated, so ``best_theta`` is the θ
@@ -260,13 +267,19 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     x0 = initial_theta(p, cfg.seed)
     accuracies: list[float] = []
     failures: list[str] = []
-    state = {"best_acc": -1.0, "best": None}
+    state = {"best_acc": -1.0, "best": None, "states_built": 0}
 
     def objective(theta: np.ndarray) -> float:
         iteration = len(accuracies) + 1
         try:
             kernel = _kernel_for(cfg, theta, d, base_gamma)
-            k = kernel_gram(kernel, train_set.points)
+            if isinstance(kernel, FeatureMapSpec):
+                states = feature_states(train_set.points, kernel)
+                state["states_built"] += train_set.m
+                k = gram_from_states(states)
+            else:
+                states = None
+                k = kernel_gram(kernel, train_set.points)
             if cfg.qubo_builder == "paper":
                 q = build_qubo_paper(k, train_set.labels)
             else:
@@ -280,8 +293,11 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
                 train_labels=train_set.labels,
                 kernel=kernel,
                 builder=cfg.qubo_builder,
+                states=states,
             )
             acc = accuracy(model, val_set)
+            if states is not None:
+                state["states_built"] += val_set.m
         except Exception as exc:  # noqa: BLE001 - failed iterations score 0
             failures.append(f"iteration {iteration}: {exc}")
             accuracies.append(0.0)
@@ -313,6 +329,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         best_accuracy=state["best_acc"],
         accuracy_per_iteration=accuracies,
         iterations_used=len(accuracies),
+        states_built=state["states_built"],
         wall_time=time.perf_counter() - start,
         config=config_echo,
         solver=solver_info,

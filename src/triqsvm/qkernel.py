@@ -17,7 +17,9 @@ A basis state |b> picks up the phase
 
 under the phase evolution, which is the action of exp(i sum phi_S prod_S Z).
 Kernels are exact squared overlaps of statevectors; there is no shot
-sampling anywhere in this module.
+sampling anywhere in this module.  ``gram_from_states`` and
+``cross_from_states`` take states, not points, so a caller that keeps a
+batch's states does not simulate its circuits again.
 """
 
 from __future__ import annotations
@@ -147,21 +149,17 @@ _GRAM_BLOCK = 64
 _BELOW_DIAGONAL = np.tri(_GRAM_BLOCK, k=-1, dtype=bool)
 
 
-def gram(points, spec: FeatureMapSpec) -> GramMatrix:
-    """Gram matrix of the quantum kernel over a list of data points.
+def gram_from_states(states: np.ndarray) -> np.ndarray:
+    """Gram matrix |<s_i|s_j>|**2 over a batch of feature states, shape (m, m).
 
-    With S = A + iB the feature states, <s_i|s_j> has real part
-    [A B]_i . [A B]_j and imaginary part [A B]_i . [B -A]_j, so the upper
-    triangle is computed from two real matrix products per block of rows
-    and K = re**2 + im**2.  Each block is mirrored into the lower triangle,
-    so the result is exactly symmetric.  Entries agree with
-    ``kernel_cross`` to rounding (a few ulp), not bit for bit.
+    With S = A + iB the states, <s_i|s_j> has real part [A B]_i . [A B]_j
+    and imaginary part [A B]_i . [B -A]_j, so the upper triangle is
+    computed from two real matrix products per block of rows and
+    K = re**2 + im**2.  Each block is mirrored into the lower triangle, so
+    the result is exactly symmetric.  Entries agree with
+    :func:`cross_from_states` to rounding (a few ulp), not bit for bit.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    if m < 1 or points.size == 0:
-        raise ValueError("at least one data point is required")
-    states = feature_states(points, spec)
+    m = states.shape[0]
     real = np.concatenate([states.real, states.imag], axis=1)
     turned = np.concatenate([states.imag, -states.real], axis=1)
     k = np.empty((m, m))
@@ -179,7 +177,23 @@ def gram(points, spec: FeatureMapSpec) -> GramMatrix:
         size = stop - start
         np.copyto(block, block.T, where=_BELOW_DIAGONAL[:size, :size])
         k[stop:, start:stop] = k[start:stop, stop:].T
-    return GramMatrix(k, m)
+    return k
+
+
+def cross_from_states(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Kernel values |<p|q>|**2 between two batches of feature states,
+    shape (len(sp), len(sq))."""
+    return np.abs(sp.conj() @ sq.T) ** 2
+
+
+def gram(points, spec: FeatureMapSpec) -> GramMatrix:
+    """Gram matrix of the quantum kernel over a list of data points: the
+    feature states of the points, then :func:`gram_from_states`."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    m = points.shape[0]
+    if m < 1 or points.size == 0:
+        raise ValueError("at least one data point is required")
+    return GramMatrix(gram_from_states(feature_states(points, spec)), m)
 
 
 def expectation_zz(states, v: np.ndarray) -> np.ndarray:

@@ -13,14 +13,14 @@ ties at exactly zero resolved to +1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import Dataset
 from .kernels import Kernel, kernel_cross, kernel_from_dict, kernel_to_dict
-from .qkernel import GramMatrix
+from .qkernel import FeatureMapSpec, GramMatrix, cross_from_states, feature_states
 
 MODEL_SCHEMA_VERSION = "1"
 
@@ -45,9 +45,15 @@ class QuboMatrix:
         return self.q.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
-    """Binary weights, offset, stored training data and kernel config."""
+    """Binary weights, offset, stored training data and kernel config.
+
+    A quantum model also holds ``states``, the feature states of its
+    training points: built from ``train_points`` here unless supplied, so
+    scoring simulates only the queries' circuits.  Model files do not
+    store them.  Classical kernels have no states.
+    """
 
     alpha: np.ndarray
     beta: float
@@ -55,24 +61,42 @@ class TrainedModel:
     train_labels: np.ndarray
     kernel: Kernel
     builder: str = "paper"
+    states: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha)
         labels = np.asarray(self.train_labels)
-        self.train_points = np.atleast_2d(np.asarray(self.train_points, dtype=float))
-        m = self.train_points.shape[0]
+        # A copy: the model's states must stay those of its points.
+        points = np.array(self.train_points, dtype=float, ndmin=2)
+        m = points.shape[0]
         # Elementwise comparisons, not np.isin: a model is built on every
         # training iteration, and np.isin costs 30 us a call.
         if alpha.shape != (m,) or not np.all((alpha == 0) | (alpha == 1)):
             raise ValueError("alpha must hold one 0 or 1 per training point")
         if labels.shape != (m,) or not np.all((labels == -1) | (labels == 1)):
             raise ValueError("train_labels must hold one -1 or +1 per training point")
-        if not np.all(np.isfinite(self.train_points)):
+        if not np.all(np.isfinite(points)):
             raise ValueError("train_points must be finite")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
-        self.alpha = alpha.astype(int)
-        self.train_labels = labels.astype(int)
+        states = self.states
+        if isinstance(self.kernel, FeatureMapSpec):
+            if states is None:
+                states = feature_states(points, self.kernel)
+            else:
+                states = np.asarray(states)
+                shape = (m, 2**self.kernel.n)
+                if states.dtype != np.complex128 or states.shape != shape:
+                    raise ValueError(
+                        f"states must be a complex128 array of shape {shape}, "
+                        f"got {states.dtype} {states.shape}"
+                    )
+        elif states is not None:
+            raise ValueError("only a quantum kernel has feature states")
+        object.__setattr__(self, "alpha", alpha.astype(int))
+        object.__setattr__(self, "train_points", points)
+        object.__setattr__(self, "train_labels", labels.astype(int))
+        object.__setattr__(self, "states", states)
 
 
 def _entries(gram) -> np.ndarray:
@@ -141,8 +165,12 @@ def compute_beta(alpha, labels, gram) -> float:
 
 
 def decision_values(xs, model: TrainedModel) -> np.ndarray:
-    """Decision function for a batch of query points."""
-    cross = kernel_cross(model.kernel, model.train_points, xs)
+    """Decision function for a batch of query points.  A quantum model
+    reuses its training states and simulates only the queries."""
+    if model.states is None:
+        cross = kernel_cross(model.kernel, model.train_points, xs)
+    else:
+        cross = cross_from_states(model.states, feature_states(xs, model.kernel))
     return (model.alpha * model.train_labels) @ cross + model.beta
 
 

@@ -42,6 +42,7 @@ def reject_non_finite(name):
     ("dual-anneal", 1, "per_layer"),
     ("hqsvm-paper", 1, "per_layer"),
     ("qsvm-hard", 1, "per_layer"),
+    ("predict-map", 1, "per_layer"),
     ("hqsvm-paper", 0, "end_to_end"),
 ])
 def test_run_ends_with_its_result_line(tmp_path, workload, trace, names):

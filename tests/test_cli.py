@@ -112,6 +112,9 @@ class TestTrain:
         assert report["dataset"]["n_train"] == 12 and report["dataset"]["n_test"] == 2
         assert 0.0 <= report["per_split_accuracy"]["validation"] <= 1.0
         assert report["train_report"]["iterations_used"] <= 3
+        # m + v feature states per iteration: 12 training, 2 validation.
+        train_report = report["train_report"]
+        assert train_report["states_built"] == 14 * train_report["iterations_used"]
 
     def test_missing_dataset_names_path(self, tmp_path):
         result = run_cli("train", "--data", tmp_path / "missing.csv", *QUICK_TRAIN,
@@ -267,6 +270,21 @@ class TestEvaluate:
         data.write_text("f1,f2,label\n1,2,1\n", encoding="utf-8")
         result = run_cli("evaluate", bad, data)
         assert result.returncode == 1
+
+    def test_model_of_the_wrong_dimension_is_validation_error(self, tmp_path):
+        # A 3-qubit kernel over 2-D training points fails when the file is
+        # loaded, before any scoring.
+        path = constant_positive_model(tmp_path)
+        data = json.loads(path.read_text())
+        data["kernel"]["n"] = 3
+        data["kernel"]["theta"] = [1.0, 1.0, 1.0]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rows = tmp_path / "d.csv"
+        rows.write_text("f1,f2,label\n1,2,1\n", encoding="utf-8")
+        result = run_cli("evaluate", path, rows, "--out", tmp_path / "e.json")
+        assert result.returncode == 1
+        assert "invalid model data" in result.stderr
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestMap:

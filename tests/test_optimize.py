@@ -7,6 +7,8 @@ import pytest
 
 from triqsvm.anneal import AnnealSchedule, brute_force
 import triqsvm.optimize as optimize
+import triqsvm.qkernel as qkernel
+import triqsvm.qubo as qubo
 from triqsvm.datagen import Dataset, adhoc_generate, split, SplitSpec
 from triqsvm.kernels import kernel_gram
 from triqsvm.optimize import (
@@ -304,6 +306,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="nonempty"):
             train(good, ds, TrainConfig())
 
+    def test_best_model_keeps_the_states_it_was_trained_on(self):
+        train_set, val_set = quick_sets(seed=9)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=9))
+        model = report.best_model
+        assert model.states.tobytes() == qkernel.feature_states(
+            train_set.points, model.kernel).tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
@@ -315,3 +324,56 @@ class TestTrain:
             TrainConfig(qubo_builder="primal")
         with pytest.raises(ValueError):
             TrainConfig(kernel_kind="poly")
+
+
+def spy_on_feature_states(monkeypatch):
+    """Rows of every ``feature_states`` call, under each name it is
+    reached by (``kernel_cross`` and ``gram`` look it up in qkernel)."""
+    built = []
+    original = qkernel.feature_states
+
+    def counted(points, spec):
+        states = original(points, spec)
+        built.append(states.shape[0])
+        return states
+
+    for module in (qkernel, optimize, qubo):
+        monkeypatch.setattr(module, "feature_states", counted)
+    return built
+
+
+class TestStatesBuilt:
+    """``states_built`` counts the feature states ``train`` simulates: the m
+    training states once per iteration, then the v validation states."""
+
+    def test_run_stopped_by_the_target(self, monkeypatch):
+        built = spy_on_feature_states(monkeypatch)
+        train_set, val_set = quick_sets(seed=320)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=320))
+        assert report.accuracy_per_iteration == [0.75, 1.0]
+        assert built == [12, 4] * 2
+        assert report.states_built == 2 * (12 + 4)
+
+    def test_full_ten_iteration_run(self, monkeypatch):
+        # Random labels: no iteration reaches the target, and COBYLA is
+        # still searching when the cap ends this run.
+        built = spy_on_feature_states(monkeypatch)
+        rng = np.random.default_rng(13)
+        train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, 2)),
+                            np.where(rng.random(12) < 0.5, 1, -1))
+        val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, 2)),
+                          np.where(rng.random(8) < 0.5, 1, -1))
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=13))
+        assert report.iterations_used == 10 and report.failures == []
+        assert built == [12, 8] * 10
+        assert report.states_built == 10 * (12 + 8)
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_classical_kernels_build_none(self, monkeypatch, kind):
+        built = spy_on_feature_states(monkeypatch)
+        train_set, val_set = two_blob_sets(seed=3)
+        cfg = TrainConfig(kernel_kind=kind, solver_backend="greedy", max_iterations=4, seed=3)
+        report = train(train_set, val_set, cfg)
+        assert built == []
+        assert report.states_built == 0
+        assert report.best_model.states is None

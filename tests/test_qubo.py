@@ -1,12 +1,14 @@
 """QUBO builders, offset and classifier, with hand-derived expected values."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from triqsvm.kernels import LinearKernel, RbfKernel
-from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.kernels import LinearKernel, RbfKernel, kernel_cross
+from triqsvm.optimize import TrainConfig, train
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -156,6 +158,17 @@ def quantum_model(points, labels, theta=(1.0, 1.0), alpha=None, beta=0.0):
     )
 
 
+def four_point_model():
+    rng = np.random.default_rng(8)
+    return quantum_model(
+        rng.uniform(0, 2 * np.pi, (4, 2)),
+        np.array([1, -1, 1, -1]),
+        theta=(0.25, -0.75),
+        alpha=np.array([1, 0, 1, 1]),
+        beta=-0.125,
+    )
+
+
 class TestDecisionAndClassify:
     def test_zero_alpha_leaves_only_offset(self):
         model = quantum_model([[1.0, 2.0]], [1], alpha=np.array([0]), beta=0.3)
@@ -195,6 +208,76 @@ class TestDecisionAndClassify:
             decision_values([[1.0, 2.0, 3.0]], model)
 
 
+class TestModelStates:
+    """A quantum model holds its training points' feature states, built at
+    construction unless supplied; scoring reuses them."""
+
+    def test_states_equal_feature_states_of_the_points(self):
+        model = four_point_model()
+        expected = feature_states(model.train_points, model.kernel)
+        assert model.states.tobytes() == expected.tobytes()
+        assert model_from_dict(model_to_dict(model)).states.tobytes() == expected.tobytes()
+
+    def test_model_owns_its_points(self):
+        # Writing to the caller's array later leaves the model, and the
+        # states built from it, unchanged.
+        points = np.random.default_rng(9).uniform(0, 2 * np.pi, (3, 2))
+        model = quantum_model(points, [1, -1, 1])
+        points[0, 0] += 1.0
+        assert not np.array_equal(model.train_points, points)
+        assert model.states.tobytes() == feature_states(
+            model.train_points, model.kernel).tobytes()
+
+    def test_states_are_not_written_to_model_files(self):
+        model = four_point_model()
+        assert "states" not in model_to_dict(model)
+        assert "states" not in repr(model)
+
+    @pytest.mark.parametrize("rows, dim, dtype", [
+        (3, 4, complex), (5, 4, complex), (4, 8, complex), (4, 4, np.complex64),
+        (4, 4, float),
+    ], ids=["too-few-rows", "too-many-rows", "wrong-dimension", "complex64", "real"])
+    def test_supplied_states_of_the_wrong_shape_or_dtype_rejected(self, rows, dim, dtype):
+        model = four_point_model()
+        with pytest.raises(ValueError, match="states must be"):
+            dataclasses.replace(model, states=np.ones((rows, dim), dtype=dtype))
+
+    def test_classical_kernels_have_no_states(self):
+        for kernel in (RbfKernel(gamma=0.5), LinearKernel()):
+            model = TrainedModel(alpha=np.array([1]), beta=0.0,
+                                 train_points=np.array([[1.0, 2.0]]),
+                                 train_labels=np.array([1]), kernel=kernel)
+            assert model.states is None
+            with pytest.raises(ValueError, match="only a quantum kernel"):
+                dataclasses.replace(model, states=np.ones((1, 4), dtype=complex))
+
+    @pytest.mark.parametrize("attr", ["alpha", "beta", "train_points", "states"])
+    def test_assigning_an_attribute_raises(self, attr):
+        model = four_point_model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, attr, getattr(model, attr))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decision_values_equal_the_kernel_cross_path(self, tmp_path, n):
+        # A model from train (states supplied by the trainer), the same
+        # model loaded from its file (states rebuilt) and the kernel_cross
+        # formula give the same bytes.
+        rng = np.random.default_rng(40 + n)
+        train_set = Dataset(rng.uniform(0, 2 * np.pi, (23, n)),
+                            np.where(rng.random(23) < 0.5, 1, -1))
+        val_set = Dataset(rng.uniform(0, 2 * np.pi, (7, n)),
+                          np.where(rng.random(7) < 0.5, 1, -1))
+        cfg = TrainConfig(solver_backend="greedy", max_iterations=3, seed=n)
+        model = train(train_set, val_set, cfg).best_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        xs = rng.uniform(0, 2 * np.pi, (65, n))
+        cross = kernel_cross(model.kernel, model.train_points, xs)
+        expected = ((model.alpha * model.train_labels) @ cross + model.beta).tobytes()
+        assert decision_values(xs, model).tobytes() == expected
+        assert decision_values(xs, load_model(path)).tobytes() == expected
+
+
 class TestAccuracy:
     def _constant_positive_model(self):
         return quantum_model([[1.0, 1.0]], [1], alpha=np.array([0]), beta=1.0)
@@ -230,14 +313,7 @@ class TestQuboMatrixType:
 
 class TestModelSerialization:
     def _model(self):
-        rng = np.random.default_rng(8)
-        return quantum_model(
-            rng.uniform(0, 2 * np.pi, (4, 2)),
-            np.array([1, -1, 1, -1]),
-            theta=(0.25, -0.75),
-            alpha=np.array([1, 0, 1, 1]),
-            beta=-0.125,
-        )
+        return four_point_model()
 
     def test_round_trip(self, tmp_path):
         model = self._model()
@@ -267,6 +343,28 @@ class TestModelSerialization:
             )
             back = model_from_dict(model_to_dict(model))
             assert type(back.kernel) is type(kernel)
+
+    @pytest.mark.parametrize("gamma", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rbf_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            RbfKernel(gamma)
+
+    def test_infinite_rbf_gamma_in_a_model_file_rejected(self):
+        # JSON's Infinity parses to float("inf"); such a model would score
+        # NaN at its own training points.
+        model = TrainedModel(alpha=np.array([1]), beta=0.0,
+                             train_points=np.array([[1.0, 2.0]]),
+                             train_labels=np.array([1]), kernel=RbfKernel(gamma=0.5))
+        text = json.dumps(model_to_dict(model)).replace("0.5", "Infinity")
+        with pytest.raises(ValueError, match="invalid model data: gamma"):
+            model_from_dict(json.loads(text))
+
+    def test_quantum_model_of_the_wrong_dimension_rejected(self):
+        data = model_to_dict(self._model())
+        data["kernel"]["n"] = 3
+        data["kernel"]["theta"] = [0.25, -0.75, 1.0]
+        with pytest.raises(ValueError, match="invalid model data: .*dimension 3"):
+            model_from_dict(data)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
