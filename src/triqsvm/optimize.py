@@ -13,7 +13,7 @@ with the highest validation accuracy (earliest on ties).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -201,6 +201,13 @@ def report_to_dict(report: TrainReport) -> dict:
     }
 
 
+def _field_values(config) -> dict:
+    """A config dataclass's fields by name, one level deep: ``asdict``
+    without its recursive deep copy.  The only nested field,
+    ``TrainConfig.schedule``, is replaced by its own fields in ``train``."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
+
+
 def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     """Solve the QUBO with the configured backend.
 
@@ -220,7 +227,7 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
         if cfg.solver_backend == "anneal":
             schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
             sub = simulated_anneal(residual, schedule) if residual.n else None
-            info = {"backend": "anneal", **asdict(schedule)}
+            info = {"backend": "anneal", **_field_values(schedule)}
         else:
             sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
             info = {"backend": "greedy", "seed": cfg.seed}
@@ -317,9 +324,9 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         raise RuntimeError(f"every training iteration failed: {failures}")
     best_theta, best_model, solver_info = state["best"]
     config_echo = {
-        **{k: v for k, v in asdict(cfg).items() if k != "schedule"},
-        "schedule": asdict(cfg.schedule) if cfg.schedule is not None else None,
-        "optimizer": asdict(opt),
+        **_field_values(cfg),
+        "schedule": _field_values(cfg.schedule) if cfg.schedule is not None else None,
+        "optimizer": _field_values(opt),
         "initial_theta": [float(t) for t in x0],
         "parameter_count": p,
     }

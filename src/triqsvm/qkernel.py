@@ -20,6 +20,12 @@ Kernels are exact squared overlaps of statevectors; there is no shot
 sampling anywhere in this module.  ``gram_from_states`` and
 ``cross_from_states`` take states, not points, so a caller that keeps a
 batch's states does not simulate its circuits again.
+
+What depends only on the qubit count is built once per count and cached
+read-only: the |+...+> row H|0...0>, the table of (1 - 2 b_i) signs, the
+pair indices of the two-body angles and the axis orders of the Hadamard
+layer.  A batch of states then costs two phase diagonals, two Hadamard
+layers of n BLAS products each, and no per-call set-up beyond them.
 """
 
 from __future__ import annotations
@@ -39,16 +45,31 @@ DETUNE_AMPLITUDE = np.pi / 8
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The caches below hand one array to every caller, so each is read-only.
+
+
 @lru_cache(maxsize=None)
 def _z_table(n: int) -> np.ndarray:
     """Rows of (1 - 2 b_i) over all basis indices, one row per qubit."""
     idx = np.arange(2**n)
-    return np.stack([1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1) for i in range(n)])
+    return _read_only(np.stack([1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1) for i in range(n)]))
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
     """Qubit pairs (i, j), i < j, in the order two-body angles are given."""
     return list(combinations(range(n), 2))
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second qubit of each pair in :func:`pair_order`."""
+    i, j = np.array(pair_order(n), dtype=int).reshape(-1, 2).T
+    return _read_only(i), _read_only(j)
 
 
 @dataclass(frozen=True)
@@ -78,7 +99,7 @@ def _angles(points: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     controlled by theta (exactly zero at integer theta).  Two-body:
     (pi - x_i)(pi - x_j) per pair in :func:`pair_order`, independent of theta.
     """
-    i, j = np.array(pair_order(points.shape[1]), dtype=int).reshape(-1, 2).T
+    i, j = _pair_index(points.shape[1])
     one = points + DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
     return one, (np.pi - points[:, i]) * (np.pi - points[:, j])
 
@@ -92,27 +113,50 @@ def _phase_diagonal(one: np.ndarray, two: np.ndarray) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+@lru_cache(maxsize=None)
+def _qubit_axes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each qubit axis of a (batch, qubit..., re/im) tensor, the
+    transpose that moves it to the front with the other axes in order, and
+    the transpose that puts it back."""
+    return tuple(
+        ((ax, *range(ax), *range(ax + 1, n + 2)), (*range(1, ax + 1), 0, *range(ax + 1, n + 2)))
+        for ax in range(1, n + 1)
+    )
+
+
 def _hadamard_layer(state: np.ndarray) -> np.ndarray:
     """A Hadamard on every qubit of a batch of states, shape (m, 2**n).
 
     The real matrix acts on the float view of the amplitudes, so every
     qubit axis is one (2, 2) @ (2, N >= 2) BLAS product whatever the batch
-    size, and row k of a batch equals a batch of one bit for bit.
+    size, and row k of a batch equals a batch of one bit for bit.  The
+    (2, N) operand is the C-ordered copy with that qubit's axis first and
+    the others in order, the one ``np.tensordot`` would build.
     """
     m, dim = state.shape
     n = dim.bit_length() - 1
     # Axes: batch, one per qubit, then (real, imag).
     t = state.view(float).reshape((m,) + (2,) * n + (2,))
-    for ax in range(1, n + 1):
-        t = np.moveaxis(np.tensordot(_HADAMARD, t, axes=([1], [ax])), 0, ax)
+    for front, back in _qubit_axes(n):
+        t = t.transpose(front)
+        t = np.dot(_HADAMARD, t.reshape(2, -1)).reshape(t.shape).transpose(back)
     return np.ascontiguousarray(t).view(complex).reshape(m, dim)
+
+
+@lru_cache(maxsize=None)
+def _plus_row(n: int) -> np.ndarray:
+    """H|0...0>, the uniform superposition, as one (1, 2**n) row."""
+    zero = np.zeros((1, 2**n), dtype=complex)
+    zero[0, 0] = 1.0
+    return _read_only(_hadamard_layer(zero))
 
 
 def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
     """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n).
 
-    H|0...0> is the same for every point, so it is computed once as a
-    single row and the first phase layer broadcasts it over the batch.
+    H|0...0> is the same for every point, so it is computed once per qubit
+    count as a single row, and the first phase layer broadcasts it over
+    the batch.  The result is a new array the caller may write to.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != spec.n:
@@ -120,9 +164,7 @@ def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
             f"data points must have dimension {spec.n}, got shape {points.shape}"
         )
     diag = _phase_diagonal(*_angles(points, spec.theta))
-    zero = np.zeros((1, 2**spec.n), dtype=complex)
-    zero[0, 0] = 1.0
-    return _hadamard_layer(_hadamard_layer(zero) * diag) * diag
+    return _hadamard_layer(_plus_row(spec.n) * diag) * diag
 
 
 @dataclass(frozen=True)

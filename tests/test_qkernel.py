@@ -8,7 +8,10 @@ from triqsvm.qkernel import (
     FeatureMapSpec,
     _angles,
     _hadamard_layer,
+    _pair_index,
     _phase_diagonal,
+    _plus_row,
+    _z_table,
     expectation_zz,
     feature_states,
     gram,
@@ -53,6 +56,23 @@ def kernel_value(x, z, spec):
 def basis(dim, k):
     """Batch of one computational basis state |k>."""
     return np.eye(dim, dtype=complex)[[k]]
+
+
+def tensordot_hadamard_layer(state):
+    """The Hadamard layer as first written, one ``np.tensordot`` and
+    ``np.moveaxis`` per qubit: the byte oracle for ``_hadamard_layer``."""
+    m, dim = state.shape
+    n = dim.bit_length() - 1
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    t = state.view(float).reshape((m,) + (2,) * n + (2,))
+    for ax in range(1, n + 1):
+        t = np.moveaxis(np.tensordot(h, t, axes=([1], [ax])), 0, ax)
+    return np.ascontiguousarray(t).view(complex).reshape(m, dim)
+
+
+# Batch sizes for byte comparisons: one row (the first qubit's operand is
+# then a view, not a copy), small and odd sizes, and a large batch.
+BYTE_BATCH_SIZES = (1, 2, 7, 257, 10_000)
 
 
 class TestFeatureMapSpec:
@@ -104,6 +124,15 @@ class TestHadamardLayer:
         h = hadamard_all(3)
         amp = np.stack([random_state(8, rng) for _ in range(10)])
         np.testing.assert_allclose(_hadamard_layer(amp), amp @ h.T, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", BYTE_BATCH_SIZES)
+    def test_bytes_match_tensordot_layer(self, n, m):
+        rng = np.random.default_rng(50 + n)
+        amp = rng.normal(size=(m, 2**n)) + 1j * rng.normal(size=(m, 2**n))
+        before = amp.tobytes()
+        assert _hadamard_layer(amp).tobytes() == tensordot_hadamard_layer(amp).tobytes()
+        assert amp.tobytes() == before
 
 
 class TestPhaseEvolution:
@@ -164,11 +193,12 @@ class TestFeatureState:
         for k in (0, 1, 128, 256):
             assert feature_states(points[k], spec).tobytes() == batch[k : k + 1].tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("m", [1, 7, 257, 10_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", BYTE_BATCH_SIZES)
     def test_shared_first_layer_matches_per_row_layers(self, n, m):
         # The two layers applied to a batch of |0...0> rows, as they were
-        # before H|0...0> was computed once and broadcast.
+        # before H|0...0> was computed once and broadcast, and with the
+        # layer as first written.
         rng = np.random.default_rng(40 + n)
         spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
         points = rng.uniform(-3.0, 7.0, (m, n))
@@ -176,8 +206,34 @@ class TestFeatureState:
         state = np.zeros((m, 2**n), dtype=complex)
         state[:, 0] = 1.0
         for _ in range(2):
-            state = _hadamard_layer(state) * diag
+            state = tensordot_hadamard_layer(state) * diag
         assert feature_states(points, spec).tobytes() == state.tobytes()
+
+    def test_returns_a_fresh_writeable_array(self):
+        points = [[0.7, 5.1], [2.9, 0.4]]
+        spec = spec2((1.7, -0.6))
+        first = feature_states(points, spec)
+        want = first.tobytes()
+        assert first.flags.writeable
+        assert not np.shares_memory(first, _plus_row(2))
+        first[:] = 0.0
+        second = feature_states(points, spec)
+        assert second.tobytes() == want
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize(
+        "cached",
+        [lambda: _z_table(3), lambda: _pair_index(3)[0], lambda: _pair_index(3)[1],
+         lambda: _plus_row(3)],
+        ids=["z-table", "pair-first", "pair-second", "plus-row"],
+    )
+    def test_cached_arrays_are_read_only(self, cached):
+        array = cached()
+        before = array.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        assert cached() is array
+        assert array.tobytes() == before
 
     def test_unit_norm_for_random_inputs(self):
         rng = np.random.default_rng(8)
