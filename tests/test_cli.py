@@ -491,6 +491,25 @@ class TestSweep:
         flags = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["flags"]
         assert "include_500_quantum" not in flags
 
+    @pytest.mark.parametrize("bad_row", [
+        "ten,2,classical,7,33.33,9",
+        "10,2,classical,x,33.33,9",
+        "10,2,classical,7,abc,9",
+        "10,2,classical,7,33.33,9.5",
+    ], ids=["train_pts", "seed", "accuracy_pct", "iterations"])
+    def test_malformed_table_leaves_files_untouched(self, tmp_path, bad_row):
+        out = tmp_path / "sweep.csv"
+        meta = tmp_path / "sweep.csv.meta.json"
+        table = ("train_pts,test_pts,method,seed,accuracy_pct,iterations\n"
+                 f"10,2,qsvm,7,50.00,1\n{bad_row}\n10,2,qsvm,mean,50.00,1.0\n")
+        out.write_text(table, encoding="utf-8")
+        meta.write_text("{}\n", encoding="utf-8")
+        result = run_cli("sweep", "--out", out, "--sizes", "10", "--seeds", "7",
+                         "--max-iters", 1, "--reads", 2, "--sweeps", 10)
+        assert result.returncode == 1, result.stderr
+        assert out.read_text(encoding="utf-8") == table
+        assert meta.read_text(encoding="utf-8") == "{}\n"
+
     def test_unknown_method_rejected(self, tmp_path):
         result = run_cli("sweep", "--out", tmp_path / "s.csv", "--methods", "zen")
         assert result.returncode == 1

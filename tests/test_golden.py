@@ -1,0 +1,176 @@
+"""Golden training fixtures: a fixed small set of trainings, one CLI
+``train --holdout`` run and one tiny CLI ``sweep``, compared with the
+outputs stored in ``tests/golden/training.json``.
+
+The set covers both QUBO builders with the anneal, greedy and exact
+backends on the quantum kernel (two seeds) and on the rbf and linear
+kernels (one seed).  The CLI report is compared without its timestamp,
+its wall times and its paths.
+
+θ, β and the solver's best energy are compared to a relative tolerance
+of 1e-12; every other value exactly, among them α, the accuracy
+trajectory, the iteration and state counts, the failures and the sweep
+CSV.  The tolerance comes from a measurement: OpenBLAS picks its kernels
+per CPU, and with ``OPENBLAS_CORETYPE=Haswell`` on an AVX-512 machine β
+moved by up to 4.4e-16 in 8 of the 26 model files, with
+``OPENBLAS_CORETYPE=Sandybridge`` β by up to 1.4e-14 and the best energy
+by up to 7.1e-15.  Nothing else moved.
+
+After a change that moves output on purpose, rewrite the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md what moved and why.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from triqsvm.anneal import AnnealSchedule
+from triqsvm.cli import cli
+from triqsvm.datagen import SplitSpec, adhoc_generate, split
+from triqsvm.optimize import BACKENDS, BUILDERS, TrainConfig, train
+from triqsvm.qubo import model_to_dict
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "training.json"
+# Keys whose floats may move with the BLAS kernels, and their tolerance.
+TOLERANT = {"beta", "best_energy", "best_theta", "theta"}
+RTOL = 1e-12
+
+M_TRAIN, M_VAL = 10, 4
+CASES = [
+    *[("quantum-zz", builder, backend, seed)
+      for builder in BUILDERS for backend in BACKENDS for seed in (1, 2)],
+    *[(kernel, builder, backend, 1)
+      for kernel in ("rbf", "linear") for builder in BUILDERS for backend in BACKENDS],
+]
+SWEEP_ARGS = ["--sizes", "10,15", "--seeds", "7,8", "--max-iters", "2",
+              "--reads", "4", "--sweeps", "40"]
+
+
+def case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
+def training_outcome(kernel, builder, backend, seed) -> dict:
+    """Train one case on gap-0 data and return what it produced."""
+    ds = adhoc_generate(M_TRAIN + M_VAL, 0.0, seed=seed)
+    train_set, val_set = split(ds, SplitSpec(M_TRAIN, M_VAL, seed=seed))
+    cfg = TrainConfig(max_iterations=3, solver_backend=backend, qubo_builder=builder,
+                      kernel_kind=kernel, seed=seed,
+                      schedule=AnnealSchedule(num_reads=4, sweeps=50, seed=seed))
+    report = train(train_set, val_set, cfg)
+    return as_json({
+        "model": model_to_dict(report.best_model),
+        "best_theta": report.best_theta.tolist(),
+        "best_accuracy": report.best_accuracy,
+        "accuracy_per_iteration": report.accuracy_per_iteration,
+        "iterations_used": report.iterations_used,
+        "states_built": report.states_built,
+        "failures": report.failures,
+        "solver": report.solver,
+    })
+
+
+def as_json(value):
+    """``value`` as it reads back from the fixture file."""
+    return json.loads(json.dumps(value))
+
+
+def run(*args) -> None:
+    cli.main(args=[str(a) for a in args], standalone_mode=False)
+
+
+def cli_train_holdout(tmp: Path) -> dict:
+    """``train --holdout`` on a dual anneal: model.json and report.json,
+    the report without its timestamp, wall times and paths."""
+    data, out = tmp / "data.csv", tmp / "run"
+    run("gen-data", "--m", 30, "--delta", 0.0, "--seed", 4, "--out", data)
+    run("train", "--data", data, "--n-train", 12, "--n-test", 4, "--holdout",
+        "--qubo", "dual", "--max-iters", 3, "--reads", 4, "--sweeps", 50,
+        "--seed", 4, "--out", out)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    for key in ("created_utc", "wall_time_s"):
+        del report[key]
+    del report["train_report"]["wall_time"]
+    del report["flags"]["data"]
+    del report["dataset"]["path"]
+    return {"model": json.loads((out / "model.json").read_text(encoding="utf-8")),
+            "report": report}
+
+
+def cli_sweep(tmp: Path) -> dict:
+    """A tiny sweep over all three methods: its CSV lines, with their line
+    ends, and its sidecar."""
+    out = tmp / "sweep.csv"
+    run("sweep", "--out", out, *SWEEP_ARGS)
+    return {"csv": out.read_bytes().decode("utf-8").splitlines(keepends=True),
+            "meta": json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))}
+
+
+def all_outcomes() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "train").mkdir()
+        (tmp / "sweep").mkdir()
+        return {
+            "trainings": {case_id(case): training_outcome(*case) for case in CASES},
+            "cli_train_holdout": cli_train_holdout(tmp / "train"),
+            "cli_sweep": cli_sweep(tmp / "sweep"),
+        }
+
+
+def assert_matches(got, want, path="", tolerant=False):
+    """``got`` equals ``want`` value by value; floats under a ``TOLERANT``
+    key agree to ``RTOL``."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key, value in want.items():
+            assert_matches(got[key], value, f"{path}/{key}", tolerant or key in TOLERANT)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}/{i}", tolerant)
+    elif tolerant and isinstance(want, float):
+        assert abs(got - want) <= RTOL * max(1.0, abs(want)), f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_every_case(golden):
+    assert sorted(golden["trainings"]) == sorted(map(case_id, CASES))
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_training_matches_fixture(golden, case):
+    assert_matches(training_outcome(*case), golden["trainings"][case_id(case)])
+
+
+def test_cli_train_holdout_matches_fixture(golden, tmp_path):
+    assert_matches(cli_train_holdout(tmp_path), golden["cli_train_holdout"])
+
+
+def test_cli_sweep_matches_fixture(golden, tmp_path):
+    got = cli_sweep(tmp_path)
+    assert_matches(got, golden["cli_sweep"])
+    # The stored table is a well-formed sweep table.
+    rows = list(csv.DictReader(got["csv"]))
+    assert {r["method"] for r in rows} == {"classical", "qsvm", "hqsvm"}
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(all_outcomes(), indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}")
