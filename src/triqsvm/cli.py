@@ -3,7 +3,14 @@ and multi-size sweeps.
 
 Exit codes: 0 on success, 1 for validation errors (bad flags, missing or
 malformed files), 2 for runtime or numeric failures.  Every JSON artifact
-carries ``schema_version`` and echoes the flags and seeds that produced it.
+carries ``schema_version`` and echoes the flags and seeds that produced it;
+the ``.meta.json`` sidecars carry no timestamp, so reruns are byte-identical.
+
+``train`` and ``sweep`` share their training flags, with the library's
+defaults, and one config builder.  A sweep row is kept as the text it is
+written as, so a resumed sweep writes the same table as an uninterrupted
+one, and each mean row averages the written values.
+
 ``train`` and ``sweep`` anneal on up to one thread per usable CPU (the
 annealer's reads run in parallel blocks); every other command runs on one
 thread, and ``map`` scores its whole grid with one batched
@@ -15,6 +22,7 @@ CSV formats only the decision value.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 import time
@@ -36,7 +44,7 @@ from .datagen import (
     split_rest,
     write_dataset_csv,
 )
-from .optimize import TrainConfig, report_to_dict, train
+from .optimize import BACKENDS, BUILDERS, KERNEL_KINDS, TrainConfig, report_to_dict, train
 from .qubo import accuracy, decision_values, load_model, save_model
 
 SCHEMA_VERSION = "1"
@@ -50,6 +58,8 @@ SWEEP_METHODS = {
 
 DEFAULT_SWEEP_SIZES = (50, 100, 200, 300, 500)
 
+SWEEP_COLUMNS = ("train_pts", "test_pts", "method", "seed", "accuracy_pct", "iterations")
+
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -57,6 +67,12 @@ def _utc_now() -> str:
 
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_meta(out, command: str, **fields) -> None:
+    """Write the timestamp-free sidecar ``<out>.meta.json``."""
+    _write_json(f"{out}.meta.json",
+                {"schema_version": SCHEMA_VERSION, "command": command, **fields})
 
 
 def _comma_ints(_ctx, _param, value):
@@ -101,39 +117,46 @@ def cmd_gen_data(m, delta, n, seed, out, from_csv, feature_columns, label_column
         if not no_rescale:
             ds = rescale(ds)
         write_dataset_csv(ds, out)
-        # Sidecar carries the flag set; kept timestamp-free so reruns are
-        # byte-identical.
-        _write_json(str(out) + ".meta.json", {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gen-data",
-            "source": str(from_csv),
-            "feature_columns": columns,
-            "label_column": label_column,
-            "positive_label": positive_label,
-            "negative_label": negative_label,
-            "rescaled": not no_rescale,
-            "column_ranges": ranges,
-            "rows": ds.m,
-        })
+        _write_meta(out, "gen-data", source=str(from_csv), feature_columns=columns,
+                    label_column=label_column, positive_label=positive_label,
+                    negative_label=negative_label, rescaled=not no_rescale,
+                    column_ranges=ranges, rows=ds.m)
         click.echo(f"wrote {ds.m} rows to {out}")
         return
     if not 0.0 <= delta < 1.0:
         raise ValueError("the separation gap must satisfy 0 <= delta < 1")
     ds = adhoc_generate(m, delta, n=n, seed=seed)
     write_dataset_csv(ds, out)
-    _write_json(str(out) + ".meta.json", {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gen-data",
-        "flags": {"m": m, "delta": delta, "n": n, "seed": seed},
-        "rows": ds.m,
-    })
+    _write_meta(out, "gen-data", flags={"m": m, "delta": delta, "n": n, "seed": seed}, rows=ds.m)
     click.echo(f"wrote {ds.m} rows to {out}")
 
 
-def _schedule_from_flags(reads, sweeps, beta_start, beta_end, seed) -> AnnealSchedule:
-    return AnnealSchedule(
-        num_reads=reads, sweeps=sweeps, beta_start=beta_start, beta_end=beta_end, seed=seed
-    )
+def _training_options(command):
+    """Add the outer-loop and anneal-schedule flags that ``train`` and
+    ``sweep`` share.  Each default is the library's, and click takes the
+    flag's type from it."""
+    defaults = {
+        "--max-iters": TrainConfig.max_iterations,
+        "--target-acc": TrainConfig.target_accuracy,
+        "--reads": AnnealSchedule.num_reads,
+        "--sweeps": AnnealSchedule.sweeps,
+        "--beta-start": AnnealSchedule.beta_start,
+        "--beta-end": AnnealSchedule.beta_end,
+    }
+    for flag, default in reversed(defaults.items()):
+        command = click.option(flag, default=default, show_default=True)(command)
+    return command
+
+
+def _train_config(backend, qubo, kernel, seed, *, max_iters, target_acc, reads, sweeps,
+                  beta_start, beta_end) -> TrainConfig:
+    """The config that the ``_training_options`` flags describe; the anneal
+    schedule takes the master seed."""
+    schedule = AnnealSchedule(num_reads=reads, sweeps=sweeps, beta_start=beta_start,
+                              beta_end=beta_end, seed=seed)
+    return TrainConfig(max_iterations=max_iters, target_accuracy=target_acc,
+                       solver_backend=backend, qubo_builder=qubo, kernel_kind=kernel,
+                       seed=seed, schedule=schedule)
 
 
 @cli.command("train")
@@ -144,30 +167,21 @@ def _schedule_from_flags(reads, sweeps, beta_start, beta_end, seed) -> AnnealSch
               help="Validation rows (default: n-train // 5).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True, help="Output directory.")
-@click.option("--backend", type=click.Choice(["anneal", "exact", "greedy"]), default="anneal",
+@click.option("--backend", type=click.Choice(BACKENDS), default=TrainConfig.solver_backend,
               show_default=True)
-@click.option("--qubo", type=click.Choice(["paper", "dual"]), default="paper", show_default=True)
-@click.option("--kernel", type=click.Choice(["quantum-zz", "rbf", "linear"]),
-              default="quantum-zz", show_default=True)
-@click.option("--max-iters", type=int, default=10, show_default=True)
-@click.option("--target-acc", type=float, default=1.0, show_default=True)
-@click.option("--reads", type=int, default=50, show_default=True)
-@click.option("--sweeps", type=int, default=1000, show_default=True)
-@click.option("--beta-start", type=float, default=0.1, show_default=True)
-@click.option("--beta-end", type=float, default=10.0, show_default=True)
+@click.option("--qubo", type=click.Choice(BUILDERS), default=TrainConfig.qubo_builder,
+              show_default=True)
+@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=TrainConfig.kernel_kind,
+              show_default=True)
+@_training_options
 @click.option("--holdout", is_flag=True,
               help="Carve out a third split: the optimizer sees the validation split, "
                    "and accuracy is also reported on untouched holdout rows.")
-def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, max_iters,
-              target_acc, reads, sweeps, beta_start, beta_end, holdout):
+def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, holdout, **loop):
     """Train a model on a split of the dataset and write model + report."""
     started = time.perf_counter()
-    flags = {
-        "data": str(data), "n_train": n_train, "n_test": n_test, "seed": seed,
-        "backend": backend, "qubo": qubo, "kernel": kernel, "max_iters": max_iters,
-        "target_acc": target_acc, "reads": reads, "sweeps": sweeps,
-        "beta_start": beta_start, "beta_end": beta_end, "holdout": holdout,
-    }
+    flags = {"data": str(data), "n_train": n_train, "n_test": n_test, "seed": seed,
+             "backend": backend, "qubo": qubo, "kernel": kernel, "holdout": holdout, **loop}
     ds = read_dataset_csv(data)
     spec = SplitSpec(n_train=n_train, n_test=n_test, seed=seed)
     train_set, val_set = split(ds, spec)
@@ -175,16 +189,7 @@ def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, max_iters
     if holdout:
         rest = split_rest(ds, spec)
         holdout_set, _ = split(rest, SplitSpec(n_train=spec.n_test, n_test=0, seed=seed))
-    cfg = TrainConfig(
-        max_iterations=max_iters,
-        target_accuracy=target_acc,
-        solver_backend=backend,
-        qubo_builder=qubo,
-        kernel_kind=kernel,
-        seed=seed,
-        schedule=_schedule_from_flags(reads, sweeps, beta_start, beta_end, seed),
-    )
-    report = train(train_set, val_set, cfg)
+    report = train(train_set, val_set, _train_config(backend, qubo, kernel, seed, **loop))
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,13 +336,9 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
             row = slice(i * resolution, (i + 1) * resolution)
             fh.write("".join([f"{head}{x2}{value!r}{label_text[label]}" for x2, value, label
                               in zip(x2_text, values[row].tolist(), labels[row].tolist())]))
-    _write_json(str(out) + ".meta.json", {
-        "schema_version": SCHEMA_VERSION,
-        "command": "map",
-        "flags": {"model": str(model_file), "resolution": resolution,
-                  "domain": list(bounds), "svg": str(svg) if svg else None},
-        "cells": int(grid.shape[0]),
-    })
+    _write_meta(out, "map", flags={"model": str(model_file), "resolution": resolution,
+                                   "domain": list(bounds), "svg": str(svg) if svg else None},
+                cells=int(grid.shape[0]))
     if svg is not None:
         overlays = []
         if train_data is not None:
@@ -349,44 +350,41 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
 
 
 def _read_sweep_rows(path: Path) -> dict:
+    """The per-seed rows of an existing sweep table, as written, keyed by
+    (size, method, seed).  Every number in a row is parsed here, so a
+    malformed table fails before anything is written."""
     rows = {}
     if not path.is_file():
         return rows
     with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["seed"] == "mean":
+        for written in csv.DictReader(fh):
+            if written["seed"] == "mean":
                 continue
-            key = (int(row["train_pts"]), row["method"], int(row["seed"]))
-            rows[key] = {
-                "train_pts": int(row["train_pts"]),
-                "test_pts": int(row["test_pts"]),
-                "method": row["method"],
-                "seed": int(row["seed"]),
-                "accuracy_pct": float(row["accuracy_pct"]),
-                "iterations": int(row["iterations"]),
-            }
+            row = {column: written[column] for column in SWEEP_COLUMNS}
+            if row["method"] not in SWEEP_METHODS:
+                raise ValueError(f"{path}: unknown sweep method {row['method']!r}")
+            # Parsed only to reject a malformed row.
+            int(row["test_pts"]), float(row["accuracy_pct"]), int(row["iterations"])
+            rows[int(row["train_pts"]), row["method"], int(row["seed"])] = row
     return rows
 
 
 def _write_sweep_rows(path: Path, rows: dict) -> None:
+    """Write the rows sorted by size, method and seed, then one mean row per
+    (size, method) that averages the written values."""
     method_order = {name: i for i, name in enumerate(SWEEP_METHODS)}
-    ordered = sorted(rows.values(),
-                     key=lambda r: (r["train_pts"], method_order[r["method"]], r["seed"]))
-    by_group: dict = {}
-    for row in ordered:
-        by_group.setdefault((row["train_pts"], row["method"]), []).append(row)
+    keys = sorted(rows, key=lambda key: (key[0], method_order[key[1]], key[2]))
     with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["train_pts", "test_pts", "method", "seed", "accuracy_pct", "iterations"])
-        for row in ordered:
-            writer.writerow([row["train_pts"], row["test_pts"], row["method"], row["seed"],
-                             f"{row['accuracy_pct']:.2f}", row["iterations"]])
-        for (size, method), group in sorted(by_group.items(),
-                                            key=lambda kv: (kv[0][0], method_order[kv[0][1]])):
-            mean_acc = sum(r["accuracy_pct"] for r in group) / len(group)
-            mean_iters = sum(r["iterations"] for r in group) / len(group)
-            writer.writerow([size, group[0]["test_pts"], method, "mean",
-                             f"{mean_acc:.2f}", f"{mean_iters:.1f}"])
+        writer = csv.DictWriter(fh, SWEEP_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows[key] for key in keys)
+        for (size, method), group_keys in itertools.groupby(keys, key=lambda key: key[:2]):
+            group = [rows[key] for key in group_keys]
+            mean_acc = sum(float(row["accuracy_pct"]) for row in group) / len(group)
+            mean_iters = sum(int(row["iterations"]) for row in group) / len(group)
+            writer.writerow({"train_pts": size, "test_pts": group[0]["test_pts"],
+                             "method": method, "seed": "mean",
+                             "accuracy_pct": f"{mean_acc:.2f}", "iterations": f"{mean_iters:.1f}"})
 
 
 @cli.command("sweep")
@@ -398,14 +396,8 @@ def _write_sweep_rows(path: Path, rows: dict) -> None:
 @click.option("--seeds", callback=_comma_ints, default="300,600,1000", show_default=True)
 @click.option("--methods", default="classical,qsvm,hqsvm", show_default=True)
 @click.option("--delta", type=float, default=0.6, show_default=True)
-@click.option("--max-iters", type=int, default=10, show_default=True)
-@click.option("--target-acc", type=float, default=1.0, show_default=True)
-@click.option("--reads", type=int, default=50, show_default=True)
-@click.option("--sweeps", type=int, default=1000, show_default=True)
-@click.option("--beta-start", type=float, default=0.1, show_default=True)
-@click.option("--beta-end", type=float, default=10.0, show_default=True)
-def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, reads,
-              sweeps, beta_start, beta_end):
+@_training_options
+def cmd_sweep(out, data, sizes, seeds, methods, delta, **loop):
     """Accuracy/iteration table across training sizes, methods and seeds.
 
     Completed (size, method, seed) rows found in the output file are kept,
@@ -419,17 +411,12 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, re
     source = read_dataset_csv(data) if data is not None else None
     out_path = Path(out)
     rows = _read_sweep_rows(out_path)
-    _write_json(str(out_path) + ".meta.json", {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "flags": {"data": str(data) if data else None, "sizes": list(sizes),
-                  "seeds": list(seeds), "methods": method_names, "delta": delta,
-                  "max_iters": max_iters, "target_acc": target_acc, "reads": reads,
-                  "sweeps": sweeps, "beta_start": beta_start, "beta_end": beta_end},
-        "method_map": {name: {"kernel": SWEEP_METHODS[name][0],
-                              "backend": SWEEP_METHODS[name][1]}
-                       for name in method_names},
-    })
+    _write_meta(out_path, "sweep",
+                flags={"data": str(data) if data else None, "sizes": list(sizes),
+                       "seeds": list(seeds), "methods": method_names, "delta": delta, **loop},
+                method_map={name: {"kernel": SWEEP_METHODS[name][0],
+                                   "backend": SWEEP_METHODS[name][1]}
+                            for name in method_names})
     for size in sizes:
         n_test = size // 5
         for seed in seeds:
@@ -442,28 +429,16 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, max_iters, target_acc, re
                 if key in rows:
                     continue
                 train_set, val_set = split(dataset, SplitSpec(size, n_test, seed))
-                cfg = TrainConfig(
-                    max_iterations=max_iters,
-                    target_accuracy=target_acc,
-                    solver_backend=backend,
-                    qubo_builder="paper",
-                    kernel_kind=kernel_kind,
-                    seed=seed,
-                    schedule=_schedule_from_flags(reads, sweeps, beta_start, beta_end, seed),
-                )
+                cfg = _train_config(backend, "paper", kernel_kind, seed, **loop)
                 report = train(train_set, val_set, cfg)
-                rows[key] = {
-                    "train_pts": size,
-                    "test_pts": n_test,
-                    "method": method,
-                    "seed": seed,
-                    "accuracy_pct": 100.0 * report.best_accuracy,
-                    "iterations": report.iterations_used,
+                row = rows[key] = {
+                    "train_pts": str(size), "test_pts": str(n_test), "method": method,
+                    "seed": str(seed), "accuracy_pct": f"{100.0 * report.best_accuracy:.2f}",
+                    "iterations": str(report.iterations_used),
                 }
                 _write_sweep_rows(out_path, rows)
                 click.echo(f"{size:>4} {method:<9} seed {seed}: "
-                           f"{rows[key]['accuracy_pct']:.2f}% "
-                           f"in {rows[key]['iterations']} iteration(s)")
+                           f"{row['accuracy_pct']}% in {row['iterations']} iteration(s)")
     _write_sweep_rows(out_path, rows)
     click.echo(f"sweep table written to {out_path}")
 

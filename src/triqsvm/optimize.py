@@ -30,7 +30,14 @@ from .anneal import (
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
 from .qkernel import FeatureMapSpec, feature_states, gram_from_states
-from .qubo import TrainedModel, accuracy, build_qubo_dual, build_qubo_paper, compute_beta
+from .qubo import (
+    TrainedModel,
+    accuracy,
+    build_qubo_dual,
+    build_qubo_paper,
+    compute_beta,
+    model_to_dict,
+)
 
 BACKENDS = ("anneal", "exact", "greedy")
 BUILDERS = ("paper", "dual")
@@ -185,8 +192,6 @@ class TrainReport:
 
 
 def report_to_dict(report: TrainReport) -> dict:
-    from .qubo import model_to_dict
-
     return {
         "best_theta": [float(t) for t in report.best_theta],
         "best_accuracy": report.best_accuracy,

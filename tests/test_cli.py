@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,12 +492,35 @@ class TestSweep:
         flags = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["flags"]
         assert "include_500_quantum" not in flags
 
+    def test_rewrite_of_fresh_rows_is_byte_stable(self, tmp_path, monkeypatch):
+        # 40, 40 and 43 of 60 validation rows: the full-precision percentages
+        # average to 68.3333 and the written 66.67, 66.67 and 71.67 to
+        # 68.3367, so a mean of the unrounded values would move on resume.
+        correct = {1: 40, 2: 40, 3: 43}
+
+        def fake_train(train_set, val_set, cfg):
+            return SimpleNamespace(best_accuracy=correct[cfg.seed] / val_set.m,
+                                   iterations_used=3)
+
+        monkeypatch.setattr("triqsvm.cli.train", fake_train)
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,label\n" + "1.0,1.0,1\n1.0,2.0,-1\n" * 180, encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--out", str(out), "--data", str(data), "--sizes", "300",
+                "--seeds", "1,2,3", "--methods", "qsvm"]
+        cli.main(args=args, standalone_mode=False)
+        fresh = out.read_bytes()
+        assert b"300,60,qsvm,mean,68.34,3.0" in fresh
+        cli.main(args=args, standalone_mode=False)
+        assert out.read_bytes() == fresh
+
     @pytest.mark.parametrize("bad_row", [
         "ten,2,classical,7,33.33,9",
         "10,2,classical,x,33.33,9",
         "10,2,classical,7,abc,9",
         "10,2,classical,7,33.33,9.5",
-    ], ids=["train_pts", "seed", "accuracy_pct", "iterations"])
+        "10,2,zen,7,33.33,9",
+    ], ids=["train_pts", "seed", "accuracy_pct", "iterations", "method"])
     def test_malformed_table_leaves_files_untouched(self, tmp_path, bad_row):
         out = tmp_path / "sweep.csv"
         meta = tmp_path / "sweep.csv.meta.json"
