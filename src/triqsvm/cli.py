@@ -34,6 +34,7 @@ import numpy as np
 
 from .anneal import AnnealSchedule
 from .datagen import (
+    DEFAULT_GAP,
     SplitSpec,
     adhoc_generate,
     column_ranges,
@@ -92,8 +93,8 @@ def cli():
 
 @cli.command("gen-data")
 @click.option("--m", "m", type=int, default=60, show_default=True, help="Number of samples.")
-@click.option("--delta", type=float, default=0.6, show_default=True, help="Separation gap.")
-@click.option("--n", type=int, default=2, show_default=True, help="Feature dimension.")
+@click.option("--delta", type=float, default=DEFAULT_GAP, show_default=True,
+              help="Separation gap.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output CSV path.")
 @click.option("--from-csv", "from_csv", type=click.Path(dir_okay=False), default=None,
@@ -103,7 +104,7 @@ def cli():
 @click.option("--positive-label", default=None, help="Raw value mapped to +1.")
 @click.option("--negative-label", default=None, help="Raw value mapped to -1 (default: inferred).")
 @click.option("--no-rescale", is_flag=True, help="Skip min-max rescaling onto [0, 2*pi].")
-def cmd_gen_data(m, delta, n, seed, out, from_csv, feature_columns, label_column,
+def cmd_gen_data(m, delta, seed, out, from_csv, feature_columns, label_column,
                  positive_label, negative_label, no_rescale):
     """Generate a gap-separated dataset, or convert a raw CSV."""
     if from_csv is not None:
@@ -125,9 +126,9 @@ def cmd_gen_data(m, delta, n, seed, out, from_csv, feature_columns, label_column
         return
     if not 0.0 <= delta < 1.0:
         raise ValueError("the separation gap must satisfy 0 <= delta < 1")
-    ds = adhoc_generate(m, delta, n=n, seed=seed)
+    ds = adhoc_generate(m, delta, seed=seed)
     write_dataset_csv(ds, out)
-    _write_meta(out, "gen-data", flags={"m": m, "delta": delta, "n": n, "seed": seed}, rows=ds.m)
+    _write_meta(out, "gen-data", flags={"m": m, "delta": delta, "seed": seed}, rows=ds.m)
     click.echo(f"wrote {ds.m} rows to {out}")
 
 
@@ -352,20 +353,31 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
 def _read_sweep_rows(path: Path) -> dict:
     """The per-seed rows of an existing sweep table, as written, keyed by
     (size, method, seed).  Every number in a row is parsed here, so a
-    malformed table fails before anything is written."""
+    malformed table fails, naming its line, before anything is written."""
     rows = {}
     if not path.is_file():
         return rows
     with path.open(newline="", encoding="utf-8") as fh:
-        for written in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        # An empty file has no header and is an empty table.
+        missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or SWEEP_COLUMNS)]
+        if missing:
+            raise ValueError(f"{path}, line 1: no column {', '.join(missing)}")
+        for written in reader:
             if written["seed"] == "mean":
                 continue
+            where = f"{path}, line {reader.line_num}"
             row = {column: written[column] for column in SWEEP_COLUMNS}
+            if None in row.values():
+                raise ValueError(f"{where}: expected {len(SWEEP_COLUMNS)} fields")
             if row["method"] not in SWEEP_METHODS:
-                raise ValueError(f"{path}: unknown sweep method {row['method']!r}")
-            # Parsed only to reject a malformed row.
-            int(row["test_pts"]), float(row["accuracy_pct"]), int(row["iterations"])
-            rows[int(row["train_pts"]), row["method"], int(row["seed"])] = row
+                raise ValueError(f"{where}: unknown sweep method {row['method']!r}")
+            try:
+                # Parsed only to reject a malformed row.
+                int(row["test_pts"]), float(row["accuracy_pct"]), int(row["iterations"])
+                rows[int(row["train_pts"]), row["method"], int(row["seed"])] = row
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
 
 
@@ -395,7 +407,7 @@ def _write_sweep_rows(path: Path, rows: dict) -> None:
               help=f"Training sizes (default {','.join(map(str, DEFAULT_SWEEP_SIZES))}).")
 @click.option("--seeds", callback=_comma_ints, default="300,600,1000", show_default=True)
 @click.option("--methods", default="classical,qsvm,hqsvm", show_default=True)
-@click.option("--delta", type=float, default=0.6, show_default=True)
+@click.option("--delta", type=float, default=DEFAULT_GAP, show_default=True)
 @_training_options
 def cmd_sweep(out, data, sizes, seeds, methods, delta, **loop):
     """Accuracy/iteration table across training sizes, methods and seeds.

@@ -1,9 +1,11 @@
-"""Kernel descriptors and uniform evaluation helpers.
+"""Kernel descriptors, classical kernel matrices and model-file round trips.
 
 A kernel is either a :class:`~triqsvm.qkernel.FeatureMapSpec` (the quantum
-kernel) or one of the classical descriptors below.  The helpers here give
-the decision function and the trainer a single calling convention for all
-of them, plus a JSON round trip for model files.
+kernel) or one of the classical descriptors below.  ``kernel_cross`` and
+``kernel_gram`` evaluate the classical kernels only: the quantum kernel's
+matrices come from feature states (``qkernel.gram_from_states`` and
+``cross_from_states``), which the trainer and a trained model keep.  The
+JSON round trip covers all three kinds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qkernel
 from .qkernel import FeatureMapSpec
 
 
@@ -46,18 +47,14 @@ def default_rbf_gamma(points) -> float:
     return 1.0 / (2.0 * points.shape[1] * var)
 
 
-def kernel_cross(kernel: Kernel, points, queries) -> np.ndarray:
-    """Matrix of kernel values, shape (len(points), len(queries))."""
+def kernel_cross(kernel: RbfKernel | LinearKernel, points, queries) -> np.ndarray:
+    """Matrix of classical kernel values, shape (len(points), len(queries))."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if points.shape[1] != queries.shape[1]:
         raise ValueError(
             f"dimension mismatch: points are {points.shape[1]}-dimensional, "
             f"queries {queries.shape[1]}-dimensional"
-        )
-    if isinstance(kernel, FeatureMapSpec):
-        return qkernel.cross_from_states(
-            qkernel.feature_states(points, kernel), qkernel.feature_states(queries, kernel)
         )
     if isinstance(kernel, RbfKernel):
         d2 = ((points[:, None, :] - queries[None, :, :]) ** 2).sum(axis=2)
@@ -67,10 +64,8 @@ def kernel_cross(kernel: Kernel, points, queries) -> np.ndarray:
     raise TypeError(f"unsupported kernel {kernel!r}")
 
 
-def kernel_gram(kernel: Kernel, points) -> np.ndarray:
-    """Symmetric kernel matrix over one point set."""
-    if isinstance(kernel, FeatureMapSpec):
-        return qkernel.gram(points, kernel).entries
+def kernel_gram(kernel: RbfKernel | LinearKernel, points) -> np.ndarray:
+    """Symmetric classical kernel matrix over one point set."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k = kernel_cross(kernel, points, points)
     # Mirror the upper triangle so the matrix is exactly symmetric.

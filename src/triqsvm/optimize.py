@@ -129,9 +129,7 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
                 "maxiter": max(config.max_evals, x0.size + 2),
             },
         )
-        # ``success`` is status 1 on the Fortran COBYLA (scipy < 1.16) and
-        # SMALL_TR_RADIUS or FTARGET_ACHIEVED on PRIMA, so no status code
-        # is hard-coded here.
+        # PRIMA reports ``success`` on SMALL_TR_RADIUS or FTARGET_ACHIEVED.
         converged = bool(result.success)
     except _Stop:
         converged = False

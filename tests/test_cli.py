@@ -26,6 +26,8 @@ def run_cli(*args):
     )
 
 
+SWEEP_HEADER = "train_pts,test_pts,method,seed,accuracy_pct,iterations"
+
 QUICK_TRAIN = [
     "--n-train", 12, "--backend", "exact", "--max-iters", 3,
     "--reads", 5, "--sweeps", 50,
@@ -63,6 +65,20 @@ class TestGenData:
         assert run_cli("gen-data", "--m", 20, "--seed", 9, "--out", a).returncode == 0
         assert run_cli("gen-data", "--m", 20, "--seed", 9, "--out", b).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sidecar_echoes_the_generation_flags(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("gen-data", "--m", 20, "--seed", 9, "--out", out).returncode == 0
+        meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+        assert meta["flags"] == {"m": 20, "delta": 0.6, "seed": 9}
+        assert meta["rows"] == 20
+
+    def test_feature_dimension_is_not_a_flag(self, tmp_path):
+        # The canonical CSV holds exactly two features.
+        result = run_cli("gen-data", "--n", 2, "--out", tmp_path / "d.csv")
+        assert result.returncode == 1
+        assert "--n" in result.stderr
+        assert not (tmp_path / "d.csv").exists()
 
     def test_bad_delta_is_validation_error(self, tmp_path):
         result = run_cli("gen-data", "--m", 5, "--delta", 1.5, "--out", tmp_path / "x.csv")
@@ -514,23 +530,26 @@ class TestSweep:
         cli.main(args=args, standalone_mode=False)
         assert out.read_bytes() == fresh
 
-    @pytest.mark.parametrize("bad_row", [
-        "ten,2,classical,7,33.33,9",
-        "10,2,classical,x,33.33,9",
-        "10,2,classical,7,abc,9",
-        "10,2,classical,7,33.33,9.5",
-        "10,2,zen,7,33.33,9",
-    ], ids=["train_pts", "seed", "accuracy_pct", "iterations", "method"])
-    def test_malformed_table_leaves_files_untouched(self, tmp_path, bad_row):
+    @pytest.mark.parametrize("header, bad_row", [
+        (SWEEP_HEADER, "ten,2,classical,7,33.33,9"),
+        (SWEEP_HEADER, "10,2,classical,x,33.33,9"),
+        (SWEEP_HEADER, "10,2,classical,7,abc,9"),
+        (SWEEP_HEADER, "10,2,classical,7,33.33,9.5"),
+        (SWEEP_HEADER, "10,2,zen,7,33.33,9"),
+        (SWEEP_HEADER, "10,2,classical,7,33.33"),
+        ("train_pts,test_pts,method,seed,accuracy_pct", "10,2,classical,7,33.33"),
+    ], ids=["train_pts", "seed", "accuracy_pct", "iterations", "method", "short_row",
+            "missing_column"])
+    def test_malformed_table_leaves_files_untouched(self, tmp_path, header, bad_row):
         out = tmp_path / "sweep.csv"
         meta = tmp_path / "sweep.csv.meta.json"
-        table = ("train_pts,test_pts,method,seed,accuracy_pct,iterations\n"
-                 f"10,2,qsvm,7,50.00,1\n{bad_row}\n10,2,qsvm,mean,50.00,1.0\n")
+        table = f"{header}\n10,2,qsvm,7,50.00,1\n{bad_row}\n10,2,qsvm,mean,50.00,1.0\n"
         out.write_text(table, encoding="utf-8")
         meta.write_text("{}\n", encoding="utf-8")
         result = run_cli("sweep", "--out", out, "--sizes", "10", "--seeds", "7",
                          "--max-iters", 1, "--reads", 2, "--sweeps", 10)
         assert result.returncode == 1, result.stderr
+        assert f"{out}, line " in result.stderr
         assert out.read_text(encoding="utf-8") == table
         assert meta.read_text(encoding="utf-8") == "{}\n"
 

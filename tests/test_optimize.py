@@ -10,7 +10,6 @@ import triqsvm.optimize as optimize
 import triqsvm.qkernel as qkernel
 import triqsvm.qubo as qubo
 from triqsvm.datagen import Dataset, adhoc_generate, split, SplitSpec
-from triqsvm.kernels import kernel_gram
 from triqsvm.optimize import (
     OptimizerConfig,
     TrainConfig,
@@ -231,7 +230,7 @@ class TestTrain:
         cfg = TrainConfig(solver_backend="exact", target_accuracy=0.0, seed=7)
         report = train(train_set, val_set, cfg)
         model = report.best_model
-        k = kernel_gram(model.kernel, model.train_points)
+        k = qkernel.gram_from_states(qkernel.feature_states(model.train_points, model.kernel))
         q = build_qubo_paper(k, model.train_labels)
         assert np.array_equal(model.alpha, brute_force(q).best_assignment)
         assert report.solver["backend"] == "exact"
@@ -328,7 +327,7 @@ class TestTrain:
 
 def spy_on_feature_states(monkeypatch):
     """Rows of every ``feature_states`` call, under each name it is
-    reached by (``kernel_cross`` and ``gram`` look it up in qkernel)."""
+    reached by (``gram`` looks it up in qkernel)."""
     built = []
     original = qkernel.feature_states
 

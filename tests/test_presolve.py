@@ -73,6 +73,25 @@ class TestPaperInstances:
         assert np.all(pre.values == 1)
         assert pre.residual.n == 0
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_unit_interval_kernel_fixes_every_variable_to_one(self, m):
+        # q_mn = -1/2 (1 + y_m y_n K_mn) < 0 for K in [0, 1), so every bit
+        # set lowers the energy: presolve fixes all of them in its first
+        # round and all ones is the unique optimum.  (At m = 1 the instance
+        # is all zero and brute force's tie rule picks 0.)
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            k = rng.random((m, m))
+            k = np.triu(k) + np.triu(k, 1).T
+            q = build_qubo_paper(k, rng.choice([-1, 1], size=m))
+            assert np.all(q.q[~np.eye(m, dtype=bool)] < 0.0)
+            pre = presolve(q)
+            assert pre.residual.n == 0
+            assert np.all(pre.values == 1)
+            best = brute_force(q)
+            assert best.best_assignment.tolist() == [1] * m
+            assert best.best_energy == pre.offset
+
     def test_rbf_kernel_fixes_every_variable_to_one(self):
         train_set, _ = gap_sets(600, delta=0.0)
         kernel = RbfKernel(gamma=default_rbf_gamma(train_set.points))

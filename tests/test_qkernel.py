@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from triqsvm.kernels import kernel_cross, kernel_from_dict
+from triqsvm.kernels import kernel_cross, kernel_from_dict, kernel_gram
 from triqsvm.qkernel import (
     FeatureMapSpec,
     _angles,
@@ -12,6 +12,7 @@ from triqsvm.qkernel import (
     _phase_diagonal,
     _plus_row,
     _z_table,
+    cross_from_states,
     expectation_zz,
     feature_states,
     gram,
@@ -259,9 +260,17 @@ class TestKernelEntry:
     def test_symmetry(self):
         rng = np.random.default_rng(10)
         spec = spec2((0.3, -1.2))
-        points = rng.uniform(0, 2 * np.pi, (100, 2))
-        cross = kernel_cross(spec, points, points)
+        states = feature_states(rng.uniform(0, 2 * np.pi, (100, 2)), spec)
+        cross = cross_from_states(states, states)
         assert np.max(np.abs(cross - cross.T)) <= 1e-12
+
+    def test_classical_helpers_reject_the_quantum_kernel(self):
+        # Quantum matrices come from feature states only.
+        points = [[0.7, 5.1], [2.9, 0.4]]
+        with pytest.raises(TypeError, match="unsupported kernel"):
+            kernel_cross(spec2(), points, points)
+        with pytest.raises(TypeError, match="unsupported kernel"):
+            kernel_gram(spec2(), points)
 
     def test_frozen_cross_value(self):
         value = kernel_value(FROZEN_X, FROZEN_Z, spec2(FROZEN_THETA))
@@ -302,7 +311,8 @@ class TestGram:
         points = rng.uniform(0, 2 * np.pi, (4, 2))
         theta = (2.0, -0.3)
         g = gram(points, spec2(theta))
-        np.testing.assert_allclose(g.entries, kernel_cross(spec2(theta), points, points),
+        states = feature_states(points, spec2(theta))
+        np.testing.assert_allclose(g.entries, cross_from_states(states, states),
                                    rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):

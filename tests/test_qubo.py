@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from triqsvm.kernels import LinearKernel, RbfKernel, kernel_cross
+from triqsvm.kernels import LinearKernel, RbfKernel
 from triqsvm.optimize import TrainConfig, train
-from triqsvm.qkernel import FeatureMapSpec, feature_states, gram
+from triqsvm.qkernel import FeatureMapSpec, cross_from_states, feature_states, gram
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -260,8 +260,8 @@ class TestModelStates:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decision_values_equal_the_kernel_cross_path(self, tmp_path, n):
         # A model from train (states supplied by the trainer), the same
-        # model loaded from its file (states rebuilt) and the kernel_cross
-        # formula give the same bytes.
+        # model loaded from its file (states rebuilt) and the cross kernel of
+        # freshly simulated states give the same bytes.
         rng = np.random.default_rng(40 + n)
         train_set = Dataset(rng.uniform(0, 2 * np.pi, (23, n)),
                             np.where(rng.random(23) < 0.5, 1, -1))
@@ -272,7 +272,8 @@ class TestModelStates:
         path = tmp_path / "model.json"
         save_model(model, path)
         xs = rng.uniform(0, 2 * np.pi, (65, n))
-        cross = kernel_cross(model.kernel, model.train_points, xs)
+        cross = cross_from_states(feature_states(model.train_points, model.kernel),
+                                  feature_states(xs, model.kernel))
         expected = ((model.alpha * model.train_labels) @ cross + model.beta).tobytes()
         assert decision_values(xs, model).tobytes() == expected
         assert decision_values(xs, load_model(path)).tobytes() == expected
