@@ -26,7 +26,8 @@ from .optimize import (
     initial_theta,
     train,
 )
-from .qkernel import FeatureMapSpec, GramMatrix, expectation_zz, feature_states, gram
+from .qkernel import (FeatureMapSpec, cross_from_states, expectation_zz, feature_states,
+                      gram_from_states)
 from .qubo import (
     QuboMatrix,
     TrainedModel,

@@ -350,7 +350,8 @@ def brute_force(q: QuboMatrix) -> SampleResult:
     energies = ((bits @ q.q) * bits).sum(axis=1)
     k = int(np.argmin(energies))
     best = bits[k].astype(int)
-    return SampleResult(best, energy(q, best), np.array([energy(q, best)]))
+    e = energy(q, best)
+    return SampleResult(best, e, np.array([e]))
 
 
 def greedy_descent(q: QuboMatrix, seed: int = 0) -> SampleResult:

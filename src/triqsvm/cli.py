@@ -124,8 +124,6 @@ def cmd_gen_data(m, delta, seed, out, from_csv, feature_columns, label_column,
                     column_ranges=ranges, rows=ds.m)
         click.echo(f"wrote {ds.m} rows to {out}")
         return
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("the separation gap must satisfy 0 <= delta < 1")
     ds = adhoc_generate(m, delta, seed=seed)
     write_dataset_csv(ds, out)
     _write_meta(out, "gen-data", flags={"m": m, "delta": delta, "seed": seed}, rows=ds.m)
@@ -197,7 +195,7 @@ def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, holdout, 
     save_model(report.best_model, out_dir / "model.json")
     per_split = {
         "train": accuracy(report.best_model, train_set),
-        "validation": accuracy(report.best_model, val_set),
+        "validation": report.best_accuracy,
     }
     if holdout_set is not None and holdout_set.m:
         per_split["holdout"] = accuracy(report.best_model, holdout_set)
@@ -253,11 +251,11 @@ def _svg_map(path, g1, g2, labels, domain, overlays):
     cell = size / len(g1)
 
     def sx(x1):
-        u = (x1 - lo1) / (hi1 - lo1) if hi1 > lo1 else 0.5
+        u = (x1 - lo1) / (hi1 - lo1)
         return margin + u * size
 
     def sy(x2):
-        v = (x2 - lo2) / (hi2 - lo2) if hi2 > lo2 else 0.5
+        v = (x2 - lo2) / (hi2 - lo2)
         return margin + (1.0 - v) * size
 
     parts = [

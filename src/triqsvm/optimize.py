@@ -13,6 +13,7 @@ with the highest validation accuracy (earliest on ties).
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -262,19 +263,21 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     ``max_iterations`` evaluations, or at the first one that reaches
     ``target_accuracy``.  COBYLA's trial θ is projected onto
     [-2*pi, 2*pi]^p before it is evaluated, so ``best_theta`` is the θ
-    actually used.  An iteration that raises is recorded with accuracy 0
-    and loss 1.
+    actually used.  A kernel without parameters (linear) has nothing to
+    tune, so its run is one pass with an empty θ and no optimizer.  An
+    iteration that raises is recorded with accuracy 0 and loss 1.
     """
     if train_set.m == 0 or val_set.m == 0:
         raise ValueError("training and validation sets must be nonempty")
     if train_set.d != val_set.d:
         raise ValueError("training and validation dimensions differ")
     d = train_set.d
-    p = d if cfg.kernel_kind == "quantum-zz" else 1
+    # θ: one entry per qubit, rbf's log-scale gamma, nothing for linear.
+    p = {"quantum-zz": d, "rbf": 1, "linear": 0}[cfg.kernel_kind]
     base_gamma = default_rbf_gamma(train_set.points) if cfg.kernel_kind == "rbf" else 1.0
 
     start = time.perf_counter()
-    x0 = initial_theta(p, cfg.seed)
+    x0 = initial_theta(p, cfg.seed) if p else np.empty(0)
     accuracies: list[float] = []
     failures: list[str] = []
     state = {"best_acc": -1.0, "best": None, "states_built": 0}
@@ -321,7 +324,11 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         return 1.0 - acc
 
     opt = OptimizerConfig(max_evals=cfg.max_iterations)
-    cobyla_minimize(objective, x0, [(-THETA_BOUND, THETA_BOUND)] * p, opt)
+    if p:
+        cobyla_minimize(objective, x0, [(-THETA_BOUND, THETA_BOUND)] * p, opt)
+    else:
+        with suppress(_Stop):
+            objective(x0)
 
     if state["best"] is None:
         raise RuntimeError(f"every training iteration failed: {failures}")

@@ -60,15 +60,10 @@ def _z_table(n: int) -> np.ndarray:
     return _read_only(np.stack([1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1) for i in range(n)]))
 
 
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """Qubit pairs (i, j), i < j, in the order two-body angles are given."""
-    return list(combinations(range(n), 2))
-
-
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second qubit of each pair in :func:`pair_order`."""
-    i, j = np.array(pair_order(n), dtype=int).reshape(-1, 2).T
+    """First and second qubits of the pairs i < j, in two-body angle order."""
+    i, j = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
     return _read_only(i), _read_only(j)
 
 
@@ -97,7 +92,7 @@ def _angles(points: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     One-body: the data coordinate plus a bounded periodic detuning
     controlled by theta (exactly zero at integer theta).  Two-body:
-    (pi - x_i)(pi - x_j) per pair in :func:`pair_order`, independent of theta.
+    (pi - x_i)(pi - x_j) per pair in :func:`_pair_index`, independent of theta.
     """
     i, j = _pair_index(points.shape[1])
     one = points + DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
@@ -108,7 +103,7 @@ def _phase_diagonal(one: np.ndarray, two: np.ndarray) -> np.ndarray:
     """Diagonal of the phase evolution D for each row of angles."""
     z = _z_table(one.shape[1])
     phase = one @ z
-    for k, (i, j) in enumerate(pair_order(one.shape[1])):
+    for k, (i, j) in enumerate(zip(*_pair_index(one.shape[1]))):
         phase = phase + two[:, k : k + 1] * z[i] * z[j]
     return np.exp(1j * phase)
 
@@ -167,6 +162,8 @@ def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
     return _hadamard_layer(_plus_row(spec.n) * diag) * diag
 
 
+# No package path uses ``GramMatrix`` or ``gram``.  They stay only because the
+# benchmark's tracer wraps ``triqsvm.qkernel.gram`` and reads ``.m`` from its result.
 @dataclass(frozen=True)
 class GramMatrix:
     """Exactly symmetric matrix of pairwise kernel values.  Its diagonal

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .kernels import Kernel, kernel_cross, kernel_from_dict, kernel_to_dict
-from .qkernel import FeatureMapSpec, GramMatrix, cross_from_states, feature_states
+from .qkernel import FeatureMapSpec, cross_from_states, feature_states
 
 MODEL_SCHEMA_VERSION = "1"
 
@@ -99,12 +99,6 @@ class TrainedModel:
         object.__setattr__(self, "states", states)
 
 
-def _entries(gram) -> np.ndarray:
-    if isinstance(gram, GramMatrix):
-        return gram.entries
-    return np.asarray(gram, dtype=float)
-
-
 def _check_sizes(k: np.ndarray, labels: np.ndarray) -> None:
     if k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {k.shape}")
@@ -114,14 +108,14 @@ def _check_sizes(k: np.ndarray, labels: np.ndarray) -> None:
         )
 
 
-def build_qubo_paper(gram, labels) -> QuboMatrix:
+def build_qubo_paper(k, labels) -> QuboMatrix:
     """Pairwise QUBO: q[m][n] = -1/2 (y_n y_m + K[m][n]) y_m y_n for m != n.
 
     The diagonal is zero.  Each entry is evaluated as
     ((-0.5 * (y_n y_m + K[m][n])) * y_m) * y_n; that order is part of the
     contract (worked examples assert exact floats).
     """
-    k = _entries(gram)
+    k = np.asarray(k, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)
     y_m = labels[:, None]
@@ -136,13 +130,13 @@ def build_qubo_paper(gram, labels) -> QuboMatrix:
     return QuboMatrix(q)
 
 
-def build_qubo_dual(gram, labels) -> QuboMatrix:
+def build_qubo_dual(k, labels) -> QuboMatrix:
     """Standard dual objective as a QUBO over binary weights.
 
     Off-diagonal entries are y_m y_n K[m][n] / 2; the diagonal carries
     K[n][n]/2 - 1 (the linear -sum(alpha) term).
     """
-    k = _entries(gram)
+    k = np.asarray(k, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)
     q = 0.5 * np.outer(labels, labels) * k
@@ -150,12 +144,12 @@ def build_qubo_dual(gram, labels) -> QuboMatrix:
     return QuboMatrix(q)
 
 
-def compute_beta(alpha, labels, gram) -> float:
+def compute_beta(alpha, labels, k) -> float:
     """Offset beta = mean_n(y_n - sum_m alpha_m y_m K[m][n]).
 
     The inner sum runs over all m, including m = n.
     """
-    k = _entries(gram)
+    k = np.asarray(k, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)

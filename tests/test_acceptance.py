@@ -16,7 +16,7 @@ import pytest
 from triqsvm.anneal import AnnealSchedule, brute_force, simulated_anneal
 from triqsvm.datagen import SplitSpec, adhoc_generate, split, split_rest, write_dataset_csv
 from triqsvm.optimize import OptimizerConfig, TrainConfig, cobyla_minimize, train
-from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
 from triqsvm.qubo import QuboMatrix, build_qubo_paper, compute_beta
 
 from oracles import oracle_expectation_zz, oracle_feature_state, oracle_kernel
@@ -45,7 +45,7 @@ def test_criterion_1_kernel_matches_oracle():
         x = rng.uniform(0, 2 * np.pi, 2)
         z = rng.uniform(0, 2 * np.pi, 2)
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-        got = gram([x, z], FeatureMapSpec(n=2, theta=theta)).entries[0, 1]
+        got = gram_from_states(feature_states([x, z], FeatureMapSpec(n=2, theta=theta)))[0, 1]
         want = oracle_kernel(x, z, theta)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -64,7 +64,7 @@ def test_criterion_2_gram_psd():
     for _ in range(50):
         points = rng.uniform(0, 2 * np.pi, (20, 2))
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-        g = gram(points, FeatureMapSpec(n=2, theta=theta)).entries
+        g = gram_from_states(feature_states(points, FeatureMapSpec(n=2, theta=theta)))
         assert np.array_equal(g, g.T)
         max_diag_err = max(max_diag_err, float(np.max(np.abs(np.diag(g) - 1.0))))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(g).min()))

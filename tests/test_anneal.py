@@ -24,7 +24,7 @@ from triqsvm.anneal import (
     simulated_anneal,
 )
 from triqsvm.datagen import adhoc_generate
-from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
 from triqsvm.qubo import QuboMatrix, build_qubo_dual, build_qubo_paper
 
 TOY = QuboMatrix(np.array([[-1.0, 0.0], [0.0, 2.0]]))
@@ -190,7 +190,7 @@ class TestGreedyDescent:
 def dual_instance(m: int) -> QuboMatrix:
     ds = adhoc_generate(m, 0.0, seed=1)
     spec = FeatureMapSpec(n=2, theta=np.array([0.3, -1.2]))
-    return build_qubo_dual(gram(ds.points, spec), ds.labels)
+    return build_qubo_dual(gram_from_states(feature_states(ds.points, spec)), ds.labels)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from triqsvm.anneal import AnnealSchedule
 from triqsvm.cli import cli
 from triqsvm.datagen import SplitSpec, adhoc_generate, read_dataset_csv, split
 from triqsvm.optimize import TrainConfig, train
-from triqsvm.qubo import decision_values, load_model, save_model, TrainedModel
+from triqsvm.qubo import accuracy, decision_values, load_model, save_model, TrainedModel
 from triqsvm.qkernel import FeatureMapSpec
 
 
@@ -129,8 +129,12 @@ class TestTrain:
         assert report["dataset"]["n_train"] == 12 and report["dataset"]["n_test"] == 2
         assert 0.0 <= report["per_split_accuracy"]["validation"] <= 1.0
         assert report["train_report"]["iterations_used"] <= 3
-        # m + v feature states per iteration: 12 training, 2 validation.
+        # The validation score is the best iteration's, not a second scoring.
         train_report = report["train_report"]
+        _, val_set = split(read_dataset_csv(small_dataset), SplitSpec(12, 2, seed=300))
+        assert (report["per_split_accuracy"]["validation"] == train_report["best_accuracy"]
+                == accuracy(model, val_set))
+        # m + v feature states per iteration: 12 training, 2 validation.
         assert train_report["states_built"] == 14 * train_report["iterations_used"]
 
     def test_missing_dataset_names_path(self, tmp_path):

@@ -10,6 +10,7 @@ import triqsvm.optimize as optimize
 import triqsvm.qkernel as qkernel
 import triqsvm.qubo as qubo
 from triqsvm.datagen import Dataset, adhoc_generate, split, SplitSpec
+from triqsvm.kernels import LinearKernel, kernel_gram
 from triqsvm.optimize import (
     OptimizerConfig,
     TrainConfig,
@@ -17,7 +18,7 @@ from triqsvm.optimize import (
     initial_theta,
     train,
 )
-from triqsvm.qubo import build_qubo_paper
+from triqsvm.qubo import build_qubo_paper, compute_beta
 
 BOX = [(-2 * np.pi, 2 * np.pi)] * 2
 
@@ -225,6 +226,31 @@ class TestTrain:
         assert report.best_accuracy == 1.0
         assert report.iterations_used <= 10
 
+    @pytest.mark.parametrize("target", [1.0, 0.0])
+    def test_linear_kernel_trains_in_one_pass(self, monkeypatch, target):
+        # θ does not reach the linear kernel, so the run is one pass and
+        # COBYLA never starts; a pass that meets the target ends it the
+        # same way.  Validation accuracy here is 0.75.
+        requests = spy_on_requests(monkeypatch)
+        train_set, val_set = quick_sets(seed=3)
+        cfg = TrainConfig(kernel_kind="linear", solver_backend="exact",
+                          target_accuracy=target, seed=3)
+        report = train(train_set, val_set, cfg)
+        assert requests[0] == 0
+        assert report.iterations_used == 1
+        assert report.accuracy_per_iteration == [0.75]
+        assert report.best_theta.shape == (0,)
+        assert report.config["parameter_count"] == 0
+        assert report.config["initial_theta"] == []
+        k = kernel_gram(LinearKernel(), train_set.points)
+        alpha = brute_force(build_qubo_paper(k, train_set.labels)).best_assignment
+        model = report.best_model
+        assert np.array_equal(model.alpha, alpha)
+        assert model.beta == compute_beta(alpha, train_set.labels, k)
+        # Frozen α and β of this pass.
+        assert model.alpha.tolist() == [1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert model.beta == pytest.approx(98.01434895800992, rel=1e-12)
+
     def test_exact_backend_uses_global_optimum(self):
         train_set, val_set = quick_sets(seed=7)
         cfg = TrainConfig(solver_backend="exact", target_accuracy=0.0, seed=7)
@@ -326,8 +352,8 @@ class TestTrain:
 
 
 def spy_on_feature_states(monkeypatch):
-    """Rows of every ``feature_states`` call, under each name it is
-    reached by (``gram`` looks it up in qkernel)."""
+    """Rows of every ``feature_states`` call that training and scoring
+    make, under each name they reach it by."""
     built = []
     original = qkernel.feature_states
 
@@ -336,7 +362,7 @@ def spy_on_feature_states(monkeypatch):
         built.append(states.shape[0])
         return states
 
-    for module in (qkernel, optimize, qubo):
+    for module in (optimize, qubo):
         monkeypatch.setattr(module, "feature_states", counted)
     return built
 

@@ -15,7 +15,7 @@ from triqsvm.anneal import (
 from triqsvm.datagen import SplitSpec, adhoc_generate, split
 from triqsvm.kernels import RbfKernel, default_rbf_gamma, kernel_gram
 from triqsvm.optimize import TrainConfig, _solve_qubo, train
-from triqsvm.qkernel import FeatureMapSpec, gram
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
 from triqsvm.qubo import QuboMatrix, build_qubo_dual, build_qubo_paper, model_to_dict
 
 
@@ -67,7 +67,8 @@ class TestPaperInstances:
     def test_quantum_kernel_fixes_every_variable_to_one(self):
         train_set, _ = gap_sets(300)
         spec = FeatureMapSpec(n=2, theta=np.array([0.7, -1.9]))
-        q = build_qubo_paper(gram(train_set.points, spec), train_set.labels)
+        k = gram_from_states(feature_states(train_set.points, spec))
+        q = build_qubo_paper(k, train_set.labels)
         pre = presolve(q)
         assert pre.fixed.all()
         assert np.all(pre.values == 1)
@@ -102,7 +103,8 @@ class TestPaperInstances:
 
     def test_solver_skips_sampling_and_reports_full_energy(self, monkeypatch):
         train_set, _ = gap_sets(300)
-        k = gram(train_set.points, FeatureMapSpec(n=2, theta=np.array([0.3, 2.2]))).entries
+        spec = FeatureMapSpec(n=2, theta=np.array([0.3, 2.2]))
+        k = gram_from_states(feature_states(train_set.points, spec))
         q = build_qubo_paper(k, train_set.labels)
 
         def refuse(*args, **kwargs):
@@ -122,7 +124,8 @@ class TestPaperInstances:
 class TestDualInstances:
     def test_quantum_dual_fixes_nothing_and_anneals_unchanged(self):
         train_set, _ = gap_sets(1000, delta=0.0, n_train=30)
-        k = gram(train_set.points, FeatureMapSpec(n=2, theta=np.array([1.1, -0.4]))).entries
+        spec = FeatureMapSpec(n=2, theta=np.array([1.1, -0.4]))
+        k = gram_from_states(feature_states(train_set.points, spec))
         q = build_qubo_dual(k, train_set.labels)
         pre = presolve(q)
         assert not pre.fixed.any()

@@ -16,6 +16,7 @@ from triqsvm.qkernel import (
     expectation_zz,
     feature_states,
     gram,
+    gram_from_states,
 )
 
 from oracles import (
@@ -51,7 +52,7 @@ def spec2(theta=(1.0, 1.0)):
 
 def kernel_value(x, z, spec):
     """K(x, z) as the trainer sees it: an entry of the Gram matrix."""
-    return float(gram([x, z], spec).entries[0, 1])
+    return float(gram_from_states(feature_states([x, z], spec))[0, 1])
 
 
 def basis(dim, k):
@@ -282,41 +283,41 @@ class TestKernelEntry:
         for _ in range(10):
             points = rng.uniform(0, 2 * np.pi, (10, 2))
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            values = gram(points, spec2(theta)).entries
+            values = gram_from_states(feature_states(points, spec2(theta)))
             assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
 
     def test_repeat_calls_bit_identical(self):
         points = [[0.7, 5.1], [2.9, 0.4]]
         spec = spec2((1.7, -0.6))
-        assert gram(points, spec).entries.tobytes() == gram(points, spec).entries.tobytes()
+        entries = gram_from_states(feature_states(points, spec))
+        assert entries.tobytes() == gram_from_states(feature_states(points, spec)).tobytes()
         assert feature_states(points, spec).tobytes() == feature_states(points, spec).tobytes()
 
 
 class TestGram:
     def test_single_point(self):
-        g = gram([[1.0, 2.0]], spec2())
-        assert g.m == 1
-        np.testing.assert_allclose(g.entries, [[1.0]], atol=1e-12)
+        g = gram_from_states(feature_states([[1.0, 2.0]], spec2()))
+        assert g.shape == (1, 1)
+        np.testing.assert_allclose(g, [[1.0]], atol=1e-12)
 
     def test_small_matrix_invariants(self):
         rng = np.random.default_rng(12)
         points = rng.uniform(0, 2 * np.pi, (3, 2))
-        g = gram(points, spec2((0.5, 1.5)))
-        assert np.array_equal(g.entries, g.entries.T)
-        np.testing.assert_allclose(np.diag(g.entries), 1.0, atol=1e-10)
-        assert np.linalg.eigvalsh(g.entries).min() >= -1e-8
+        g = gram_from_states(feature_states(points, spec2((0.5, 1.5))))
+        assert np.array_equal(g, g.T)
+        np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-10)
+        assert np.linalg.eigvalsh(g).min() >= -1e-8
 
     def test_entries_match_kernel_entry(self):
         rng = np.random.default_rng(13)
         points = rng.uniform(0, 2 * np.pi, (4, 2))
         theta = (2.0, -0.3)
-        g = gram(points, spec2(theta))
         states = feature_states(points, spec2(theta))
-        np.testing.assert_allclose(g.entries, cross_from_states(states, states),
-                                   rtol=0, atol=1e-12)
+        g = gram_from_states(states)
+        np.testing.assert_allclose(g, cross_from_states(states, states), rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):
-                assert g.entries[i, j] == pytest.approx(
+                assert g[i, j] == pytest.approx(
                     oracle_kernel(points[i], points[j], theta), abs=1e-12
                 )
 
@@ -325,11 +326,17 @@ class TestGram:
         for _ in range(5):
             points = rng.uniform(0, 2 * np.pi, (30, 2))
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            g = gram(points, spec2(theta))
-            assert np.linalg.eigvalsh(g.entries).min() >= -1e-8
+            g = gram_from_states(feature_states(points, spec2(theta)))
+            assert np.linalg.eigvalsh(g).min() >= -1e-8
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+    def test_wrapper_matches_the_states_path(self):
+        # ``gram`` and ``GramMatrix`` stay only for the benchmark's tracer.
+        points = np.random.default_rng(17).uniform(0, 2 * np.pi, (5, 2))
+        spec = spec2((0.4, -2.5))
+        g = gram(points, spec)
+        assert g.m == 5
+        assert g.entries.tobytes() == gram_from_states(feature_states(points, spec)).tobytes()
+        with pytest.raises(ValueError, match="at least one data point"):
             gram(np.empty((0, 2)), spec2())
 
 
@@ -356,7 +363,7 @@ class TestBlockedGram:
         rng = np.random.default_rng(100 * n + m)
         points = rng.uniform(0, 2 * np.pi, (m, n))
         spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
-        entries = gram(points, spec).entries
+        entries = gram_from_states(feature_states(points, spec))
         assert entries.shape == (m, m)
         # Both sides round a 2**(n+1)-term dot product and square it; at
         # n = 4 diagonal entries just below 1 differ by up to 5 ulp.
@@ -367,9 +374,9 @@ class TestBlockedGram:
         rng = np.random.default_rng(m)
         points = rng.uniform(0, 2 * np.pi, (m, 2))
         spec = spec2((0.3, -1.2))
-        entries = gram(points, spec).entries
+        entries = gram_from_states(feature_states(points, spec))
         assert np.array_equal(entries, entries.T)
-        assert entries.tobytes() == gram(points, spec).entries.tobytes()
+        assert entries.tobytes() == gram_from_states(feature_states(points, spec)).tobytes()
 
     @pytest.mark.parametrize("m", [65, 200])
     def test_rows_follow_a_permutation_of_the_points(self, m):
@@ -379,8 +386,8 @@ class TestBlockedGram:
         points = rng.uniform(0, 2 * np.pi, (m, 2))
         spec = spec2((1.7, -0.6))
         perm = rng.permutation(m)
-        entries = gram(points, spec).entries
-        permuted = gram(points[perm], spec).entries
+        entries = gram_from_states(feature_states(points, spec))
+        permuted = gram_from_states(feature_states(points[perm], spec))
         assert np.max(np.abs(permuted - entries[np.ix_(perm, perm)])) <= 1e-15
 
 

@@ -8,7 +8,12 @@ import pytest
 
 from triqsvm.kernels import LinearKernel, RbfKernel
 from triqsvm.optimize import TrainConfig, train
-from triqsvm.qkernel import FeatureMapSpec, cross_from_states, feature_states, gram
+from triqsvm.qkernel import (
+    FeatureMapSpec,
+    cross_from_states,
+    feature_states,
+    gram_from_states,
+)
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -57,7 +62,8 @@ class TestBuildQuboPaper:
         rng = np.random.default_rng(0)
         points = rng.uniform(0, 2 * np.pi, (8, 2))
         labels = np.where(rng.random(8) < 0.5, 1, -1)
-        k = gram(points, FeatureMapSpec(n=2, theta=np.array([0.7, -0.2]))).entries
+        spec = FeatureMapSpec(n=2, theta=np.array([0.7, -0.2]))
+        k = gram_from_states(feature_states(points, spec))
         q = build_qubo_paper(k, labels).q
         assert np.array_equal(q, q.T)
         assert np.all(np.diag(q) == 0.0)
@@ -106,7 +112,8 @@ class TestBuildQuboDual:
         for n in (3, 6, 10):
             points = rng.uniform(0, 2 * np.pi, (n, 2))
             labels = np.where(rng.random(n) < 0.5, 1, -1)
-            k = gram(points, FeatureMapSpec(n=2, theta=np.array([1.1, 0.4]))).entries
+            spec = FeatureMapSpec(n=2, theta=np.array([1.1, 0.4]))
+            k = gram_from_states(feature_states(points, spec))
             q = build_qubo_dual(k, labels).q
             for bits, energy in enumerate_energies(q):
                 ay = bits * labels
@@ -131,8 +138,8 @@ class TestComputeBeta:
 
     def test_linear_in_labels_for_fixed_alpha(self):
         rng = np.random.default_rng(3)
-        k = gram(rng.uniform(0, 2 * np.pi, (6, 2)),
-                 FeatureMapSpec(n=2, theta=np.array([1.0, 1.0]))).entries
+        spec = FeatureMapSpec(n=2, theta=np.array([1.0, 1.0]))
+        k = gram_from_states(feature_states(rng.uniform(0, 2 * np.pi, (6, 2)), spec))
         alpha = rng.integers(0, 2, 6)
         labels = np.where(rng.random(6) < 0.5, 1, -1)
         direct = compute_beta(alpha, labels, k)
