@@ -16,7 +16,13 @@ moved by up to 4.4e-16 in 8 of the 26 model files, with
 ``OPENBLAS_CORETYPE=Sandybridge`` β by up to 1.4e-14 and the best energy
 by up to 7.1e-15.  Nothing else moved.
 
-After a change that moves output on purpose, rewrite the file with
+The trainings above all end within 3 evaluations, the initial simplex of
+COBYLA at p = 2, so ``tests/golden/full_budget.json`` adds four quantum
+trainings on gap-0 data with the greedy backend that spend the whole
+10-evaluation budget: their θ paths go through COBYLA's trust-region and
+geometry steps.
+
+After a change that moves output on purpose, rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -39,6 +45,7 @@ from triqsvm.optimize import BACKENDS, BUILDERS, TrainConfig, train
 from triqsvm.qubo import model_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "training.json"
+FULL_BUDGET = GOLDEN.with_name("full_budget.json")
 # Keys whose floats may move with the BLAS kernels, and their tolerance.
 TOLERANT = {"beta", "best_energy", "best_theta", "theta"}
 RTOL = 1e-12
@@ -50,6 +57,8 @@ CASES = [
     *[(kernel, builder, backend, 1)
       for kernel in ("rbf", "linear") for builder in BUILDERS for backend in BACKENDS],
 ]
+FULL_BUDGET_CASES = [("quantum-zz", "paper", "greedy", 3), ("quantum-zz", "paper", "greedy", 10),
+                     ("quantum-zz", "dual", "greedy", 2), ("quantum-zz", "dual", "greedy", 3)]
 SWEEP_ARGS = ["--sizes", "10,15", "--seeds", "7,8", "--max-iters", "2",
               "--reads", "4", "--sweeps", "40"]
 
@@ -58,11 +67,11 @@ def case_id(case) -> str:
     return "-".join(map(str, case))
 
 
-def training_outcome(kernel, builder, backend, seed) -> dict:
+def training_outcome(kernel, builder, backend, seed, max_iterations=3) -> dict:
     """Train one case on gap-0 data and return what it produced."""
     ds = adhoc_generate(M_TRAIN + M_VAL, 0.0, seed=seed)
     train_set, val_set = split(ds, SplitSpec(M_TRAIN, M_VAL, seed=seed))
-    cfg = TrainConfig(max_iterations=3, solver_backend=backend, qubo_builder=builder,
+    cfg = TrainConfig(max_iterations=max_iterations, solver_backend=backend, qubo_builder=builder,
                       kernel_kind=kernel, seed=seed,
                       schedule=AnnealSchedule(num_reads=4, sweeps=50, seed=seed))
     report = train(train_set, val_set, cfg)
@@ -126,6 +135,11 @@ def all_outcomes() -> dict:
         }
 
 
+def full_budget_outcomes() -> dict:
+    return {"trainings": {case_id(case): training_outcome(*case, max_iterations=10)
+                          for case in FULL_BUDGET_CASES}}
+
+
 def assert_matches(got, want, path="", tolerant=False):
     """``got`` equals ``want`` value by value; floats under a ``TOLERANT``
     key agree to ``RTOL``."""
@@ -157,6 +171,14 @@ def test_training_matches_fixture(golden, case):
     assert_matches(training_outcome(*case), golden["trainings"][case_id(case)])
 
 
+@pytest.mark.parametrize("case", FULL_BUDGET_CASES, ids=case_id)
+def test_full_budget_training_matches_fixture(case):
+    want = json.loads(FULL_BUDGET.read_text(encoding="utf-8"))["trainings"][case_id(case)]
+    got = training_outcome(*case, max_iterations=10)
+    assert got["iterations_used"] == 10
+    assert_matches(got, want)
+
+
 def test_cli_train_holdout_matches_fixture(golden, tmp_path):
     assert_matches(cli_train_holdout(tmp_path), golden["cli_train_holdout"])
 
@@ -171,6 +193,6 @@ def test_cli_sweep_matches_fixture(golden, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(all_outcomes(), indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    for path, outcomes in ((GOLDEN, all_outcomes()), (FULL_BUDGET, full_budget_outcomes())):
+        path.write_text(json.dumps(outcomes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {path}")

@@ -1,5 +1,8 @@
-"""Derivative-free minimizer wrapper and the outer training cycle."""
+"""Derivative-free minimizer and the outer training cycle."""
 
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -24,18 +27,22 @@ BOX = [(-2 * np.pi, 2 * np.pi)] * 2
 
 
 def spy_on_requests(monkeypatch):
-    """Count every call COBYLA makes to the function it is handed."""
+    """Count every point the COBYLA iteration asks ``cobyla_minimize`` to
+    evaluate."""
     requests = [0]
-    minimize = optimize._scipy_minimize
+    points = optimize._cobyla_points
 
-    def spy(fun, *args, **kwargs):
-        def counted(x):
-            requests[0] += 1
-            return fun(x)
+    def spy(*args, **kwargs):
+        inner = points(*args, **kwargs)
+        try:
+            x = next(inner)
+            while True:
+                requests[0] += 1
+                x = inner.send((yield x))
+        except StopIteration as finished:
+            return finished.value
 
-        return minimize(counted, *args, **kwargs)
-
-    monkeypatch.setattr(optimize, "_scipy_minimize", spy)
+    monkeypatch.setattr(optimize, "_cobyla_points", spy)
     return requests
 
 
@@ -90,9 +97,9 @@ class TestCobylaMinimize:
 
     @pytest.mark.parametrize("max_evals", [1, 2, 3])
     def test_budget_below_initial_simplex_is_hard(self, max_evals, monkeypatch):
-        # PRIMA-based COBYLA needs p + 2 = 4 evaluations at p = 2 and raises
-        # a smaller budget with a warning; the wrapper must still stop, and
-        # the request after the last allowed evaluation ends the run.
+        # The budget is hard even below the p + 1 = 3 points of the initial
+        # simplex: the request after the last allowed evaluation ends the
+        # run unevaluated.
         requests = spy_on_requests(monkeypatch)
         seen = []
 
@@ -150,6 +157,21 @@ class TestCobylaMinimize:
         assert any(np.array_equal(result.x, x) for x in seen)
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
+    def test_nan_and_inf_values_do_not_end_the_run(self):
+        # The first simplex step lands where the objective is NaN, and a
+        # band beyond it returns inf; the model reads both as a huge value.
+        def objective(x):
+            if x[0] > 0.25:
+                return float("nan")
+            if x[1] > 0.25:
+                return float("inf")
+            return (x[0] + 1.0) ** 2 + (x[1] + 2.0) ** 2
+
+        result = cobyla_minimize(objective, np.zeros(2), BOX,
+                                 OptimizerConfig(rho_begin=0.5, rho_end=1e-8, max_evals=1000))
+        np.testing.assert_allclose(result.x, [-1.0, -2.0], atol=1e-4)
+        assert result.converged
+
     def test_x0_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
             cobyla_minimize(lambda x: 0.0, np.array([9.0, 0.0]), BOX, OptimizerConfig())
@@ -159,6 +181,197 @@ class TestCobylaMinimize:
             OptimizerConfig(rho_begin=0.1, rho_end=0.5)
         with pytest.raises(ValueError):
             OptimizerConfig(max_evals=0)
+
+
+def prima_initial_points(objective, x0, lows, highs, rho):
+    """PRIMA's initial simplex, written out: f(x0), then x_best + rho * e_j
+    clipped to the box, where x_best is the best point so far."""
+    best = np.array(x0, dtype=float)
+    points, best_f = [best.copy()], objective(best)
+    for j in range(best.size):
+        x = best.copy()
+        x[j] += rho
+        x = np.clip(x, lows, highs)
+        points.append(x)
+        if objective(x) < best_f:
+            best, best_f = x, objective(x)
+    return points
+
+
+class TestCobylaIteration:
+    """The owned iteration: PRIMA's initial simplex and the trust-region
+    step over ball ∩ box."""
+
+    @staticmethod
+    def first_points(objective, x0, bounds, rho, count):
+        seen = []
+
+        def recorded(x):
+            seen.append(x.copy())
+            return objective(x)
+
+        cobyla_minimize(recorded, np.array(x0, dtype=float), bounds,
+                        OptimizerConfig(rho_begin=rho, rho_end=1e-6, max_evals=count))
+        return seen
+
+    def test_initial_simplex_follows_prima(self):
+        # The step along x_0 improves and becomes the pole, the one along
+        # x_1 does not, and the one along x_2 is clipped at its bound.
+        def objective(x):
+            return float(-x[0] + x[1] - 0.1 * x[2])
+
+        x0, bounds = [0.1, -0.3, 0.8], [(-1.0, 1.0)] * 3
+        seen = self.first_points(objective, x0, bounds, 0.5, 4)
+        lows, highs = np.array(bounds).T
+        want = prima_initial_points(objective, x0, lows, highs, 0.5)
+        assert [x.tolist() for x in seen] == [x.tolist() for x in want]
+        assert [x.tolist() for x in want] == [
+            [0.1, -0.3, 0.8], [0.6, -0.3, 0.8], [0.6, 0.2, 0.8], [0.6, -0.3, 1.0]]
+
+    def test_initial_simplex_steps_down_from_the_upper_bound(self):
+        # A step up from the bound would repeat the pole.
+        seen = self.first_points(lambda x: float(np.sum(x)), [1.0, 0.0],
+                                 [(-1.0, 1.0)] * 2, 0.5, 3)
+        assert [x.tolist() for x in seen] == [[1.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_step_minimises_the_model_over_disk_and_box(self, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=2)
+        if seed == 0:
+            g[1] = 0.0
+        radius = rng.uniform(0.2, 1.5)
+        lower = -rng.uniform(0.0, 1.2, 2)
+        upper = rng.uniform(0.0, 1.2, 2)
+        d = optimize._box_ball_step(g, radius, lower, upper)
+        assert np.linalg.norm(d) <= radius * (1 + 1e-12)
+        assert np.all(d >= lower) and np.all(d <= upper)
+        # Brute force over the boundary of disk ∩ box, where a linear
+        # function has its minimum: a fine sweep of the circle, the box's
+        # corners, and the points where the box's edges cross the circle.
+        phi = np.linspace(0.0, 2 * np.pi, 200_000, endpoint=False)
+        candidates = [radius * np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                      np.array([[a, b] for a in (lower[0], upper[0])
+                                for b in (lower[1], upper[1])])]
+        for axis in range(2):
+            for edge in (lower[axis], upper[axis]):
+                if abs(edge) <= radius:
+                    other = np.sqrt(radius**2 - edge**2)
+                    crossing = np.empty((2, 2))
+                    crossing[:, axis] = edge
+                    crossing[:, 1 - axis] = (other, -other)
+                    candidates.append(crossing)
+        points = np.concatenate(candidates)
+        inside = points[(np.linalg.norm(points, axis=1) <= radius * (1 + 1e-12))
+                        & np.all((points >= lower) & (points <= upper), axis=1)]
+        brute = float(np.min(inside @ g))
+        assert float(g @ d) <= brute + 1e-12
+        assert brute - float(g @ d) <= 1e-9
+
+    def test_step_is_the_box_corner_inside_the_ball(self):
+        d = optimize._box_ball_step(np.array([1.0, -2.0]), 5.0,
+                                    np.array([-0.5, -1.0]), np.array([1.0, 0.25]))
+        assert d.tolist() == [-0.5, 0.25]
+
+    def test_zero_gradient_takes_no_step(self):
+        d = optimize._box_ball_step(np.zeros(2), 1.0, -np.ones(2), np.ones(2))
+        assert d.tolist() == [0.0, 0.0]
+
+    def test_degenerate_box_rejected(self):
+        with pytest.raises(ValueError, match="low < high"):
+            cobyla_minimize(lambda x: 0.0, np.zeros(2), [(0.0, 0.0), (-1.0, 1.0)],
+                            OptimizerConfig())
+
+
+class TestScipyOracle:
+    """scipy's COBYLA (PRIMA) as a test-only oracle for the final values."""
+
+    def oracle(self, objective, x0, config):
+        optimize_scipy = pytest.importorskip("scipy.optimize")
+        return optimize_scipy.minimize(
+            objective, x0, method="COBYLA", bounds=BOX,
+            options={"rhobeg": config.rho_begin, "tol": config.rho_end,
+                     "maxiter": config.max_evals})
+
+    def test_shifted_quadratic(self):
+        def quadratic(x):
+            return (x[0] - 1.0) ** 2 + (x[1] - 2.0) ** 2
+
+        config = OptimizerConfig(rho_begin=1.0, rho_end=1e-8, max_evals=1000)
+        want = self.oracle(quadratic, np.zeros(2), config)
+        got = cobyla_minimize(quadratic, np.zeros(2), BOX, config)
+        np.testing.assert_allclose(got.x, want.x, atol=1e-6)
+        assert got.fun <= max(want.fun, 1e-12) * 10
+        assert got.converged and want.success
+
+    def test_rosenbrock(self):
+        def rosenbrock(x):
+            return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+        config = OptimizerConfig(rho_begin=0.5, rho_end=1e-10, max_evals=10_000)
+        want = self.oracle(rosenbrock, np.array([-1.2, 1.0]), config)
+        got = cobyla_minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, config)
+        np.testing.assert_allclose(got.x, want.x, atol=1e-3)
+        assert got.fun < 1e-3 and want.fun < 1e-3
+
+    def test_initial_simplex_matches(self):
+        # The first p + 1 points are PRIMA's, so runs that end within them
+        # match the scipy-based trainer bit for bit.
+        def objective(x):
+            return float(np.sin(3.0 * x[0]) + np.cos(2.0 * x[1]) - 0.1 * x[2])
+
+        x0 = np.array([6.0, -1.0, 0.4])
+        config = OptimizerConfig(rho_begin=0.5, rho_end=1e-4, max_evals=4)
+        box = [(-2 * np.pi, 2 * np.pi)] * 3
+        lows, highs = np.array(box).T
+        oracle_seen = []
+
+        def recorded(x):
+            oracle_seen.append(np.clip(x, lows, highs))
+            return objective(np.clip(x, lows, highs))
+
+        optimize_scipy = pytest.importorskip("scipy.optimize")
+        optimize_scipy.minimize(recorded, x0, method="COBYLA", bounds=box,
+                                options={"rhobeg": 0.5, "tol": 1e-4, "maxiter": 5})
+        seen = TestCobylaIteration.first_points(objective, x0, box, 0.5, 4)
+        assert [x.tolist() for x in seen] == [x.tolist() for x in oracle_seen[:4]]
+
+
+class TestRuntimeFootprint:
+    """What importing the package costs a fresh interpreter."""
+
+    @staticmethod
+    def run_fresh(script: str) -> str:
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, check=True, timeout=120)
+        return result.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        script = ("import sys, triqsvm, triqsvm.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert self.run_fresh(script) == "[]"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_freed_temporaries_fault_in_no_pages(self):
+        # Three 320 KB arrays are above glibc's default mmap threshold and,
+        # freed together, above its default trim threshold: unpinned, each
+        # pass faults in about 200 pages.
+        script = """
+import resource
+import numpy as np
+import triqsvm
+
+def passes(count):
+    for _ in range(count):
+        a, b, c = np.ones(40_000), np.ones(40_000), np.ones(40_000)
+        del a, b, c
+
+passes(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+passes(200)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        assert int(self.run_fresh(script)) < 100
 
 
 class TestInitialTheta:
@@ -210,9 +423,9 @@ class TestTrain:
         assert report.best_model is not None
 
     def test_overshoot_is_evaluated_not_failed(self):
-        # COBYLA steps past theta_2 = 2*pi on iteration 3 of this run; the
-        # step is projected onto the box and evaluated, not logged as a
-        # failure.
+        # theta_2 starts 0.16 below 2*pi: the initial simplex reaches the
+        # bound on iteration 3 and a trust-region step lands on it on
+        # iteration 5.  Both are evaluated, not logged as failures.
         ds = adhoc_generate(30, 0.0, seed=1)
         train_set, val_set = split(ds, SplitSpec(20, 10, seed=8))
         report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=8))
@@ -298,7 +511,8 @@ class TestTrain:
     @pytest.mark.parametrize("max_iterations", [1, 2, 3])
     def test_iteration_cap_is_hard_below_initial_simplex(self, max_iterations):
         # Random labels keep validation accuracy below the target of 1.0, so
-        # only the cap can end the run; p = 2 needs 4 COBYLA evaluations.
+        # only the cap can end the run; the initial simplex at p = 2 has 3
+        # points.
         rng = np.random.default_rng(11)
         train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, 2)),
                             np.where(rng.random(12) < 0.5, 1, -1))
