@@ -4,7 +4,8 @@ A simulated gate-based quantum kernel, an annealing-style QUBO solver and
 a classical derivative-free optimizer, composed into one training cycle.
 """
 
-from .anneal import AnnealSchedule, SampleResult, brute_force, energy, greedy_descent, simulated_anneal
+from .anneal import (AnnealSchedule, SampleResult, brute_force, energy, greedy_descent,
+                     simulated_anneal)
 from .datagen import (
     Dataset,
     SplitSpec,

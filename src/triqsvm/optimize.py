@@ -409,10 +409,11 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
 
     ``exact`` enumerates the whole instance.  ``anneal`` and ``greedy``
     first run ``presolve``: when it fixes every variable (as on any
-    ``paper`` instance with kernel values in [0, 1]) no sampler runs; when
-    it fixes none the backend gets ``q`` itself; otherwise the backend
-    solves the residual and the fixed bits are put back.  Their solver
-    info reports ``presolve_fixed`` and ``residual_n``.
+    ``paper`` instance with kernel values in [0, 1], which its one sign
+    check settles) no sampler runs; when it fixes none the backend gets
+    ``q`` itself; otherwise the backend solves the residual and the fixed
+    bits are put back.  Their solver info reports ``presolve_fixed`` and
+    ``residual_n``.
     """
     if cfg.solver_backend == "exact":
         result = brute_force(q)
@@ -454,9 +455,10 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     validation set simulates only its own circuits.  The run ends after
     ``max_iterations`` evaluations, or at the first one that reaches
     ``target_accuracy``.  COBYLA evaluates θ only inside
-    [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel without parameters (linear) has nothing to
-    tune, so its run is one pass with an empty θ and no optimizer.  An
-    iteration that raises is recorded with accuracy 0 and loss 1.
+    [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
+    without parameters (linear) has nothing to tune, so its run is one
+    pass with an empty θ and no optimizer.  An iteration that raises is
+    recorded with accuracy 0 and loss 1.
     """
     if train_set.m == 0 or val_set.m == 0:
         raise ValueError("training and validation sets must be nonempty")

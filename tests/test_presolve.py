@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import triqsvm.anneal as anneal
 import triqsvm.optimize as optimize
 from triqsvm.anneal import (
     AnnealSchedule,
@@ -63,23 +64,37 @@ def no_presolve(q: QuboMatrix) -> Presolved:
     return Presolved(np.zeros(n, dtype=bool), np.zeros(n, dtype=int), q, 0.0)
 
 
+@pytest.fixture
+def no_rounds(monkeypatch):
+    """Make presolve's rounds raise: only the sign check can answer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("presolve ran its rounds on a non-positive instance")
+
+    monkeypatch.setattr(anneal, "_coupling", refuse)
+
+
+def assert_all_ones(pre: Presolved, q: QuboMatrix) -> None:
+    assert pre.fixed.all()
+    assert pre.values.tolist() == [1] * q.n
+    assert pre.residual.n == 0
+    assert pre.offset == energy(q, np.ones(q.n))
+
+
 class TestPaperInstances:
-    def test_quantum_kernel_fixes_every_variable_to_one(self):
+    def test_quantum_kernel_fixes_every_variable_to_one(self, no_rounds):
         train_set, _ = gap_sets(300)
         spec = FeatureMapSpec(n=2, theta=np.array([0.7, -1.9]))
         k = gram_from_states(feature_states(train_set.points, spec))
         q = build_qubo_paper(k, train_set.labels)
-        pre = presolve(q)
-        assert pre.fixed.all()
-        assert np.all(pre.values == 1)
-        assert pre.residual.n == 0
+        assert_all_ones(presolve(q), q)
 
     @pytest.mark.parametrize("m", range(2, 13))
-    def test_unit_interval_kernel_fixes_every_variable_to_one(self, m):
+    def test_unit_interval_kernel_fixes_every_variable_to_one(self, m, no_rounds):
         # q_mn = -1/2 (1 + y_m y_n K_mn) < 0 for K in [0, 1), so every bit
-        # set lowers the energy: presolve fixes all of them in its first
-        # round and all ones is the unique optimum.  (At m = 1 the instance
-        # is all zero and brute force's tie rule picks 0.)
+        # set lowers the energy: the sign check fixes all of them and all
+        # ones is the unique optimum.  (At m = 1 the instance is all zero
+        # and brute force's tie rule picks 0.)
         rng = np.random.default_rng(m)
         for _ in range(20):
             k = rng.random((m, m))
@@ -87,19 +102,45 @@ class TestPaperInstances:
             q = build_qubo_paper(k, rng.choice([-1, 1], size=m))
             assert np.all(q.q[~np.eye(m, dtype=bool)] < 0.0)
             pre = presolve(q)
-            assert pre.residual.n == 0
-            assert np.all(pre.values == 1)
+            assert_all_ones(pre, q)
             best = brute_force(q)
             assert best.best_assignment.tolist() == [1] * m
             assert best.best_energy == pre.offset
 
-    def test_rbf_kernel_fixes_every_variable_to_one(self):
+    def test_rbf_kernel_fixes_every_variable_to_one(self, no_rounds):
         train_set, _ = gap_sets(600, delta=0.0)
         kernel = RbfKernel(gamma=default_rbf_gamma(train_set.points))
         q = build_qubo_paper(kernel_gram(kernel, train_set.points), train_set.labels)
+        assert_all_ones(presolve(q), q)
+
+    def test_kernel_one_ulp_above_one_takes_the_rounds(self, monkeypatch):
+        # K = 1 + ulp for one opposite-label pair makes q_ab = q_ba =
+        # +1.1e-16, so the sign check must refuse the instance.  The first
+        # round then fixes every other bit to 1 and the second fixes a and
+        # b, whose couplings to the rest now outweigh the ulp.
+        rng = np.random.default_rng(8)
+        m = 8
+        y = np.array([1, -1] * (m // 2))
+        k = rng.random((m, m))
+        k = np.triu(k) + np.triu(k, 1).T
+        k[0, 1] = k[1, 0] = np.nextafter(1.0, 2.0)
+        q = build_qubo_paper(k, y)
+        assert q.q[0, 1] == q.q[1, 0] > 0.0
+        assert np.count_nonzero(q.q > 0.0) == 2
+        calls = []
+        coupling = anneal._coupling
+
+        def spy(qm):
+            calls.append(qm.shape)
+            return coupling(qm)
+
+        monkeypatch.setattr(anneal, "_coupling", spy)
         pre = presolve(q)
-        assert pre.fixed.all()
-        assert np.all(pre.values == 1)
+        assert calls == [(m, m)]
+        assert_all_ones(pre, q)
+        best = brute_force(q)
+        assert best.best_assignment.tolist() == [1] * m
+        assert pre.offset == best.best_energy
 
     def test_solver_skips_sampling_and_reports_full_energy(self, monkeypatch):
         train_set, _ = gap_sets(300)
@@ -188,9 +229,16 @@ class TestPersistency:
         assert pre.fixed.all()
         assert pre.values.tolist() == [1] * 6
 
-    def test_ties_fix_to_one(self):
-        pre = presolve(QuboMatrix(np.zeros((3, 3))))
-        assert pre.values.tolist() == [1, 1, 1]
+    def test_ties_fix_to_one(self, no_rounds):
+        q = QuboMatrix(np.zeros((3, 3)))
+        assert_all_ones(presolve(q), q)
+
+    def test_empty_instance_is_returned_as_is(self):
+        q = QuboMatrix(np.zeros((0, 0)))
+        pre = presolve(q)
+        assert pre.residual is q
+        assert pre.offset == 0.0
+        assert pre.fixed.shape == pre.values.shape == (0,)
 
     def test_partial_fix_rebuilds_full_assignment(self):
         q = np.array([[-5.0, 0.3, -0.2], [0.3, 0.0, -1.0], [-0.2, -1.0, 0.4]])
