@@ -27,8 +27,7 @@ from .optimize import (
     initial_theta,
     train,
 )
-from .qkernel import (FeatureMapSpec, cross_from_states, expectation_zz, feature_states,
-                      gram_from_states)
+from .qkernel import FeatureMapSpec, expectation_zz, feature_states, gram_from_states
 from .qubo import (
     QuboMatrix,
     TrainedModel,

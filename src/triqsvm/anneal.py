@@ -420,16 +420,16 @@ def presolve(q: QuboMatrix) -> Presolved:
     kernel values lie in [0, 1]) is settled by one sign check, with no
     rounds: there every c_ij <= 0 and lin_i = q_ii <= 0, so the first
     round fixes every bit to 1 and the second finds nothing.  The check
-    returns that very result.  It reads q, not the kernel, because a
-    computed kernel value can exceed 1 by an ulp; such an instance takes
-    the rounds.
+    returns that very result, with ``energy`` of all ones taken as the
+    left-to-right sum of q's entries (the same cumsum, without the outer
+    product).  It reads q, not the kernel, because a computed kernel value
+    can exceed 1 by an ulp; such an instance takes the rounds.
     """
     qm = q.q
     n = q.n
     if n and qm.max() <= 0.0:
-        values = np.ones(n, dtype=int)
-        return Presolved(np.ones(n, dtype=bool), values, QuboMatrix(np.empty((0, 0))),
-                         energy(q, values))
+        return Presolved(np.ones(n, dtype=bool), np.ones(n, dtype=int),
+                         QuboMatrix(np.empty((0, 0))), float(np.cumsum(qm.ravel())[-1]))
     coupling = _coupling(qm)
     positive = np.maximum(coupling, 0.0)
     negative = np.minimum(coupling, 0.0)

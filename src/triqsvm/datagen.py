@@ -14,6 +14,7 @@ bit-identical datasets.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,8 +161,8 @@ def load_csv(
     ``positive_label`` is the raw label value mapped to +1.  When
     ``negative_label`` is omitted it is inferred as the single other raw
     value present in the file; more than two distinct raw values is an
-    error either way.  Unparsable feature cells are reported with their
-    line number.
+    error either way.  Unparsable or non-finite (nan, +-inf) feature cells
+    are reported with their line number.
     """
     path = Path(path)
     if not path.is_file():
@@ -186,6 +187,10 @@ def load_csv(
                     raise ValueError(
                         f"{path}, line {line}: cannot parse {col!r} value {row[col]!r}"
                     ) from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(
+                        f"{path}, line {line}: {col!r} value {row[col]!r} is not finite"
+                    )
             rows.append(values)
             raw_labels.append(row[label_column])
     if not rows:
@@ -255,7 +260,8 @@ def write_dataset_csv(ds: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a canonical ``f1,f2,label`` CSV."""
+    """Read a canonical ``f1,f2,label`` CSV.  A row that does not parse, or
+    whose features are not finite (nan, +-inf), is reported with its line."""
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"no such file: {path}")
@@ -271,6 +277,8 @@ def read_dataset_csv(path) -> Dataset:
                 label = int(row["label"])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}, line {line}: unparsable row {row!r}") from None
+            if not (math.isfinite(points[-1][0]) and math.isfinite(points[-1][1])):
+                raise ValueError(f"{path}, line {line}: non-finite feature in row {row!r}")
             if label not in (-1, 1):
                 raise ValueError(f"{path}, line {line}: label must be -1 or 1, got {label}")
             labels.append(label)

@@ -3,9 +3,9 @@
 A kernel is either a :class:`~triqsvm.qkernel.FeatureMapSpec` (the quantum
 kernel) or one of the classical descriptors below.  ``kernel_cross`` and
 ``kernel_gram`` evaluate the classical kernels only: the quantum kernel's
-matrices come from feature states (``qkernel.gram_from_states`` and
-``cross_from_states``), which the trainer and a trained model keep.  The
-JSON round trip covers all three kinds.
+Gram comes from feature states (``qkernel.gram_from_states``), and a
+trained quantum model scores through the operator it builds from them
+(``qubo.TrainedModel``).  The JSON round trip covers all three kinds.
 """
 
 from __future__ import annotations

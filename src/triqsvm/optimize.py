@@ -341,7 +341,8 @@ def initial_theta(p: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     """Outer-loop settings: iteration cap, early-stop threshold, solver
-    backend, QUBO builder, kernel kind and the master seed."""
+    backend, QUBO builder, kernel kind and the master seed.
+    ``schedule=None`` anneals with ``AnnealSchedule(seed=seed)``."""
 
     max_iterations: int = 10
     target_accuracy: float = 1.0
@@ -451,7 +452,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     Each objective evaluation is one full pass: kernel matrix, QUBO,
     solve, offset, validation accuracy.  On the quantum kernel the
     training points' feature states are built once per pass: the Gram
-    comes from them and the pass's model keeps them, so scoring the
+    and the pass's model operator come from them, so scoring the
     validation set simulates only its own circuits.  The run ends after
     ``max_iterations`` evaluations, or at the first one that reaches
     ``target_accuracy``.  COBYLA evaluates θ only inside

@@ -17,15 +17,16 @@ A basis state |b> picks up the phase
 
 under the phase evolution, which is the action of exp(i sum phi_S prod_S Z).
 Kernels are exact squared overlaps of statevectors; there is no shot
-sampling anywhere in this module.  ``gram_from_states`` and
-``cross_from_states`` take states, not points, so a caller that keeps a
-batch's states does not simulate its circuits again.
+sampling anywhere in this module.  ``gram_from_states`` takes states, not
+points, so a caller that keeps a batch's states does not simulate its
+circuits again; it is the one place that computes |<s|t>|**2.
 
 What depends only on the qubit count is built once per count and cached
 read-only: the |+...+> row H|0...0>, the table of (1 - 2 b_i) signs, the
 pair indices of the two-body angles and the axis orders of the Hadamard
-layer.  A batch of states then costs two phase diagonals, two Hadamard
-layers of n BLAS products each, and no per-call set-up beyond them.
+layer.  A batch of states then costs one phase diagonal, applied twice,
+and one Hadamard layer of n BLAS products over the batch, and no per-call
+set-up beyond them.
 """
 
 from __future__ import annotations
@@ -195,8 +196,7 @@ def gram_from_states(states: np.ndarray) -> np.ndarray:
     and imaginary part [A B]_i . [B -A]_j, so the upper triangle is
     computed from two real matrix products per block of rows and
     K = re**2 + im**2.  Each block is mirrored into the lower triangle, so
-    the result is exactly symmetric.  Entries agree with
-    :func:`cross_from_states` to rounding (a few ulp), not bit for bit.
+    the result is exactly symmetric.
     """
     m = states.shape[0]
     real = np.concatenate([states.real, states.imag], axis=1)
@@ -217,12 +217,6 @@ def gram_from_states(states: np.ndarray) -> np.ndarray:
         np.copyto(block, block.T, where=_BELOW_DIAGONAL[:size, :size])
         k[stop:, start:stop] = k[start:stop, stop:].T
     return k
-
-
-def cross_from_states(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Kernel values |<p|q>|**2 between two batches of feature states,
-    shape (len(sp), len(sq))."""
-    return np.abs(sp.conj() @ sq.T) ** 2
 
 
 def gram(points, spec: FeatureMapSpec) -> GramMatrix:

@@ -137,6 +137,18 @@ class TestTrain:
         # m + v feature states per iteration: 12 training, 2 validation.
         assert train_report["states_built"] == 14 * train_report["iterations_used"]
 
+    def test_non_finite_rows_are_validation_errors(self, small_dataset, tmp_path):
+        lines = small_dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        lines[5] = lines[5].split(",")[0] + ",inf," + lines[5].rsplit(",", 1)[1]
+        data = tmp_path / "nonfinite.csv"
+        data.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "run"
+        result = run_cli("train", "--data", data, *QUICK_TRAIN, "--seed", 300, "--out", out)
+        assert result.returncode == 1
+        assert "nonfinite.csv, line 4: non-finite feature" in result.stderr
+        assert not (out / "model.json").exists()
+
     def test_missing_dataset_names_path(self, tmp_path):
         result = run_cli("train", "--data", tmp_path / "missing.csv", *QUICK_TRAIN,
                          "--out", tmp_path / "run")
@@ -283,6 +295,19 @@ class TestEvaluate:
         result = run_cli("evaluate", model_path, data, "--out", tmp_path / "e.json")
         assert result.returncode == 0
         assert result.stdout.strip() == "0.6667"
+
+    @pytest.mark.parametrize("row", ["nan,2.0,-1", "1.0,inf,-1", "-inf,0.5,-1"])
+    def test_non_finite_rows_are_validation_errors(self, tmp_path, row):
+        # NaN decision values would label as -1 and score silently.
+        model_path = constant_positive_model(tmp_path)
+        data = tmp_path / "nonfinite.csv"
+        data.write_text(f"f1,f2,label\n1.0,2.0,1\n{row}\n", encoding="utf-8")
+        out = tmp_path / "e.json"
+        result = run_cli("evaluate", model_path, data, "--out", out)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "nonfinite.csv, line 3: non-finite feature" in result.stderr
+        assert not out.exists()
 
     def test_invalid_model_file(self, tmp_path):
         bad = tmp_path / "bad.json"

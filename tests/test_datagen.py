@@ -168,6 +168,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path, ["a", "b"], "tag", positive_label="yes")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,b,tag\n1,2,yes\n3,4,no\n1,{cell},no\n")
+        with pytest.raises(ValueError, match=r"raw\.csv, line 4: 'b' value .* is not finite"):
+            load_csv(path, ["a", "b"], "tag", positive_label="yes")
+
     def test_third_label_value_rejected(self, tmp_path):
         path = self._write(tmp_path, "a,b,tag\n1,2,yes\n3,4,no\n5,6,maybe\n")
         with pytest.raises(ValueError, match="label"):
@@ -249,6 +255,13 @@ class TestCanonicalCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,y,label\n1,2,1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,2,1", "1,inf,-1", "-inf,-inf,1", "1e999,0,1"])
+    def test_non_finite_feature_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2,label\n1,2,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 3: non-finite feature"):
             read_dataset_csv(path)
 
     def test_bad_label_value(self, tmp_path):

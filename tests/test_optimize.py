@@ -1,5 +1,6 @@
 """Derivative-free minimizer and the outer training cycle."""
 
+import dataclasses
 import platform
 import subprocess
 import sys
@@ -549,8 +550,9 @@ class TestTrain:
         train_set, val_set = quick_sets(seed=9)
         report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=9))
         model = report.best_model
-        assert model.states.tobytes() == qkernel.feature_states(
-            train_set.points, model.kernel).tobytes()
+        states = qkernel.feature_states(train_set.points, model.kernel)
+        rebuilt = dataclasses.replace(model, states=states)
+        assert model.operator.tobytes() == rebuilt.operator.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -615,4 +617,4 @@ class TestStatesBuilt:
         report = train(train_set, val_set, cfg)
         assert built == []
         assert report.states_built == 0
-        assert report.best_model.states is None
+        assert report.best_model.operator is None

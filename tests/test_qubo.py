@@ -8,12 +8,7 @@ import pytest
 
 from triqsvm.kernels import LinearKernel, RbfKernel
 from triqsvm.optimize import TrainConfig, train
-from triqsvm.qkernel import (
-    FeatureMapSpec,
-    cross_from_states,
-    feature_states,
-    gram_from_states,
-)
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -215,30 +210,62 @@ class TestDecisionAndClassify:
             decision_values([[1.0, 2.0, 3.0]], model)
 
 
+def trained_model(n):
+    """A greedy-trained n-qubit model, with 65 query points."""
+    rng = np.random.default_rng(40 + n)
+    train_set = Dataset(rng.uniform(0, 2 * np.pi, (23, n)),
+                        np.where(rng.random(23) < 0.5, 1, -1))
+    val_set = Dataset(rng.uniform(0, 2 * np.pi, (7, n)),
+                      np.where(rng.random(7) < 0.5, 1, -1))
+    cfg = TrainConfig(solver_backend="greedy", max_iterations=3, seed=n)
+    return train(train_set, val_set, cfg).best_model, rng.uniform(0, 2 * np.pi, (65, n))
+
+
 class TestModelStates:
-    """A quantum model holds its training points' feature states, built at
-    construction unless supplied; scoring reuses them."""
+    """A quantum model holds the operator M = sum_m w_m |s_m><s_m| of its
+    training points' feature states, built at construction from the states
+    the caller supplies or from the points; scoring reads only M."""
 
     def test_states_equal_feature_states_of_the_points(self):
+        # The operator built from supplied states, from the points and
+        # from a model file is the same, and it is the sum of the weighted
+        # projectors onto the points' feature states.
         model = four_point_model()
-        expected = feature_states(model.train_points, model.kernel)
-        assert model.states.tobytes() == expected.tobytes()
-        assert model_from_dict(model_to_dict(model)).states.tobytes() == expected.tobytes()
+        states = feature_states(model.train_points, model.kernel)
+        supplied = dataclasses.replace(model, states=states)
+        assert model.operator.tobytes() == supplied.operator.tobytes()
+        assert model_from_dict(model_to_dict(model)).operator.tobytes() == (
+            model.operator.tobytes())
+        weights = model.alpha * model.train_labels
+        expected = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, states))
+        np.testing.assert_allclose(model.operator, expected, rtol=0, atol=1e-12)
+
+    def test_operator_replaces_the_states(self):
+        # One (2**n, 2**n) complex128 array, whatever m; no (m, 2**n) array.
+        for n, m in [(1, 5), (2, 5), (3, 2)]:
+            rng = np.random.default_rng(n)
+            model = TrainedModel(alpha=np.ones(m, dtype=int), beta=0.0,
+                                 train_points=rng.uniform(0, 2 * np.pi, (m, n)),
+                                 train_labels=np.ones(m, dtype=int),
+                                 kernel=FeatureMapSpec(n=n, theta=np.ones(n)))
+            assert model.operator.dtype == np.complex128
+            assert model.operator.shape == (2**n, 2**n)
+            assert all(np.shape(value) != (m, 2**n) for value in vars(model).values())
 
     def test_model_owns_its_points(self):
         # Writing to the caller's array later leaves the model, and the
-        # states built from it, unchanged.
+        # operator built from it, unchanged.
         points = np.random.default_rng(9).uniform(0, 2 * np.pi, (3, 2))
         model = quantum_model(points, [1, -1, 1])
         points[0, 0] += 1.0
         assert not np.array_equal(model.train_points, points)
-        assert model.states.tobytes() == feature_states(
-            model.train_points, model.kernel).tobytes()
+        assert model.operator.tobytes() == dataclasses.replace(model).operator.tobytes()
 
     def test_states_are_not_written_to_model_files(self):
         model = four_point_model()
-        assert "states" not in model_to_dict(model)
-        assert "states" not in repr(model)
+        for name in ("states", "operator"):
+            assert name not in model_to_dict(model)
+            assert name not in repr(model)
 
     @pytest.mark.parametrize("rows, dim, dtype", [
         (3, 4, complex), (5, 4, complex), (4, 8, complex), (4, 4, np.complex64),
@@ -254,36 +281,39 @@ class TestModelStates:
             model = TrainedModel(alpha=np.array([1]), beta=0.0,
                                  train_points=np.array([[1.0, 2.0]]),
                                  train_labels=np.array([1]), kernel=kernel)
-            assert model.states is None
+            assert model.operator is None
             with pytest.raises(ValueError, match="only a quantum kernel"):
                 dataclasses.replace(model, states=np.ones((1, 4), dtype=complex))
 
-    @pytest.mark.parametrize("attr", ["alpha", "beta", "train_points", "states"])
+    @pytest.mark.parametrize("attr", ["alpha", "beta", "train_points", "operator"])
     def test_assigning_an_attribute_raises(self, attr):
         model = four_point_model()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, attr, getattr(model, attr))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_decision_values_equal_the_kernel_cross_path(self, tmp_path, n):
-        # A model from train (states supplied by the trainer), the same
-        # model loaded from its file (states rebuilt) and the cross kernel of
-        # freshly simulated states give the same bytes.
-        rng = np.random.default_rng(40 + n)
-        train_set = Dataset(rng.uniform(0, 2 * np.pi, (23, n)),
-                            np.where(rng.random(23) < 0.5, 1, -1))
-        val_set = Dataset(rng.uniform(0, 2 * np.pi, (7, n)),
-                          np.where(rng.random(7) < 0.5, 1, -1))
-        cfg = TrainConfig(solver_backend="greedy", max_iterations=3, seed=n)
-        model = train(train_set, val_set, cfg).best_model
+    def test_decision_values_equal_the_kernel_cross_path(self, n):
+        # sum_m alpha_m y_m K(x_m, x) + beta with the oracle's K, for a
+        # model from train, whose operator comes from the trainer's states.
+        model, xs = trained_model(n)
+        theta = model.kernel.theta
+        weights = model.alpha * model.train_labels
+        expected = [
+            sum(w * oracle_kernel(p, x, theta) for w, p in zip(weights, model.train_points) if w)
+            + model.beta
+            for x in xs
+        ]
+        np.testing.assert_allclose(decision_values(xs, model), expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trained_and_reloaded_models_give_the_same_bytes(self, tmp_path, n):
+        # The trainer supplies its states; the loaded model rebuilds them
+        # from the stored points.
+        model, xs = trained_model(n)
         path = tmp_path / "model.json"
         save_model(model, path)
-        xs = rng.uniform(0, 2 * np.pi, (65, n))
-        cross = cross_from_states(feature_states(model.train_points, model.kernel),
-                                  feature_states(xs, model.kernel))
-        expected = ((model.alpha * model.train_labels) @ cross + model.beta).tobytes()
-        assert decision_values(xs, model).tobytes() == expected
-        assert decision_values(xs, load_model(path)).tobytes() == expected
+        assert decision_values(xs, load_model(path)).tobytes() == (
+            decision_values(xs, model).tobytes())
 
 
 class TestAccuracy:
