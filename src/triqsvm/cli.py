@@ -183,6 +183,9 @@ def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, holdout, 
              "backend": backend, "qubo": qubo, "kernel": kernel, "holdout": holdout, **loop}
     ds = read_dataset_csv(data)
     spec = SplitSpec(n_train=n_train, n_test=n_test, seed=seed)
+    if holdout and (spec.n_test < 1 or ds.m < spec.n_train + 2 * spec.n_test):
+        raise ValueError(f"--holdout needs n_test >= 1 and n_train + 2 * n_test rows; got "
+                         f"n_train {spec.n_train}, n_test {spec.n_test} and {ds.m} rows")
     train_set, val_set = split(ds, spec)
     holdout_set = None
     if holdout:
@@ -197,7 +200,7 @@ def cmd_train(data, n_train, n_test, seed, out, backend, qubo, kernel, holdout, 
         "train": accuracy(report.best_model, train_set),
         "validation": report.best_accuracy,
     }
-    if holdout_set is not None and holdout_set.m:
+    if holdout_set is not None:
         per_split["holdout"] = accuracy(report.best_model, holdout_set)
     run_report = {
         "schema_version": SCHEMA_VERSION,

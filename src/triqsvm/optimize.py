@@ -406,44 +406,31 @@ def _field_values(config) -> dict:
 
 
 def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
-    """Solve the QUBO with the configured backend.
-
-    ``exact`` enumerates the whole instance.  ``anneal`` and ``greedy``
-    first run ``presolve``: when it fixes every variable (as on any
-    ``paper`` instance with kernel values in [0, 1], which its one sign
-    check settles) no sampler runs; when it fixes none the backend gets
-    ``q`` itself; otherwise the backend solves the residual and the fixed
-    bits are put back.  Their solver info reports ``presolve_fixed`` and
+    """Run ``presolve``, then solve what it leaves with the configured
+    backend and put the fixed bits back; no backend runs when presolve
+    fixes every variable.  The solver info reports ``presolve_fixed`` and
     ``residual_n``.
     """
-    if cfg.solver_backend == "exact":
-        result = brute_force(q)
-        info = {"backend": "exact", "global_optimum": True}
+    pre = presolve(q)
+    residual = pre.residual
+    if cfg.solver_backend == "anneal":
+        schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
+        sub = simulated_anneal(residual, schedule) if residual.n else None
+        info = {"backend": "anneal", **_field_values(schedule)}
+    elif cfg.solver_backend == "greedy":
+        sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
+        info = {"backend": "greedy", "seed": cfg.seed}
     else:
-        pre = presolve(q)
-        residual = pre.residual
-        if cfg.solver_backend == "anneal":
-            schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
-            sub = simulated_anneal(residual, schedule) if residual.n else None
-            info = {"backend": "anneal", **_field_values(schedule)}
-        else:
-            sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
-            info = {"backend": "greedy", "seed": cfg.seed}
-        result = pre.complete(q, sub)
-        info["presolve_fixed"] = int(pre.fixed.sum())
-        info["residual_n"] = residual.n
+        # Persistency keeps an optimum, so brute force on the residual
+        # finds one of the whole instance.
+        sub = brute_force(residual) if residual.n else None
+        info = {"backend": "exact", "global_optimum": True}
+    result = pre.complete(q, sub)
+    info["presolve_fixed"] = int(pre.fixed.sum())
+    info["residual_n"] = residual.n
     info["best_energy"] = float(result.best_energy)
     info["selected"] = int(result.best_assignment.sum())
     return result, info
-
-
-def _kernel_for(cfg: TrainConfig, theta: np.ndarray, d: int, base_gamma: float):
-    if cfg.kernel_kind == "quantum-zz":
-        return FeatureMapSpec(n=d, theta=theta)
-    if cfg.kernel_kind == "rbf":
-        # theta[0] tunes gamma on a log scale around the data-driven default.
-        return RbfKernel(gamma=base_gamma * float(np.exp(theta[0])))
-    return LinearKernel()
 
 
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -466,9 +453,15 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     if train_set.d != val_set.d:
         raise ValueError("training and validation dimensions differ")
     d = train_set.d
-    # θ: one entry per qubit, rbf's log-scale gamma, nothing for linear.
-    p = {"quantum-zz": d, "rbf": 1, "linear": 0}[cfg.kernel_kind]
-    base_gamma = default_rbf_gamma(train_set.points) if cfg.kernel_kind == "rbf" else 1.0
+    # θ: one angle per qubit; for rbf, gamma on a log scale around the
+    # data-driven default; nothing for linear.
+    if cfg.kernel_kind == "quantum-zz":
+        p, kernel_at = d, lambda theta: FeatureMapSpec(n=d, theta=theta)
+    elif cfg.kernel_kind == "rbf":
+        base_gamma = default_rbf_gamma(train_set.points)
+        p, kernel_at = 1, lambda theta: RbfKernel(gamma=base_gamma * float(np.exp(theta[0])))
+    else:
+        p, kernel_at = 0, lambda theta: LinearKernel()
 
     start = time.perf_counter()
     x0 = initial_theta(p, cfg.seed) if p else np.empty(0)
@@ -479,7 +472,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     def objective(theta: np.ndarray) -> float:
         iteration = len(accuracies) + 1
         try:
-            kernel = _kernel_for(cfg, theta, d, base_gamma)
+            kernel = kernel_at(theta)
             if isinstance(kernel, FeatureMapSpec):
                 states = feature_states(train_set.points, kernel)
                 state["states_built"] += train_set.m

@@ -42,6 +42,15 @@ def small_dataset(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def quickstart_dataset(tmp_path_factory):
+    """The README quickstart's 60 rows."""
+    path = tmp_path_factory.mktemp("data") / "quickstart.csv"
+    result = run_cli("gen-data", "--m", 60, "--delta", 0.6, "--seed", 300, "--out", path)
+    assert result.returncode == 0, result.stderr
+    return path
+
+
 class TestGenData:
     def test_row_count_and_gap(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -187,6 +196,33 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["dataset"]["holdout_rows"] == 5
         assert "holdout" in report["per_split_accuracy"]
+
+    @pytest.mark.parametrize("split_args, need", [
+        (("--n-train", 50), "n_train 50, n_test 10"),
+        (("--n-train", 25, "--n-test", 20), "n_train 25, n_test 20"),
+        (("--n-train", 10, "--n-test", 0), "n_train 10, n_test 0"),
+    ])
+    def test_holdout_without_spare_rows_names_the_flag(self, quickstart_dataset, tmp_path,
+                                                       split_args, need):
+        out = tmp_path / "run"
+        result = run_cli("train", "--data", quickstart_dataset, *split_args, "--holdout",
+                         "--out", out)
+        assert result.returncode == 1
+        assert "--holdout needs n_test >= 1 and n_train + 2 * n_test rows" in result.stderr
+        assert f"got {need} and 60 rows" in result.stderr
+        assert not out.exists()
+
+    def test_exact_backend_trains_the_quickstart_split(self, quickstart_dataset, tmp_path):
+        # Presolve settles every paper instance here, so brute force gets
+        # no residual and the 50 variables pass its cap.
+        models = []
+        for backend in ("exact", "greedy"):
+            out = tmp_path / backend
+            result = run_cli("train", "--data", quickstart_dataset, "--n-train", 50,
+                             "--seed", 300, "--backend", backend, "--max-iters", 2, "--out", out)
+            assert result.returncode == 0, result.stderr
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
 
 
 def constant_positive_model(tmp_path):

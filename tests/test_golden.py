@@ -26,7 +26,8 @@ After a change that moves output on purpose, rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in CHANGES.md what moved and why.
+which first prints, per case, the key paths that differ from the stored
+fixture (or ``unchanged``), and say in CHANGES.md what moved and why.
 """
 
 from __future__ import annotations
@@ -140,21 +141,29 @@ def full_budget_outcomes() -> dict:
                           for case in FULL_BUDGET_CASES}}
 
 
-def assert_matches(got, want, path="", tolerant=False):
-    """``got`` equals ``want`` value by value; floats under a ``TOLERANT``
-    key agree to ``RTOL``."""
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), path
-        for key, value in want.items():
-            assert_matches(got[key], value, f"{path}/{key}", tolerant or key in TOLERANT)
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
+def differences(got, want, path="", tolerant=False):
+    """The key paths at which ``got`` and ``want`` differ; floats under a
+    ``TOLERANT`` key may differ by ``RTOL``."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(got.keys() | want.keys()):
+            if key not in got or key not in want:
+                yield f"{path}/{key}"
+            else:
+                yield from differences(got[key], want[key], f"{path}/{key}",
+                                       tolerant or key in TOLERANT)
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{path}/{i}", tolerant)
-    elif tolerant and isinstance(want, float):
-        assert abs(got - want) <= RTOL * max(1.0, abs(want)), f"{path}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{path}: {got!r} != {want!r}"
+            yield from differences(g, w, f"{path}/{i}", tolerant)
+    elif tolerant and isinstance(want, float) and isinstance(got, float):
+        if not abs(got - want) <= RTOL * max(1.0, abs(want)):
+            yield path
+    elif got != want:
+        yield path
+
+
+def assert_matches(got, want):
+    changed = list(differences(got, want))
+    assert not changed, changed
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +200,22 @@ def test_cli_sweep_matches_fixture(golden, tmp_path):
     assert {r["method"] for r in rows} == {"classical", "qsvm", "hqsvm"}
 
 
+def report_changes(path: Path, outcomes: dict) -> None:
+    """Print, per case, the key paths in which ``outcomes`` differ from the
+    fixture stored at ``path``, or ``unchanged``."""
+    stored = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+    cases = [(f"trainings/{name}", outcome, stored.get("trainings", {}).get(name))
+             for name, outcome in outcomes["trainings"].items()]
+    cases += [(name, outcome, stored.get(name)) for name, outcome in outcomes.items()
+              if name != "trainings"]
+    for name, outcome, want in cases:
+        changed = ["(new)"] if want is None else [p[1:] for p in differences(outcome, want)]
+        print(f"{path.name} {name}: {' '.join(changed) or 'unchanged'}")
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, outcomes in ((GOLDEN, all_outcomes()), (FULL_BUDGET, full_budget_outcomes())):
+        report_changes(path, outcomes)
         path.write_text(json.dumps(outcomes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")

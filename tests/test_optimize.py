@@ -527,15 +527,16 @@ class TestTrain:
         assert len(report.accuracy_per_iteration) == max_iterations
 
     def test_all_iterations_failing_raises(self):
-        # 25 training points exceed the exact solver's cap, so every
-        # iteration fails and no model can be produced.
+        # Presolve fixes none of these 25 dual variables, so brute force
+        # gets more than its cap in every iteration and no model can be
+        # produced.
         rng = np.random.default_rng(5)
         train_set = Dataset(rng.uniform(0, 2 * np.pi, (25, 2)),
                             np.where(rng.random(25) < 0.5, 1, -1))
         val_set = Dataset(rng.uniform(0, 2 * np.pi, (5, 2)),
                           np.where(rng.random(5) < 0.5, 1, -1))
-        cfg = TrainConfig(solver_backend="exact", max_iterations=2, seed=5)
-        with pytest.raises(RuntimeError, match="every training iteration failed"):
+        cfg = TrainConfig(solver_backend="exact", qubo_builder="dual", max_iterations=2, seed=5)
+        with pytest.raises(RuntimeError, match="every training iteration failed.*got 25"):
             train(train_set, val_set, cfg)
 
     def test_empty_sets_rejected(self):

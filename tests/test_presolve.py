@@ -143,23 +143,32 @@ class TestPaperInstances:
         assert pre.offset == best.best_energy
 
     def test_solver_skips_sampling_and_reports_full_energy(self, monkeypatch):
+        # Item 9's property at solver level: on a paper instance whose
+        # kernel lies in [0, 1], every backend returns all ones without
+        # running, even past brute force's 20-variable cap.
         train_set, _ = gap_sets(300)
         spec = FeatureMapSpec(n=2, theta=np.array([0.3, 2.2]))
         k = gram_from_states(feature_states(train_set.points, spec))
-        q = build_qubo_paper(k, train_set.labels)
+        instances = [build_qubo_paper(k, train_set.labels)]
+        for m in (21, 40):
+            rng = np.random.default_rng(m)
+            k = rng.random((m, m))
+            k = np.triu(k, 1) + np.triu(k, 1).T + np.eye(m)
+            instances.append(build_qubo_paper(k, rng.choice([-1, 1], size=m)))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("sampler called on a fully presolved instance")
+            raise AssertionError("solver called on a fully presolved instance")
 
-        monkeypatch.setattr(optimize, "simulated_anneal", refuse)
-        monkeypatch.setattr(optimize, "greedy_descent", refuse)
-        for backend in ("anneal", "greedy"):
-            result, info = _solve_qubo(q, TrainConfig(solver_backend=backend, seed=1))
-            assert result.best_assignment.tolist() == [1] * 50
-            assert result.best_energy == energy(q, np.ones(50))
-            assert info["presolve_fixed"] == 50
-            assert info["residual_n"] == 0
-            assert info["selected"] == 50
+        for name in ("simulated_anneal", "greedy_descent", "brute_force"):
+            monkeypatch.setattr(optimize, name, refuse)
+        for q in instances:
+            for backend in optimize.BACKENDS:
+                result, info = _solve_qubo(q, TrainConfig(solver_backend=backend, seed=1))
+                assert result.best_assignment.tolist() == [1] * q.n
+                assert result.best_energy == energy(q, np.ones(q.n))
+                assert info["presolve_fixed"] == q.n
+                assert info["residual_n"] == 0
+                assert info["selected"] == q.n
 
 
 class TestDualInstances:
