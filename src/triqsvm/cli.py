@@ -9,7 +9,8 @@ the ``.meta.json`` sidecars carry no timestamp, so reruns are byte-identical.
 ``train`` and ``sweep`` share their training flags, with the library's
 defaults, and one config builder.  A sweep row is kept as the text it is
 written as, so a resumed sweep writes the same table as an uninterrupted
-one, and each mean row averages the written values.
+one, and each mean row averages the written values.  A sweep resumes only
+under the training flags that its table's sidecar records.
 
 ``train`` and ``sweep`` anneal on up to one thread per usable CPU (the
 annealer's reads run in parallel blocks); every other command runs on one
@@ -60,6 +61,11 @@ SWEEP_METHODS = {
 DEFAULT_SWEEP_SIZES = (50, 100, 200, 300, 500)
 
 SWEEP_COLUMNS = ("train_pts", "test_pts", "method", "seed", "accuracy_pct", "iterations")
+
+# The sweep flags that decide what a row's training does; a table resumes
+# only under the ones its sidecar records.
+SWEEP_TRAINING_FLAGS = ("data", "delta", "max_iters", "target_acc", "reads", "sweeps",
+                        "beta_start", "beta_end")
 
 
 def _utc_now() -> str:
@@ -382,6 +388,30 @@ def _read_sweep_rows(path: Path) -> dict:
     return rows
 
 
+def _check_resumable(path: Path, flags: dict) -> None:
+    """Refuse to resume the table at ``path`` when its sidecar records
+    other training flags than ``flags``: its rows would be averaged with
+    rows trained differently.  A table without a sidecar, or whose sidecar
+    has no flags, resumes as before."""
+    meta_path = Path(f"{path}.meta.json")
+    if not meta_path.is_file():
+        return
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path} is not valid JSON: {exc}") from None
+    stored = meta.get("flags") if isinstance(meta, dict) else None
+    if not isinstance(stored, dict):
+        return
+    # As the sidecar would record them.
+    now = json.loads(json.dumps(flags))
+    changed = [f"--{key.replace('_', '-')} {stored.get(key)!r} (now {now[key]!r})"
+               for key in SWEEP_TRAINING_FLAGS if stored.get(key) != now[key]]
+    if changed:
+        raise ValueError(f"{path} was written with other training flags: "
+                         f"{', '.join(changed)}; rerun with those or choose another --out")
+
+
 def _write_sweep_rows(path: Path, rows: dict) -> None:
     """Write the rows sorted by size, method and seed, then one mean row per
     (size, method) that averages the written values."""
@@ -414,7 +444,8 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, **loop):
     """Accuracy/iteration table across training sizes, methods and seeds.
 
     Completed (size, method, seed) rows found in the output file are kept,
-    so an interrupted sweep resumes where it stopped.
+    so an interrupted sweep resumes where it stopped; it must resume with
+    the training flags that its sidecar records.
     """
     sizes = sizes or DEFAULT_SWEEP_SIZES
     method_names = [m.strip() for m in methods.split(",")]
@@ -424,9 +455,11 @@ def cmd_sweep(out, data, sizes, seeds, methods, delta, **loop):
     source = read_dataset_csv(data) if data is not None else None
     out_path = Path(out)
     rows = _read_sweep_rows(out_path)
-    _write_meta(out_path, "sweep",
-                flags={"data": str(data) if data else None, "sizes": list(sizes),
-                       "seeds": list(seeds), "methods": method_names, "delta": delta, **loop},
+    flags = {"data": str(data) if data else None, "sizes": list(sizes),
+             "seeds": list(seeds), "methods": method_names, "delta": delta, **loop}
+    if rows:
+        _check_resumable(out_path, flags)
+    _write_meta(out_path, "sweep", flags=flags,
                 method_map={name: {"kernel": SWEEP_METHODS[name][0],
                                    "backend": SWEEP_METHODS[name][1]}
                             for name in method_names})

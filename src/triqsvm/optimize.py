@@ -8,8 +8,11 @@ returns the best point evaluated.  ``train`` runs the outer cycle: build
 the kernel matrix for the current parameters, build and solve the QUBO,
 compute the offset, score the validation set, and feed 1 - accuracy back
 to the optimizer, until the iteration cap or the target accuracy ends the
-run.  The reported model is the iteration with the highest validation
-accuracy (earliest on ties).
+run.  The quantum kernel with the ``paper`` builder skips the kernel
+matrix and the QUBO: there alpha = 1 is known to be optimal, and the
+offset and best energy come from the training states in closed form.
+The reported model is the iteration with the highest validation accuracy
+(earliest on ties).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .qubo import (
     build_qubo_paper,
     compute_beta,
     model_to_dict,
+    paper_offset_and_energy,
 )
 
 BACKENDS = ("anneal", "exact", "greedy")
@@ -405,6 +409,25 @@ def _field_values(config) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
+def _schedule(cfg: TrainConfig) -> AnnealSchedule:
+    return cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
+
+
+def _solver_info(cfg: TrainConfig, fixed: int, residual_n: int, best_energy: float,
+                 selected: int) -> dict:
+    """The solver info of one pass: the configured backend's fields, then
+    the variables presolve fixed, the size of what it left, and the best
+    assignment's energy and selected count."""
+    if cfg.solver_backend == "anneal":
+        info = {"backend": "anneal", **_field_values(_schedule(cfg))}
+    elif cfg.solver_backend == "greedy":
+        info = {"backend": "greedy", "seed": cfg.seed}
+    else:
+        info = {"backend": "exact", "global_optimum": True}
+    return {**info, "presolve_fixed": fixed, "residual_n": residual_n,
+            "best_energy": best_energy, "selected": selected}
+
+
 def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     """Run ``presolve``, then solve what it leaves with the configured
     backend and put the fixed bits back; no backend runs when presolve
@@ -414,23 +437,30 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     pre = presolve(q)
     residual = pre.residual
     if cfg.solver_backend == "anneal":
-        schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
-        sub = simulated_anneal(residual, schedule) if residual.n else None
-        info = {"backend": "anneal", **_field_values(schedule)}
+        sub = simulated_anneal(residual, _schedule(cfg)) if residual.n else None
     elif cfg.solver_backend == "greedy":
         sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
-        info = {"backend": "greedy", "seed": cfg.seed}
     else:
         # Persistency keeps an optimum, so brute force on the residual
         # finds one of the whole instance.
         sub = brute_force(residual) if residual.n else None
-        info = {"backend": "exact", "global_optimum": True}
     result = pre.complete(q, sub)
-    info["presolve_fixed"] = int(pre.fixed.sum())
-    info["residual_n"] = residual.n
-    info["best_energy"] = float(result.best_energy)
-    info["selected"] = int(result.best_assignment.sum())
+    info = _solver_info(cfg, int(pre.fixed.sum()), residual.n, float(result.best_energy),
+                        int(result.best_assignment.sum()))
     return result, info
+
+
+def _paper_closed_form(states, labels, cfg: TrainConfig) -> tuple[np.ndarray, float, dict]:
+    """α, β and the solver info of the quantum ``paper`` pass.
+
+    Its QUBO has no positive entry, so presolve would fix every variable
+    to 1 whatever the backend; β and the energy of all ones come from the
+    states (``paper_offset_and_energy``), and the solver info reads as
+    ``_solve_qubo``'s would: all m variables fixed, none left.
+    """
+    m = labels.shape[0]
+    beta, best_energy = paper_offset_and_energy(states, labels)
+    return np.ones(m, dtype=int), beta, _solver_info(cfg, m, 0, best_energy, m)
 
 
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -440,7 +470,10 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     solve, offset, validation accuracy.  On the quantum kernel the
     training points' feature states are built once per pass: the Gram
     and the pass's model operator come from them, so scoring the
-    validation set simulates only its own circuits.  The run ends after
+    validation set simulates only its own circuits.  The quantum kernel
+    with the ``paper`` builder builds no kernel matrix and no QUBO and
+    runs no backend: α = 1, and β and the best energy come from the
+    states in closed form (``_paper_closed_form``).  The run ends after
     ``max_iterations`` evaluations, or at the first one that reaches
     ``target_accuracy``.  COBYLA evaluates θ only inside
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
@@ -476,18 +509,21 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
             if isinstance(kernel, FeatureMapSpec):
                 states = feature_states(train_set.points, kernel)
                 state["states_built"] += train_set.m
-                k = gram_from_states(states)
             else:
                 states = None
-                k = kernel_gram(kernel, train_set.points)
-            if cfg.qubo_builder == "paper":
-                q = build_qubo_paper(k, train_set.labels)
+            if states is not None and cfg.qubo_builder == "paper":
+                alpha, beta, solver_info = _paper_closed_form(states, train_set.labels, cfg)
             else:
-                q = build_qubo_dual(k, train_set.labels)
-            sample, solver_info = _solve_qubo(q, cfg)
-            beta = compute_beta(sample.best_assignment, train_set.labels, k)
+                if states is not None:
+                    k = gram_from_states(states)
+                else:
+                    k = kernel_gram(kernel, train_set.points)
+                build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
+                sample, solver_info = _solve_qubo(build(k, train_set.labels), cfg)
+                alpha = sample.best_assignment
+                beta = compute_beta(alpha, train_set.labels, k)
             model = TrainedModel(
-                alpha=sample.best_assignment,
+                alpha=alpha,
                 beta=beta,
                 train_points=train_set.points,
                 train_labels=train_set.labels,

@@ -161,6 +161,35 @@ def compute_beta(alpha, labels, k) -> float:
     return float(np.mean(labels - k.T @ (alpha * labels)))
 
 
+def paper_offset_and_energy(states, labels) -> tuple[float, float]:
+    """Offset and best energy of the ``paper`` QUBO on the quantum kernel,
+    at its optimum alpha = 1, from the training states alone.
+
+    K_mn = |<s_m|s_n>|**2 lies in [0, 1], so every coupling of
+    ``build_qubo_paper`` is <= 0 and all ones is a global minimum.  With
+    M = sum_m y_m |s_m><s_m|, (K y)_n = <s_n|M|s_n> gives beta as in
+    ``compute_beta``, and y^T K y = Tr M**2 = ||M||_F**2 gives the energy
+    of all ones, -1/2 (m (m - 1) + ||M||_F**2 - sum_n ||s_n||**4).  Each
+    costs O(m 4**n); no m x m array is built.
+    """
+    states = np.asarray(states)
+    labels = np.asarray(labels, dtype=float)
+    if states.ndim != 2 or labels.shape != (states.shape[0],):
+        raise ValueError(
+            f"label count {labels.shape} does not match state count {states.shape[:1]}"
+        )
+    operator = (states.T * labels) @ states.conj()
+    # Re <a|b> is the real dot product of the (re, im) pairs, so the sums
+    # below run over float views, not complex products.
+    pairs = np.ascontiguousarray(states).view(float)
+    ky = np.einsum("ni,ni->n", pairs, (states @ operator.T).view(float))
+    norms = np.einsum("ni,ni->n", pairs, pairs)
+    flat = operator.view(float).ravel()
+    m = labels.size
+    energy = -0.5 * (m * (m - 1) + flat @ flat - norms @ norms)
+    return float(np.mean(labels - ky)), float(energy)
+
+
 def decision_values(xs, model: TrainedModel) -> np.ndarray:
     """Decision function for a batch of query points.  A quantum model
     scores Re <phi|M|phi> + beta from the queries' states alone."""

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via subprocess (real exit codes)."""
 
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -617,6 +618,58 @@ class TestSweep:
         assert f"{out}, line " in result.stderr
         assert out.read_text(encoding="utf-8") == table
         assert meta.read_text(encoding="utf-8") == "{}\n"
+
+    def test_resume_with_other_training_flags_leaves_files_untouched(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        meta = tmp_path / "sweep.csv.meta.json"
+        first = run_cli("sweep", "--out", out, "--sizes", 10, "--seeds", 7,
+                        "--methods", "classical", "--max-iters", 1, "--delta", 0.0)
+        assert first.returncode == 0, first.stderr
+        table, sidecar = out.read_bytes(), meta.read_bytes()
+        result = run_cli("sweep", "--out", out, "--sizes", 10, "--seeds", "7,8",
+                         "--methods", "classical", "--max-iters", 5, "--delta", 0.6)
+        assert result.returncode == 1, result.stderr
+        assert "--delta 0.0 (now 0.6)" in result.stderr
+        assert "--max-iters 1 (now 5)" in result.stderr
+        assert out.read_bytes() == table
+        assert meta.read_bytes() == sidecar
+
+    @pytest.mark.parametrize("flag, before, after", [
+        ("--data", "a.csv", "b.csv"),
+        ("--delta", 0.1, 0.2),
+        ("--max-iters", 1, 2),
+        ("--target-acc", 1.0, 0.5),
+        ("--reads", 4, 5),
+        ("--sweeps", 40, 41),
+        ("--beta-start", 0.1, 0.2),
+        ("--beta-end", 10.0, 11.0),
+    ])
+    def test_each_training_flag_is_checked_on_resume(self, tmp_path, monkeypatch,
+                                                      flag, before, after):
+        monkeypatch.setattr("triqsvm.cli.train", lambda train_set, val_set, cfg:
+                            SimpleNamespace(best_accuracy=0.5, iterations_used=1))
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("f1,f2,label\n" + "1.0,1.0,1\n1.0,2.0,-1\n" * 6,
+                                         encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+
+        def sweep(value, seeds):
+            flags = {"--data": tmp_path / "a.csv", "--delta": 0.0,
+                     flag: tmp_path / value if flag == "--data" else value}
+            cli.main(args=["sweep", "--out", str(out), "--sizes", "10", "--seeds", seeds,
+                           "--methods", "qsvm", *map(str, itertools.chain(*flags.items()))],
+                     standalone_mode=False)
+
+        sweep(before, "7")
+        table = out.read_bytes()
+        # Other seeds under the same flags resume.
+        sweep(before, "7,8")
+        assert out.read_bytes() != table
+        table, sidecar = out.read_bytes(), out.with_name("sweep.csv.meta.json").read_bytes()
+        with pytest.raises(ValueError, match=f"{flag} .* \\(now .*\\)"):
+            sweep(after, "7,8")
+        assert out.read_bytes() == table
+        assert out.with_name("sweep.csv.meta.json").read_bytes() == sidecar
 
     def test_unknown_method_rejected(self, tmp_path):
         result = run_cli("sweep", "--out", tmp_path / "s.csv", "--methods", "zen")

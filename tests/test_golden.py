@@ -32,7 +32,9 @@ fixture (or ``unchanged``), and say in CHANGES.md what moved and why.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -94,7 +96,10 @@ def as_json(value):
 
 
 def run(*args) -> None:
-    cli.main(args=[str(a) for a in args], standalone_mode=False)
+    """Run one CLI command in process, with its ``click.echo`` lines
+    captured, so that the rewrite below prints only its report."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(args=[str(a) for a in args], standalone_mode=False)
 
 
 def cli_train_holdout(tmp: Path) -> dict:

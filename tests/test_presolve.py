@@ -17,7 +17,13 @@ from triqsvm.datagen import SplitSpec, adhoc_generate, split
 from triqsvm.kernels import RbfKernel, default_rbf_gamma, kernel_gram
 from triqsvm.optimize import TrainConfig, _solve_qubo, train
 from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
-from triqsvm.qubo import QuboMatrix, build_qubo_dual, build_qubo_paper, model_to_dict
+from triqsvm.qubo import (
+    QuboMatrix,
+    build_qubo_dual,
+    build_qubo_paper,
+    compute_beta,
+    model_to_dict,
+)
 
 
 def all_energies(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,11 +63,6 @@ def chain(n: int) -> QuboMatrix:
 def gap_sets(seed: int, delta: float = 0.6, n_train: int = 50, n_test: int = 10):
     ds = adhoc_generate(n_train + n_test, delta, seed=seed)
     return split(ds, SplitSpec(n_train, n_test, seed=seed))
-
-
-def no_presolve(q: QuboMatrix) -> Presolved:
-    n = q.n
-    return Presolved(np.zeros(n, dtype=bool), np.zeros(n, dtype=int), q, 0.0)
 
 
 @pytest.fixture
@@ -263,22 +264,72 @@ class TestPersistency:
         assert info["residual_n"] == 2
 
 
+def qubo_path(states, labels, cfg):
+    """The quantum ``paper`` pass as it ran before its closed form: Gram,
+    QUBO, annealer on the whole instance (no presolve), ``compute_beta``."""
+    k = gram_from_states(states)
+    sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
+    return sample.best_assignment, compute_beta(sample.best_assignment, labels, k), {}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called on the quantum paper path")
+
+
 class TestTrainSkipsAnnealer:
     def test_paper_training_matches_annealed_run(self, monkeypatch):
         train_set, val_set = gap_sets(300)
         cfg = TrainConfig(seed=300, max_iterations=2)
 
         with monkeypatch.context() as patch:
-            patch.setattr(optimize, "presolve", no_presolve)
+            patch.setattr(optimize, "_paper_closed_form", qubo_path)
             annealed = train(train_set, val_set, cfg)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("annealer called on a paper instance")
 
         monkeypatch.setattr(optimize, "simulated_anneal", refuse)
         presolved = train(train_set, val_set, cfg)
         assert presolved.failures == []
-        assert model_to_dict(presolved.best_model) == model_to_dict(annealed.best_model)
+        closed, oracle = model_to_dict(presolved.best_model), model_to_dict(annealed.best_model)
+        assert closed.pop("beta") == pytest.approx(oracle.pop("beta"), rel=1e-12, abs=1e-12)
+        assert closed == oracle
         assert presolved.accuracy_per_iteration == annealed.accuracy_per_iteration
         assert presolved.solver["presolve_fixed"] == 50
         assert presolved.solver["residual_n"] == 0
+
+    @pytest.mark.parametrize("backend", optimize.BACKENDS)
+    def test_quantum_paper_path_builds_no_qubo(self, monkeypatch, backend):
+        # α = 1 is known in advance, so no Gram, QUBO, presolve, offset
+        # over K or sampler runs; the solver info reads as a fully
+        # presolved instance's.
+        train_set, val_set = gap_sets(600, delta=0.0)
+        cfg = TrainConfig(seed=600, max_iterations=4, solver_backend=backend)
+        q = build_qubo_paper(np.full((3, 3), 0.5), np.array([1, -1, 1]))
+        _, expected = _solve_qubo(q, cfg)
+        for name in ("gram_from_states", "build_qubo_paper", "presolve", "compute_beta",
+                     "simulated_anneal", "greedy_descent", "brute_force"):
+            monkeypatch.setattr(optimize, name, refuse)
+        report = train(train_set, val_set, cfg)
+        assert report.failures == []
+        assert report.iterations_used == 4
+        assert report.best_model.alpha.tolist() == [1] * 50
+        spec = FeatureMapSpec(n=2, theta=report.best_theta)
+        k = gram_from_states(feature_states(train_set.points, spec))
+        want = energy(build_qubo_paper(k, train_set.labels), np.ones(50))
+        expected.update(presolve_fixed=50, residual_n=0, selected=50,
+                        best_energy=pytest.approx(want, rel=1e-12))
+        assert report.solver == expected
+
+    @pytest.mark.parametrize("kernel, builder", [("rbf", "paper"), ("quantum-zz", "dual")])
+    def test_other_paths_still_presolve(self, monkeypatch, kernel, builder):
+        train_set, val_set = gap_sets(600, delta=0.0, n_train=20, n_test=5)
+        calls = []
+
+        def counted(q):
+            calls.append(q.n)
+            return presolve(q)
+
+        monkeypatch.setattr(optimize, "presolve", counted)
+        cfg = TrainConfig(seed=600, max_iterations=3, solver_backend="greedy",
+                          qubo_builder=builder, kernel_kind=kernel)
+        report = train(train_set, val_set, cfg)
+        assert report.failures == []
+        assert calls == [20] * report.iterations_used

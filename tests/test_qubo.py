@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from triqsvm.anneal import energy
 from triqsvm.kernels import LinearKernel, RbfKernel
 from triqsvm.optimize import TrainConfig, train
 from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
@@ -20,6 +21,7 @@ from triqsvm.qubo import (
     load_model,
     model_from_dict,
     model_to_dict,
+    paper_offset_and_energy,
     save_model,
 )
 from triqsvm.datagen import Dataset
@@ -144,6 +146,34 @@ class TestComputeBeta:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             compute_beta(np.array([1, 0]), np.array([1, -1, 1]), np.eye(3))
+
+
+class TestPaperOffsetAndEnergy:
+    """The closed form against the QUBO path it replaces: the Gram, the
+    ``paper`` QUBO's energy at all ones, and ``compute_beta``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 21, 50, 200])
+    def test_matches_gram_qubo_and_compute_beta(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        states = feature_states(rng.uniform(0, 2 * np.pi, (m, n)), spec)
+        labels = rng.choice([-1, 1], size=m)
+        k = gram_from_states(states)
+        ones = np.ones(m)
+        beta, best_energy = paper_offset_and_energy(states, labels)
+        want_beta = compute_beta(ones, labels, k)
+        want_energy = energy(build_qubo_paper(k, labels), ones)
+        assert abs(beta - want_beta) <= 1e-12 * max(1.0, abs(want_beta))
+        assert abs(best_energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
+        if m == 1:
+            # One point: the QUBO has no off-diagonal entry.
+            assert abs(best_energy) <= 1e-15
+
+    def test_size_mismatch(self):
+        states = feature_states(np.zeros((3, 2)), FeatureMapSpec())
+        with pytest.raises(ValueError):
+            paper_offset_and_energy(states, np.array([1, -1]))
 
 
 def quantum_model(points, labels, theta=(1.0, 1.0), alpha=None, beta=0.0):
