@@ -19,7 +19,10 @@
  * width, and -ffp-contract=off stops multiply-add fusion, so every path
  * gives the numpy loop's bits.  The lockstep state is kept lane-transposed
  * in scratch the caller provides, (4 n + 1) * lanes doubles per thread;
- * the kernel allocates nothing. */
+ * the kernel allocates nothing.
+ *
+ * energies() gives the exact energies of whole states, bit for bit as
+ * anneal.energy's cumsum. */
 
 #include <stdint.h>
 #include <string.h>
@@ -164,4 +167,20 @@ void metropolis(long lanes, long reads, long n, long count, long first, long swe
 #endif
     per_read(r, reads, n, count, first, sweeps, diag, coupling, log_u, betas, state, field,
              running, best_energy, best_state, trace);
+}
+
+/* out[r] = sum_ij q[i n + j] * (x[i] * x[j]) for x = states + r n,
+ * accumulated left to right in row-major order from the first term, as
+ * np.cumsum does; starting from 0.0 instead would turn a -0.0 total into
+ * +0.0. */
+void energies(long rows, long n, const double *q, const double *states, double *out)
+{
+    for (long r = 0; r < rows; r++) {
+        const double *x = states + r * n;
+        double e = n ? q[0] * (x[0] * x[0]) : 0.0;
+        for (long i = 0; i < n; i++)
+            for (long j = i ? 0 : 1; j < n; j++)
+                e += q[i * n + j] * (x[i] * x[j]);
+        out[r] = e;
+    }
 }

@@ -17,15 +17,19 @@ loaded with ctypes.  On x86-64 CPUs with AVX2 it runs the reads in
 lockstep, one read per SIMD lane, as the numpy loop does: 8 lanes with
 AVX-512F and 4 with AVX2, the widest the CPU offers.  The reads left
 after the last full group of lanes, and every read on other CPUs, run
-one at a time.  Every path is bit-identical to the numpy loop, which
-stays as the reference and is the path taken, after one RuntimeWarning,
-when the kernel cannot be built or loaded.
+one at a time.  The kernel also gives the reads' exact start and best
+energies, summed as ``energy`` sums them.  Every path is bit-identical to
+the numpy loop and ``energy``, which stay as the reference and are the
+path taken, after one RuntimeWarning, when the kernel cannot be built or
+loaded.
 
 With the kernel, the reads are split into contiguous blocks, one per
 usable CPU, and each block runs the whole schedule in its own thread: the
 kernel call, the uniform draws and the log all release the GIL.  Blocks
 share no read and no random stream, so any block count gives the same
-bits.  The numpy loop holds the GIL and runs as one block.
+bits.  The draw buffer and the kernel's scratch are made before the
+blocks start, so the read threads allocate no arrays.  The numpy loop
+holds the GIL and runs as one block.
 """
 
 from __future__ import annotations
@@ -163,11 +167,12 @@ def _build_kernel() -> Path:
 
 
 class _Kernel(NamedTuple):
-    """The loaded Metropolis kernel and the widest lane width it runs on
-    this CPU."""
+    """The loaded Metropolis kernel, the widest lane width it runs on this
+    CPU, and the exact energies of whole states."""
 
     metropolis: Callable[..., None]
     lanes: int
+    energies: Callable[..., None]
 
 
 @functools.cache
@@ -185,7 +190,9 @@ def _kernel() -> _Kernel | None:
     function.restype = None
     library.metropolis_lanes.argtypes = []
     library.metropolis_lanes.restype = ctypes.c_long
-    return _Kernel(function, library.metropolis_lanes())
+    library.energies.argtypes = [ctypes.c_long] * 2 + [ctypes.POINTER(ctypes.c_double)] * 3
+    library.energies.restype = None
+    return _Kernel(function, library.metropolis_lanes(), library.energies)
 
 
 def _scratch_size(n: int, lanes: int) -> int:
@@ -193,6 +200,26 @@ def _scratch_size(n: int, lanes: int) -> int:
     f, best states and one sweep's thresholds, plus one vector of slack
     for alignment."""
     return (4 * n + 1) * lanes
+
+
+def _pointers(arrays) -> list:
+    """ctypes pointers to the kernel's arrays, each given with its shape;
+    every array must be C-contiguous float64 of that shape."""
+    pointers = []
+    for array, shape in arrays:
+        if array.dtype != np.float64 or array.shape != shape or not array.flags.c_contiguous:
+            raise ValueError(f"kernel argument must be C-contiguous float64 of shape {shape}")
+        pointers.append(array.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+    return pointers
+
+
+def _energies_c(kernel, qm: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """energy(q, row) for every row of ``states`` through the C kernel, bit
+    for bit."""
+    rows, n = len(states), len(qm)
+    out = np.empty(rows)
+    kernel.energies(rows, n, *_pointers(((qm, (n, n)), (states, (rows, n)), (out, (rows,)))))
+    return out
 
 
 def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state, field,
@@ -203,17 +230,12 @@ def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state
     if lanes not in _LANE_WIDTHS or lanes > kernel.lanes:
         raise ValueError(f"lane width {lanes} is not available on this CPU "
                          f"(widths {[w for w in _LANE_WIDTHS if w <= kernel.lanes]})")
-    arrays = (
+    pointers = _pointers((
         (diag, (n,)), (coupling, (n, n)), (log_u, (reads, count, n)),
         (betas, betas.shape[:1]), (state, (reads, n)), (field, (reads, n)),
         (running, (reads,)), (best_energy, (reads,)), (best_state, (reads, n)),
         (trace, (reads, betas.shape[0])), (scratch, (_scratch_size(n, lanes),)),
-    )
-    pointers = []
-    for array, shape in arrays:
-        if array.dtype != np.float64 or array.shape != shape or not array.flags.c_contiguous:
-            raise ValueError(f"kernel argument must be C-contiguous float64 of shape {shape}")
-        pointers.append(array.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+    ))
     if not 0 <= first <= betas.shape[0] - count:
         raise ValueError("sweep chunk runs past the schedule")
     kernel.metropolis(lanes, reads, n, count, first, betas.shape[0], *pointers)
@@ -257,9 +279,13 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     The reads run in contiguous blocks, one per usable CPU with the C
     kernel and a single block with the numpy loop.  Each block runs the
     schedule in chunks of sweeps: it draws its reads' -log(u) thresholds
-    into a fresh array, then the kernel (or the numpy loop) runs the
-    chunk on the block's rows.  Every block count, every lane width, and
-    either loop, gives bit-identical results.
+    into its own rows of one draw buffer, then the kernel (or the numpy
+    loop) runs the chunk on the block's rows.  The buffer, like the
+    kernel's scratch, is made before the blocks start, so the read
+    threads allocate no arrays.  The start and best states' exact
+    energies come from the kernel's ``energies`` in one call each (from
+    ``energy`` per read with the numpy loop).  Every block count, every
+    lane width, and either loop, gives bit-identical results.
     """
     qm = q.q
     n = qm.shape[0]
@@ -268,26 +294,38 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     diag = np.diag(qm).copy()
     coupling = _coupling(qm)
     kernel = _kernel()
+    if kernel is None:
+        def energies(states):
+            return np.array([energy(q, row) for row in states])
+    else:
+        energies = functools.partial(_energies_c, kernel, np.ascontiguousarray(qm))
 
     rngs = [np.random.default_rng(schedule.seed + r) for r in range(reads)]
     state = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
     # Adding 0.0 turns -0.0 into +0.0.  Neither array can then hold a
     # negative zero, so the signed zero the numpy loop adds on a rejected
     # flip is a no-op, and the C kernel can skip that update.
-    running = np.array([energy(q, row) for row in state]) + 0.0
+    running = energies(state) + 0.0
     # field[r, i] = sum_{j != i} (q[i][j] + q[j][i]) * state[r, j]
     field = state @ coupling.T + 0.0
     best_energy = running.copy()
     best_state = state.copy()
     trace = np.empty((reads, schedule.sweeps))
+    # One chunk's draws for every read, made before any block starts so
+    # that the read threads allocate nothing for them.
+    chunk = min(_SWEEP_CHUNK, schedule.sweeps)
+    draws = np.empty(reads * chunk * n)
 
     def run_block(a: int, b: int, sweeps) -> None:
+        # The block's own part of the buffer: a partial last chunk uses the
+        # front of it, and never the part of a block still on a full chunk.
+        own = draws[a * chunk * n:b * chunk * n]
         done = 0
         while done < schedule.sweeps:
-            count = min(_SWEEP_CHUNK, schedule.sweeps - done)
+            count = min(chunk, schedule.sweeps - done)
+            log_u = own[:(b - a) * count * n].reshape(b - a, count, n)
             # -log(u)/beta as the acceptance threshold on the energy delta is
             # equivalent to u < exp(-beta * delta) and needs no exp per step.
-            log_u = np.empty((b - a, count, n))
             for rng, row in zip(rngs[a:b], log_u):
                 rng.random(out=row)
             np.negative(np.log(log_u, out=log_u), out=log_u)
@@ -299,8 +337,7 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
         workers, block_sweeps = 1, [_sweeps_numpy]
     else:
         workers = min(reads, _usable_cpus())
-        # Each block's lane-transposed scratch is made here, before any
-        # block starts, so that the read threads allocate nothing for it.
+        # Each block's lane-transposed scratch, made before the blocks start.
         block_sweeps = [
             functools.partial(_sweeps_c, kernel, kernel.lanes,
                               np.empty(_scratch_size(n, kernel.lanes)))
@@ -319,7 +356,7 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
             for future in futures:
                 future.result()
 
-    exact = np.array([energy(q, row) for row in best_state])
+    exact = energies(best_state)
     return best_state.astype(int), exact, trace, state.astype(int), running
 
 

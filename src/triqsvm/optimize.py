@@ -59,13 +59,16 @@ def _pin_malloc_thresholds() -> None:
     -3, and M_TRIM_THRESHOLD, -1); a no-op where libc has no ``mallopt``.
 
     glibc's thresholds are dynamic: they start at 128 KiB and rise only
-    after a large block is freed, so by default the n² temporaries of
-    ``presolve`` and ``energy`` go back to the OS and fault in again on
-    every call.  A ``qsvm-hard`` train+score operation took 3,760 minor
-    faults instead of 3, 361 of them per ``presolve`` call.  Pinned, its
-    ``iter_ms`` fell 37-44% (3.07 -> 1.72 ms, 2.89 -> 1.77 ms) and
-    ``predict_qps`` rose 0-18%, while ``dual-anneal``'s peak RSS stayed at
-    55.8 MB against 55.4 MB unpinned (2 CPUs, numpy 2.4.6).
+    after a large block is freed, so by default a temporary above 128 KiB
+    goes back to the OS and faults in again on every call.  Of the
+    benchmark's workloads, only ``predict-map`` still pays for that: its
+    evaluate + map operation, whose largest temporaries are a 10,000-row
+    query batch's states, took 972 minor faults unpinned against 0
+    pinned.  A ``dual-anneal`` training operation took 4-5 either way
+    (3,783-4,140 unpinned before the annealer drew into one buffer per
+    anneal), and ``qsvm-hard`` and ``hqsvm-paper`` take 0-2 either way
+    since their quantum path trains in closed form (in process, 2 CPUs,
+    numpy 2.4.6).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

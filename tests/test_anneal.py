@@ -287,6 +287,46 @@ class TestKernel:
             with pytest.raises(ValueError, match="past the schedule"):
                 anneal._sweeps_c(kernel, lanes, scratch, first, *arrays)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 50, 200])
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "negative"])
+    def test_energies_byte_identical_to_energy(self, needs_compiler, n, kind):
+        rng = np.random.default_rng(n)
+        qm = {"uniform": lambda: rng.uniform(-1, 1, (n, n)),
+              "integer": lambda: rng.integers(-1, 2, (n, n)).astype(float),
+              "negative": lambda: -rng.uniform(0.1, 1, (n, n))}[kind]()
+        q = QuboMatrix(qm)
+        states = np.vstack([rng.integers(0, 2, (20, n)), np.ones(n), np.zeros(n)]).astype(float)
+        got = anneal._energies_c(anneal._kernel(), q.q, states)
+        want = np.array([energy(q, row) for row in states])
+        assert got.tobytes() == want.tobytes()
+        if kind == "negative":
+            # Every term of the zero row is -0.0: a sum started from 0.0
+            # would give +0.0.
+            assert np.signbit(got[-1]) and got[-1] == 0.0
+
+    def test_energies_of_no_rows_and_no_variables(self, needs_compiler):
+        kernel = anneal._kernel()
+        assert anneal._energies_c(kernel, np.ones((3, 3)), np.empty((0, 3))).shape == (0,)
+        got = anneal._energies_c(kernel, np.empty((0, 0)), np.empty((2, 0)))
+        assert got.tobytes() == np.array([energy(QuboMatrix(np.empty((0, 0))), [])] * 2).tobytes()
+
+    def test_energies_arguments_are_checked(self, needs_compiler):
+        kernel = anneal._kernel()
+        n = 4
+        qm, states = np.zeros((n, n)), np.zeros((3, n))
+        for bad_q, bad_states in [(qm.astype(np.float32), states), (qm, states.astype(np.float32)),
+                                  (np.zeros((n, n + 1)), states), (qm, np.zeros(n)),
+                                  (np.zeros((n, 2 * n))[:, ::2], states),
+                                  (qm, np.zeros((6, n))[::2]), (qm, np.zeros((3, n + 1)))]:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                anneal._energies_c(kernel, bad_q, bad_states)
+
+    def test_compiles_without_warnings(self, tmp_path, needs_compiler):
+        proc = subprocess.run(["cc", *anneal._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                               str(anneal._KERNEL_SOURCE), "-o", str(tmp_path / "kernel.so")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_delta_equal_to_threshold_is_rejected_at_every_width(self, needs_compiler):
         # The threshold is the quotient -log(u) / beta.  For these values
         # -log(u) * (1 / beta) rounds above it, so a kernel that multiplied
@@ -431,6 +471,34 @@ class TestParallelReads:
         for workers in (1, 2, 3, 7, 64):
             monkeypatch.setattr(anneal, "_usable_cpus", lambda workers=workers: workers)
             assert_same_reads(q, schedule, reference, monkeypatch, f", {workers} workers")
+
+    def test_blocks_on_different_chunk_sizes_keep_their_draws(self, monkeypatch,
+                                                                needs_compiler):
+        # 9 reads in blocks of 4 and 5, 450 sweeps in chunks of 200, 200
+        # and 50.  The calling thread's block holds its first chunk's draws
+        # until the pool thread's block has drawn and run its partial last
+        # chunk, which must not have written over them.
+        q = dual_instance(30)
+        schedule = AnnealSchedule(num_reads=9, sweeps=450, seed=12)
+        reference = numpy_reads(q, schedule, monkeypatch)
+        sweeps_c = anneal._sweeps_c
+        last_chunk_done = threading.Event()
+
+        def hold_first_chunk(kernel, lanes, scratch, first, *rest):
+            if threading.current_thread() is threading.main_thread():
+                if first == 0:
+                    assert last_chunk_done.wait(timeout=60)
+                sweeps_c(kernel, lanes, scratch, first, *rest)
+            else:
+                sweeps_c(kernel, lanes, scratch, first, *rest)
+                if first == 400:
+                    last_chunk_done.set()
+
+        assert anneal._kernel() is not None
+        monkeypatch.setattr(anneal, "_sweeps_c", hold_first_chunk)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        for got, want in zip(_anneal_reads(q, schedule), reference):
+            assert got.tobytes() == want.tobytes()
 
     def test_worker_error_propagates_and_threads_are_joined(self, monkeypatch, needs_compiler):
         sweeps_c = anneal._sweeps_c
