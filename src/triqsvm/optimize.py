@@ -63,12 +63,11 @@ def _pin_malloc_thresholds() -> None:
     goes back to the OS and faults in again on every call.  Of the
     benchmark's workloads, only ``predict-map`` still pays for that: its
     evaluate + map operation, whose largest temporaries are a 10,000-row
-    query batch's states, took 972 minor faults unpinned against 0
-    pinned.  A ``dual-anneal`` training operation took 4-5 either way
-    (3,783-4,140 unpinned before the annealer drew into one buffer per
-    anneal), and ``qsvm-hard`` and ``hqsvm-paper`` take 0-2 either way
-    since their quantum path trains in closed form (in process, 2 CPUs,
-    numpy 2.4.6).
+    query batch's states and phase planes, took 914-915 minor faults
+    unpinned against 0-1 pinned (1,226-1,227 unpinned with the earlier
+    per-qubit Hadamard layer).  A ``dual-anneal`` training operation takes
+    4-5 either way, and ``qsvm-hard`` and ``hqsvm-paper`` 0-1 either way
+    (in process, seed 1, one map thread, 2 CPUs, numpy 2.4.6).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -22,11 +22,13 @@ points, so a caller that keeps a batch's states does not simulate its
 circuits again; it is the one place that computes |<s|t>|**2.
 
 What depends only on the qubit count is built once per count and cached
-read-only: the |+...+> row H|0...0>, the table of (1 - 2 b_i) signs, the
-pair indices of the two-body angles and the axis orders of the Hadamard
-layer.  A batch of states then costs one phase diagonal, applied twice,
-and one Hadamard layer of n BLAS products over the batch, and no per-call
-set-up beyond them.
+read-only: the table of (1 - 2 b_i) signs, the pair indices of the
+two-body angles and the dense real matrix W = 2**-n H+- of the Hadamard
+layers (8 * 4**n bytes).  A batch of states then costs one phase
+diagonal D, applied twice, and one real (2m, 2**n) x (2**n, 2**n) product
+of D's stacked real and imaginary planes with W, and no per-call set-up
+beyond them.  Like the operator M of a quantum model and
+``expectation_zz``, W is 4**n wide, so there is one path for every n.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ import numpy as np
 # theta=(1,...,1) reproduces the plain angles phi_i(x) = x_i used to label
 # generated data.
 DETUNE_AMPLITUDE = np.pi / 8
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -110,49 +109,33 @@ def _phase_diagonal(one: np.ndarray, two: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _qubit_axes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each qubit axis of a (batch, qubit..., re/im) tensor, the
-    transpose that moves it to the front with the other axes in order, and
-    the transpose that puts it back."""
-    return tuple(
-        ((ax, *range(ax), *range(ax + 1, n + 2)), (*range(1, ax + 1), 0, *range(ax + 1, n + 2)))
-        for ax in range(1, n + 1)
-    )
+def _hadamard(n: int) -> np.ndarray:
+    """W = 2**-n H+-, shape (2**n, 2**n), with H+- the unnormalised +-1
+    Hadamard on every qubit: entry (a, b) is 2**-n (-1)**popcount(a & b).
 
-
-def _hadamard_layer(state: np.ndarray) -> np.ndarray:
-    """A Hadamard on every qubit of a batch of states, shape (m, 2**n).
-
-    The real matrix acts on the float view of the amplitudes, so every
-    qubit axis is one (2, 2) @ (2, N >= 2) BLAS product whatever the batch
-    size, and row k of a batch equals a batch of one bit for bit.  The
-    (2, N) operand is the C-ordered copy with that qubit's axis first and
-    the others in order, the one ``np.tensordot`` would build.
+    Each Hadamard layer carries a factor 2**(-n/2), and the first acts on
+    |0...0>, whose image is 2**(-n/2) in every entry, so W folds both
+    factors into one: D H D H|0...0> = D * (D @ W).  Its entries are
+    +-2**-n, exact in binary, and it is symmetric.
     """
-    m, dim = state.shape
-    n = dim.bit_length() - 1
-    # Axes: batch, one per qubit, then (real, imag).
-    t = state.view(float).reshape((m,) + (2,) * n + (2,))
-    for front, back in _qubit_axes(n):
-        t = t.transpose(front)
-        t = np.dot(_HADAMARD, t.reshape(2, -1)).reshape(t.shape).transpose(back)
-    return np.ascontiguousarray(t).view(complex).reshape(m, dim)
-
-
-@lru_cache(maxsize=None)
-def _plus_row(n: int) -> np.ndarray:
-    """H|0...0>, the uniform superposition, as one (1, 2**n) row."""
-    zero = np.zeros((1, 2**n), dtype=complex)
-    zero[0, 0] = 1.0
-    return _read_only(_hadamard_layer(zero))
+    signs = np.ones((1, 1))
+    for _ in range(n):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return _read_only(signs * 2.0**-n)
 
 
 def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
     """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n).
 
-    H|0...0> is the same for every point, so it is computed once per qubit
-    count as a single row, and the first phase layer broadcasts it over
-    the batch.  The result is a new array the caller may write to.
+    With D the phase diagonal of each point, a state is D * (D @ W), W from
+    :func:`_hadamard`, which takes 8 * 4**n bytes per qubit count.  W is
+    real, so it acts on the real and imaginary planes of D stacked into
+    one (2m, 2**n) operand: one real gemm per batch.  A batch of one is
+    still a two-row product, not a matrix-vector one, so at n <= 5 row k
+    of a batch equals the batch of row k alone bit for bit (tested).  At
+    n >= 6 OpenBLAS 0.3.31 on AVX-512 rounds a two-row product differently
+    from wider ones, by up to 3e-15 in an amplitude; batches of two or more
+    rows still agree.  The result is a new array the caller may write to.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != spec.n:
@@ -160,7 +143,13 @@ def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
             f"data points must have dimension {spec.n}, got shape {points.shape}"
         )
     diag = _phase_diagonal(*_angles(points, spec.theta))
-    return _hadamard_layer(_plus_row(spec.n) * diag) * diag
+    m = diag.shape[0]
+    planes = np.concatenate([diag.real, diag.imag]) @ _hadamard(spec.n)
+    state = np.empty_like(diag)
+    state.real = planes[:m]
+    state.imag = planes[m:]
+    state *= diag
+    return state
 
 
 # No package path uses ``GramMatrix`` or ``gram``.  They stay only because the

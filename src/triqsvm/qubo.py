@@ -197,7 +197,9 @@ def decision_values(xs, model: TrainedModel) -> np.ndarray:
         cross = kernel_cross(model.kernel, model.train_points, xs)
         return (model.alpha * model.train_labels) @ cross + model.beta
     phi = feature_states(xs, model.kernel)
-    return np.einsum("qi,qi->q", phi.conj(), phi @ model.operator.T).real + model.beta
+    # Re <phi|M phi> is the real dot product of the (re, im) pairs.
+    mphi = phi @ model.operator.T
+    return np.einsum("qi,qi->q", phi.view(float), mphi.view(float)) + model.beta
 
 
 def accuracy(model: TrainedModel, ds: Dataset) -> float:

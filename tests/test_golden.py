@@ -27,7 +27,9 @@ After a change that moves output on purpose, rewrite both files with
     PYTHONPATH=src python tests/test_golden.py
 
 which first prints, per case, the key paths that differ from the stored
-fixture (or ``unchanged``), and say in CHANGES.md what moved and why.
+fixture (or ``unchanged``), and say in CHANGES.md what moved and why.  A
+file in which every case reads ``unchanged`` at the tolerance above is
+kept as it is, so the rewrite does not churn bits within tolerance.
 """
 
 from __future__ import annotations
@@ -205,22 +207,45 @@ def test_cli_sweep_matches_fixture(golden, tmp_path):
     assert {r["method"] for r in rows} == {"classical", "qsvm", "hqsvm"}
 
 
-def report_changes(path: Path, outcomes: dict) -> None:
+def test_report_changes_flags_only_moves_beyond_the_tolerance(tmp_path, capsys):
+    stored = {"trainings": {"a": {"beta": 1.0, "alpha": [1]}}, "cli": {"x": 1}}
+    path = tmp_path / "fixture.json"
+    assert report_changes(path, stored)
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    assert not report_changes(path, {"trainings": {"a": {"beta": 1.0 + 1e-15, "alpha": [1]}},
+                                     "cli": {"x": 1}})
+    assert report_changes(path, {"trainings": {"a": {"beta": 1.0, "alpha": [0]}},
+                                 "cli": {"x": 1}})
+    assert report_changes(path, {"trainings": {}, "cli": {"x": 1}})
+    assert "trainings/a: (gone)" in capsys.readouterr().out
+
+
+def report_changes(path: Path, outcomes: dict) -> bool:
     """Print, per case, the key paths in which ``outcomes`` differ from the
-    fixture stored at ``path``, or ``unchanged``."""
+    fixture stored at ``path``, or ``unchanged``, and return whether any
+    case differs or the file is missing."""
     stored = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
     cases = [(f"trainings/{name}", outcome, stored.get("trainings", {}).get(name))
              for name, outcome in outcomes["trainings"].items()]
     cases += [(name, outcome, stored.get(name)) for name, outcome in outcomes.items()
               if name != "trainings"]
+    moved = not path.is_file()
     for name, outcome, want in cases:
         changed = ["(new)"] if want is None else [p[1:] for p in differences(outcome, want)]
+        moved = moved or bool(changed)
         print(f"{path.name} {name}: {' '.join(changed) or 'unchanged'}")
+    for name in sorted(stored.get("trainings", {}).keys() - outcomes["trainings"].keys()):
+        moved = True
+        print(f"{path.name} trainings/{name}: (gone)")
+    return moved
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, outcomes in ((GOLDEN, all_outcomes()), (FULL_BUDGET, full_budget_outcomes())):
-        report_changes(path, outcomes)
-        path.write_text(json.dumps(outcomes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        if report_changes(path, outcomes):
+            path.write_text(json.dumps(outcomes, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
+            print(f"wrote {path}")
+        else:
+            print(f"kept {path}")

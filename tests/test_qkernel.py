@@ -7,10 +7,9 @@ from triqsvm.kernels import kernel_cross, kernel_from_dict, kernel_gram
 from triqsvm.qkernel import (
     FeatureMapSpec,
     _angles,
-    _hadamard_layer,
+    _hadamard,
     _pair_index,
     _phase_diagonal,
-    _plus_row,
     _z_table,
     expectation_zz,
     feature_states,
@@ -61,7 +60,7 @@ def basis(dim, k):
 
 def tensordot_hadamard_layer(state):
     """The Hadamard layer as first written, one ``np.tensordot`` and
-    ``np.moveaxis`` per qubit: the byte oracle for ``_hadamard_layer``."""
+    ``np.moveaxis`` per qubit: the oracle for the dense layer W."""
     m, dim = state.shape
     n = dim.bit_length() - 1
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -71,8 +70,8 @@ def tensordot_hadamard_layer(state):
     return np.ascontiguousarray(t).view(complex).reshape(m, dim)
 
 
-# Batch sizes for byte comparisons: one row (the first qubit's operand is
-# then a view, not a copy), small and odd sizes, and a large batch.
+# Batch sizes for the comparisons with the tensordot layer: one row, small
+# and odd sizes, and a large batch.
 BYTE_BATCH_SIZES = (1, 2, 7, 257, 10_000)
 
 
@@ -105,35 +104,37 @@ class TestFeatureMapSpec:
 
 
 class TestHadamardLayer:
+    """W = 2**-n H+- stands for both Hadamard layers: 2**(n/2) W is the
+    layer H, and a further 2**(-n/2) is the |+...+> amplitude."""
+
     def test_zero_state_becomes_uniform(self):
-        out = _hadamard_layer(basis(4, 0))
-        np.testing.assert_allclose(out, np.full((1, 4), 0.5), atol=1e-14)
+        # H|00> is 1/2 in every entry; W carries the second 1/2 too.
+        np.testing.assert_array_equal(basis(4, 0) @ _hadamard(2), np.full((1, 4), 0.25))
 
     def test_involution(self):
-        rng = np.random.default_rng(5)
-        amp = np.stack([random_state(8, rng) for _ in range(20)])
-        back = _hadamard_layer(_hadamard_layer(amp))
-        np.testing.assert_allclose(back, amp, atol=1e-12)
+        # (H+-)**2 = 2**n I, and every sum of +-2**-2n terms is exact.
+        np.testing.assert_array_equal(_hadamard(3) @ _hadamard(3), np.eye(8) / 8)
 
     def test_basis_ten(self):
         # |10> is basis index 2: qubit 0 is the MSB.
-        out = _hadamard_layer(basis(4, 2))
-        np.testing.assert_allclose(out, [[0.5, 0.5, -0.5, -0.5]], atol=1e-14)
+        out = 2.0 * (basis(4, 2) @ _hadamard(2))
+        np.testing.assert_array_equal(out, [[0.5, 0.5, -0.5, -0.5]])
 
     def test_matches_kron_oracle(self):
         rng = np.random.default_rng(6)
         h = hadamard_all(3)
         amp = np.stack([random_state(8, rng) for _ in range(10)])
-        np.testing.assert_allclose(_hadamard_layer(amp), amp @ h.T, atol=1e-12)
+        np.testing.assert_allclose(2.0**1.5 * (amp @ _hadamard(3)), amp @ h.T, atol=1e-12)
 
+    # W rounds differently from the tensordot form, so the comparison is
+    # to 1e-12; the name is kept so that the test ids stay stable.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("m", BYTE_BATCH_SIZES)
     def test_bytes_match_tensordot_layer(self, n, m):
         rng = np.random.default_rng(50 + n)
         amp = rng.normal(size=(m, 2**n)) + 1j * rng.normal(size=(m, 2**n))
-        before = amp.tobytes()
-        assert _hadamard_layer(amp).tobytes() == tensordot_hadamard_layer(amp).tobytes()
-        assert amp.tobytes() == before
+        layer = 2.0 ** (n / 2) * (amp @ _hadamard(n))
+        np.testing.assert_allclose(layer, tensordot_hadamard_layer(amp), rtol=0, atol=1e-12)
 
 
 class TestPhaseEvolution:
@@ -144,14 +145,14 @@ class TestPhaseEvolution:
     def test_pair_angle_pi_is_global_phase(self):
         # (1-2b1)(1-2b2) is +-1, and exp(+-i pi) = -1 either way, so the
         # kernel value against the pre-image is unchanged.
-        state = _hadamard_layer(basis(4, 0))
+        state = np.full((1, 4), 0.5 + 0j)
         out = state * _phase_diagonal(np.zeros((1, 2)), np.array([[np.pi]]))
         np.testing.assert_allclose(out, -state, atol=1e-12)
         overlap = abs(np.vdot(state, out)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_on_uniform(self):
-        state = _hadamard_layer(basis(4, 0))
+        state = np.full((1, 4), 0.5 + 0j)
         out = state * _phase_diagonal(np.array([[np.pi / 2, 0.0]]), np.zeros((1, 1)))
         np.testing.assert_allclose(out, [[0.5j, 0.5j, -0.5j, -0.5j]], atol=1e-12)
 
@@ -194,12 +195,19 @@ class TestFeatureState:
         for k in (0, 1, 128, 256):
             assert feature_states(points[k], spec).tobytes() == batch[k : k + 1].tobytes()
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_batch_rows_equal_batches_of_one_wider(self, n):
+        # The same check at 16 and 32 amplitudes.  A lone row is still a
+        # two-row product there; a (1, k) operand would go to gemv, whose
+        # bits differ from gemm's.
+        self.test_batch_rows_equal_batches_of_one(n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("m", BYTE_BATCH_SIZES)
     def test_shared_first_layer_matches_per_row_layers(self, n, m):
         # The two layers applied to a batch of |0...0> rows, as they were
-        # before H|0...0> was computed once and broadcast, and with the
-        # layer as first written.
+        # before W folded in the |+...+> amplitude, with the layer as first
+        # written.
         rng = np.random.default_rng(40 + n)
         spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
         points = rng.uniform(-3.0, 7.0, (m, n))
@@ -208,7 +216,7 @@ class TestFeatureState:
         state[:, 0] = 1.0
         for _ in range(2):
             state = tensordot_hadamard_layer(state) * diag
-        assert feature_states(points, spec).tobytes() == state.tobytes()
+        np.testing.assert_allclose(feature_states(points, spec), state, rtol=0, atol=1e-12)
 
     def test_returns_a_fresh_writeable_array(self):
         points = [[0.7, 5.1], [2.9, 0.4]]
@@ -216,7 +224,7 @@ class TestFeatureState:
         first = feature_states(points, spec)
         want = first.tobytes()
         assert first.flags.writeable
-        assert not np.shares_memory(first, _plus_row(2))
+        assert not np.shares_memory(first, _hadamard(2))
         first[:] = 0.0
         second = feature_states(points, spec)
         assert second.tobytes() == want
@@ -225,8 +233,8 @@ class TestFeatureState:
     @pytest.mark.parametrize(
         "cached",
         [lambda: _z_table(3), lambda: _pair_index(3)[0], lambda: _pair_index(3)[1],
-         lambda: _plus_row(3)],
-        ids=["z-table", "pair-first", "pair-second", "plus-row"],
+         lambda: _hadamard(3)],
+        ids=["z-table", "pair-first", "pair-second", "hadamard"],
     )
     def test_cached_arrays_are_read_only(self, cached):
         array = cached()
@@ -421,7 +429,7 @@ class TestNormPreservation:
         rng = np.random.default_rng(16)
         points = rng.uniform(0, 2 * np.pi, (20, 2))
         state = feature_states(points, spec2((1.3, -2.1)))
-        state = _hadamard_layer(state)
+        state = state @ (2.0 * _hadamard(2))
         state = state * _phase_diagonal(rng.uniform(-3, 3, (20, 2)), rng.uniform(-3, 3, (20, 1)))
         norms = np.sum(np.abs(state) ** 2, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)

@@ -336,6 +336,16 @@ class TestModelStates:
         np.testing.assert_allclose(decision_values(xs, model), expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_view_equals_the_complex_sandwich(self, n):
+        # Re <phi|M phi> from the float views of the states, against the
+        # complex product phi^H M phi it stands for.
+        model, xs = trained_model(n)
+        phi = feature_states(xs, model.kernel)
+        sandwich = np.einsum("qi,ij,qj->q", phi.conj(), model.operator, phi)
+        np.testing.assert_allclose(decision_values(xs, model), sandwich.real + model.beta,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trained_and_reloaded_models_give_the_same_bytes(self, tmp_path, n):
         # The trainer supplies its states; the loaded model rebuilds them
         # from the stored points.
