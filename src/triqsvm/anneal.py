@@ -452,21 +452,10 @@ def presolve(q: QuboMatrix) -> Presolved:
     lin_i + sum_free min(0, c_ij) >= 0 (1 wins when both hold).  Each rule
     holds whatever the other bits are, so every variable that qualifies in
     a round is fixed at once; a round repeats while it fixes something.
-
-    An instance with no positive entry (every ``paper`` instance whose
-    kernel values lie in [0, 1]) is settled by one sign check, with no
-    rounds: there every c_ij <= 0 and lin_i = q_ii <= 0, so the first
-    round fixes every bit to 1 and the second finds nothing.  The check
-    returns that very result, with ``energy`` of all ones taken as the
-    left-to-right sum of q's entries (the same cumsum, without the outer
-    product).  It reads q, not the kernel, because a computed kernel value
-    can exceed 1 by an ulp; such an instance takes the rounds.
+    An instance with no positive entry is fixed to all ones in one round.
     """
     qm = q.q
     n = q.n
-    if n and qm.max() <= 0.0:
-        return Presolved(np.ones(n, dtype=bool), np.ones(n, dtype=int),
-                         QuboMatrix(np.empty((0, 0))), float(np.cumsum(qm.ravel())[-1]))
     coupling = _coupling(qm)
     positive = np.maximum(coupling, 0.0)
     negative = np.minimum(coupling, 0.0)

@@ -8,9 +8,10 @@ returns the best point evaluated.  ``train`` runs the outer cycle: build
 the kernel matrix for the current parameters, build and solve the QUBO,
 compute the offset, score the validation set, and feed 1 - accuracy back
 to the optimizer, until the iteration cap or the target accuracy ends the
-run.  The quantum kernel with the ``paper`` builder skips the kernel
-matrix and the QUBO: there alpha = 1 is known to be optimal, and the
-offset and best energy come from the training states in closed form.
+run.  The ``paper`` builder on a kernel with values in [0, 1] (quantum
+or rbf) skips the QUBO: there alpha = 1 is known to be optimal, and the
+offset and best energy come in closed form from K y, which the quantum
+kernel takes from the training states without a kernel matrix.
 The reported model is the iteration with the highest validation accuracy
 (earliest on ties).
 """
@@ -43,6 +44,7 @@ from .qubo import (
     build_qubo_dual,
     build_qubo_paper,
     compute_beta,
+    expectations,
     model_to_dict,
     paper_offset_and_energy,
 )
@@ -452,16 +454,27 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     return result, info
 
 
-def _paper_closed_form(states, labels, cfg: TrainConfig) -> tuple[np.ndarray, float, dict]:
-    """α, β and the solver info of the quantum ``paper`` pass.
+def _paper_closed_form(kernel, points, states, labels,
+                       cfg: TrainConfig) -> tuple[np.ndarray, float, dict]:
+    """α, β and the solver info of a ``paper`` pass on a kernel in [0, 1]
+    (quantum or rbf), whose QUBO is optimal at α = 1 whatever the backend.
 
-    Its QUBO has no positive entry, so presolve would fix every variable
-    to 1 whatever the backend; β and the energy of all ones come from the
-    states (``paper_offset_and_energy``), and the solver info reads as
-    ``_solve_qubo``'s would: all m variables fixed, none left.
+    β and the energy come from K y and tr K (``paper_offset_and_energy``):
+    on rbf from the Gram; on the quantum kernel, in O(m 4**n) with no Gram,
+    as (K y)_n = <s_n|M|s_n>, M = Σ_m y_m |s_m><s_m|, and K_nn = ||s_n||**4.
+    The solver info is a fully presolved instance's (``_solve_qubo``).
     """
-    m = labels.shape[0]
-    beta, best_energy = paper_offset_and_energy(states, labels)
+    labels = np.asarray(labels, dtype=float)
+    if states is None:
+        k = kernel_gram(kernel, points)
+        ky, trace = k.T @ labels, np.trace(k)
+    else:
+        ky = expectations(states, (states.T * labels) @ states.conj())
+        pairs = states.view(float)
+        norms = np.einsum("ni,ni->n", pairs, pairs)
+        trace = norms @ norms
+    m = labels.size
+    beta, best_energy = paper_offset_and_energy(labels, ky, trace)
     return np.ones(m, dtype=int), beta, _solver_info(cfg, m, 0, best_energy, m)
 
 
@@ -472,12 +485,12 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     solve, offset, validation accuracy.  On the quantum kernel the
     training points' feature states are built once per pass: the Gram
     and the pass's model operator come from them, so scoring the
-    validation set simulates only its own circuits.  The quantum kernel
-    with the ``paper`` builder builds no kernel matrix and no QUBO and
-    runs no backend: α = 1, and β and the best energy come from the
-    states in closed form (``_paper_closed_form``).  The run ends after
-    ``max_iterations`` evaluations, or at the first one that reaches
-    ``target_accuracy``.  COBYLA evaluates θ only inside
+    validation set simulates only its own circuits.  The ``paper``
+    builder on the quantum kernel or rbf builds no QUBO and runs no
+    backend: α = 1, and β and the best energy come in closed form
+    (``_paper_closed_form``), with no Gram on the quantum kernel.  The
+    run ends after ``max_iterations`` evaluations, or at the first one
+    that reaches ``target_accuracy``.  COBYLA evaluates θ only inside
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
     without parameters (linear) has nothing to tune, so its run is one
     pass with an empty θ and no optimizer.  An iteration that raises is
@@ -513,13 +526,12 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
                 state["states_built"] += train_set.m
             else:
                 states = None
-            if states is not None and cfg.qubo_builder == "paper":
-                alpha, beta, solver_info = _paper_closed_form(states, train_set.labels, cfg)
+            if cfg.qubo_builder == "paper" and isinstance(kernel, (FeatureMapSpec, RbfKernel)):
+                alpha, beta, solver_info = _paper_closed_form(
+                    kernel, train_set.points, states, train_set.labels, cfg)
             else:
-                if states is not None:
-                    k = gram_from_states(states)
-                else:
-                    k = kernel_gram(kernel, train_set.points)
+                k = (gram_from_states(states) if states is not None
+                     else kernel_gram(kernel, train_set.points))
                 build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
                 sample, solver_info = _solve_qubo(build(k, train_set.labels), cfg)
                 alpha = sample.best_assignment

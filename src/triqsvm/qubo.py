@@ -4,7 +4,9 @@ Two builders are shipped.  ``build_qubo_paper`` writes only off-diagonal
 entries, each -1/2 * (y_n y_m + K[m][n]) * y_m y_n, leaving the diagonal
 empty.  ``build_qubo_dual`` encodes the standard soft-margin dual over
 binary weights, so that minimizing the energy maximizes
-sum(alpha) - 1/2 (alpha y)^T K (alpha y).
+sum(alpha) - 1/2 (alpha y)^T K (alpha y).  On a kernel in [0, 1] the
+``paper`` QUBO is optimal at alpha = 1, where ``paper_offset_and_energy``
+gives its offset and energy from K y and tr K without building it.
 
 The trained classifier is sign(sum_m alpha_m y_m K(x_m, x) + beta) with
 ties at exactly zero resolved to +1; a quantum model evaluates the sum as
@@ -161,33 +163,32 @@ def compute_beta(alpha, labels, k) -> float:
     return float(np.mean(labels - k.T @ (alpha * labels)))
 
 
-def paper_offset_and_energy(states, labels) -> tuple[float, float]:
-    """Offset and best energy of the ``paper`` QUBO on the quantum kernel,
-    at its optimum alpha = 1, from the training states alone.
+def paper_offset_and_energy(labels, ky, trace) -> tuple[float, float]:
+    """Offset and best energy of the ``paper`` QUBO at its optimum alpha = 1,
+    from K y and tr K alone.
 
-    K_mn = |<s_m|s_n>|**2 lies in [0, 1], so every coupling of
-    ``build_qubo_paper`` is <= 0 and all ones is a global minimum.  With
-    M = sum_m y_m |s_m><s_m|, (K y)_n = <s_n|M|s_n> gives beta as in
-    ``compute_beta``, and y^T K y = Tr M**2 = ||M||_F**2 gives the energy
-    of all ones, -1/2 (m (m - 1) + ||M||_F**2 - sum_n ||s_n||**4).  Each
-    costs O(m 4**n); no m x m array is built.
+    For K in [0, 1] every coupling -1/2 (1 + y_m y_n K_mn) of
+    ``build_qubo_paper`` is <= 0, so all ones is a global minimum.  There
+    beta is ``compute_beta``'s mean(y - K^T y), written as it writes it so
+    that the same K y gives the same bits, and the energy of all ones is
+    -1/2 (m (m - 1) + y^T K y - tr K).  No QUBO is built; ``labels @ ky``
+    raises ValueError unless K y has one entry per label.
     """
-    states = np.asarray(states)
     labels = np.asarray(labels, dtype=float)
-    if states.ndim != 2 or labels.shape != (states.shape[0],):
-        raise ValueError(
-            f"label count {labels.shape} does not match state count {states.shape[:1]}"
-        )
-    operator = (states.T * labels) @ states.conj()
-    # Re <a|b> is the real dot product of the (re, im) pairs, so the sums
-    # below run over float views, not complex products.
-    pairs = np.ascontiguousarray(states).view(float)
-    ky = np.einsum("ni,ni->n", pairs, (states @ operator.T).view(float))
-    norms = np.einsum("ni,ni->n", pairs, pairs)
-    flat = operator.view(float).ravel()
     m = labels.size
-    energy = -0.5 * (m * (m - 1) + flat @ flat - norms @ norms)
+    energy = -0.5 * (m * (m - 1) + labels @ ky - trace)
     return float(np.mean(labels - ky)), float(energy)
+
+
+def expectations(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """Re <s|M|s> for each row s of C-contiguous complex128 ``states``, as
+    the real dot product of the float views of s and M s.  A lone row goes
+    through M as a pair: numpy would send a (1, 2**n) complex product to a
+    matrix-vector kernel, which rounds differently from the matrix one.
+    """
+    rows = np.concatenate([states, states]) if len(states) == 1 else states
+    product = (rows @ operator.T)[:len(states)]
+    return np.einsum("qi,qi->q", states.view(float), product.view(float))
 
 
 def decision_values(xs, model: TrainedModel) -> np.ndarray:
@@ -196,10 +197,7 @@ def decision_values(xs, model: TrainedModel) -> np.ndarray:
     if model.operator is None:
         cross = kernel_cross(model.kernel, model.train_points, xs)
         return (model.alpha * model.train_labels) @ cross + model.beta
-    phi = feature_states(xs, model.kernel)
-    # Re <phi|M phi> is the real dot product of the (re, im) pairs.
-    mphi = phi @ model.operator.T
-    return np.einsum("qi,qi->q", phi.view(float), mphi.view(float)) + model.beta
+    return expectations(feature_states(xs, model.kernel), model.operator) + model.beta
 
 
 def accuracy(model: TrainedModel, ds: Dataset) -> float:

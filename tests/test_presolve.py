@@ -65,16 +65,6 @@ def gap_sets(seed: int, delta: float = 0.6, n_train: int = 50, n_test: int = 10)
     return split(ds, SplitSpec(n_train, n_test, seed=seed))
 
 
-@pytest.fixture
-def no_rounds(monkeypatch):
-    """Make presolve's rounds raise: only the sign check can answer."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("presolve ran its rounds on a non-positive instance")
-
-    monkeypatch.setattr(anneal, "_coupling", refuse)
-
-
 def assert_all_ones(pre: Presolved, q: QuboMatrix) -> None:
     assert pre.fixed.all()
     assert pre.values.tolist() == [1] * q.n
@@ -83,7 +73,7 @@ def assert_all_ones(pre: Presolved, q: QuboMatrix) -> None:
 
 
 class TestPaperInstances:
-    def test_quantum_kernel_fixes_every_variable_to_one(self, no_rounds):
+    def test_quantum_kernel_fixes_every_variable_to_one(self):
         train_set, _ = gap_sets(300)
         spec = FeatureMapSpec(n=2, theta=np.array([0.7, -1.9]))
         k = gram_from_states(feature_states(train_set.points, spec))
@@ -91,9 +81,9 @@ class TestPaperInstances:
         assert_all_ones(presolve(q), q)
 
     @pytest.mark.parametrize("m", range(2, 13))
-    def test_unit_interval_kernel_fixes_every_variable_to_one(self, m, no_rounds):
+    def test_unit_interval_kernel_fixes_every_variable_to_one(self, m):
         # q_mn = -1/2 (1 + y_m y_n K_mn) < 0 for K in [0, 1), so every bit
-        # set lowers the energy: the sign check fixes all of them and all
+        # set lowers the energy: the first round fixes all of them and all
         # ones is the unique optimum.  (At m = 1 the instance is all zero
         # and brute force's tie rule picks 0.)
         rng = np.random.default_rng(m)
@@ -108,7 +98,7 @@ class TestPaperInstances:
             assert best.best_assignment.tolist() == [1] * m
             assert best.best_energy == pre.offset
 
-    def test_rbf_kernel_fixes_every_variable_to_one(self, no_rounds):
+    def test_rbf_kernel_fixes_every_variable_to_one(self):
         train_set, _ = gap_sets(600, delta=0.0)
         kernel = RbfKernel(gamma=default_rbf_gamma(train_set.points))
         q = build_qubo_paper(kernel_gram(kernel, train_set.points), train_set.labels)
@@ -116,9 +106,9 @@ class TestPaperInstances:
 
     def test_kernel_one_ulp_above_one_takes_the_rounds(self, monkeypatch):
         # K = 1 + ulp for one opposite-label pair makes q_ab = q_ba =
-        # +1.1e-16, so the sign check must refuse the instance.  The first
-        # round then fixes every other bit to 1 and the second fixes a and
-        # b, whose couplings to the rest now outweigh the ulp.
+        # +1.1e-16.  The first round fixes every other bit to 1 and the
+        # second fixes a and b, whose couplings to the rest now outweigh
+        # the ulp.
         rng = np.random.default_rng(8)
         m = 8
         y = np.array([1, -1] * (m // 2))
@@ -239,7 +229,7 @@ class TestPersistency:
         assert pre.fixed.all()
         assert pre.values.tolist() == [1] * 6
 
-    def test_ties_fix_to_one(self, no_rounds):
+    def test_ties_fix_to_one(self):
         q = QuboMatrix(np.zeros((3, 3)))
         assert_all_ones(presolve(q), q)
 
@@ -264,61 +254,80 @@ class TestPersistency:
         assert info["residual_n"] == 2
 
 
-def qubo_path(states, labels, cfg):
-    """The quantum ``paper`` pass as it ran before its closed form: Gram,
-    QUBO, annealer on the whole instance (no presolve), ``compute_beta``."""
-    k = gram_from_states(states)
+def qubo_path(kernel, points, states, labels, cfg):
+    """A ``paper`` pass as it ran before its closed form: Gram, QUBO,
+    annealer on the whole instance (no presolve), ``compute_beta``."""
+    k = gram_from_states(states) if states is not None else kernel_gram(kernel, points)
     sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
-    return sample.best_assignment, compute_beta(sample.best_assignment, labels, k), {}
+    beta = compute_beta(sample.best_assignment, labels, k)
+    return sample.best_assignment, beta, {"best_energy": float(sample.best_energy)}
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("called on the quantum paper path")
+    raise AssertionError("called on the closed-form paper path")
+
+
+def paper_path_builds_no_qubo(monkeypatch, kernel, backend):
+    """α = 1 is known in advance, so no QUBO, presolve, offset over K or
+    sampler runs, and no Gram from states; the solver info reads as a
+    fully presolved instance's.  rbf still builds its Gram."""
+    train_set, val_set = gap_sets(600, delta=0.0)
+    cfg = TrainConfig(seed=600, max_iterations=4, solver_backend=backend, kernel_kind=kernel)
+    q = build_qubo_paper(np.full((3, 3), 0.5), np.array([1, -1, 1]))
+    _, expected = _solve_qubo(q, cfg)
+    for name in ("gram_from_states", "build_qubo_paper", "presolve", "compute_beta",
+                 "simulated_anneal", "greedy_descent", "brute_force"):
+        monkeypatch.setattr(optimize, name, refuse)
+    report = train(train_set, val_set, cfg)
+    assert report.failures == []
+    assert report.iterations_used == 4
+    assert report.best_model.alpha.tolist() == [1] * 50
+    kernel = report.best_model.kernel
+    if isinstance(kernel, FeatureMapSpec):
+        k = gram_from_states(feature_states(train_set.points, kernel))
+    else:
+        k = kernel_gram(kernel, train_set.points)
+    want = energy(build_qubo_paper(k, train_set.labels), np.ones(50))
+    expected.update(presolve_fixed=50, residual_n=0, selected=50,
+                    best_energy=pytest.approx(want, rel=1e-12))
+    assert report.solver == expected
 
 
 class TestTrainSkipsAnnealer:
     def test_paper_training_matches_annealed_run(self, monkeypatch):
         train_set, val_set = gap_sets(300)
-        cfg = TrainConfig(seed=300, max_iterations=2)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "_paper_closed_form", qubo_path)
-            annealed = train(train_set, val_set, cfg)
-
         monkeypatch.setattr(optimize, "simulated_anneal", refuse)
-        presolved = train(train_set, val_set, cfg)
-        assert presolved.failures == []
-        closed, oracle = model_to_dict(presolved.best_model), model_to_dict(annealed.best_model)
-        assert closed.pop("beta") == pytest.approx(oracle.pop("beta"), rel=1e-12, abs=1e-12)
-        assert closed == oracle
-        assert presolved.accuracy_per_iteration == annealed.accuracy_per_iteration
-        assert presolved.solver["presolve_fixed"] == 50
-        assert presolved.solver["residual_n"] == 0
+        for kernel in ("quantum-zz", "rbf"):
+            cfg = TrainConfig(seed=300, max_iterations=2, kernel_kind=kernel)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimize, "_paper_closed_form", qubo_path)
+                annealed = train(train_set, val_set, cfg)
+            direct = train(train_set, val_set, cfg)
+            assert direct.failures == annealed.failures == []
+            closed = model_to_dict(direct.best_model)
+            oracle = model_to_dict(annealed.best_model)
+            if kernel == "quantum-zz":
+                # The Gram and the states' operator round differently; on
+                # rbf both paths take K^T y from the same Gram.
+                assert closed.pop("beta") == pytest.approx(oracle.pop("beta"), rel=1e-12,
+                                                           abs=1e-12)
+            assert closed == oracle
+            assert direct.accuracy_per_iteration == annealed.accuracy_per_iteration
+            assert direct.solver["best_energy"] == pytest.approx(
+                annealed.solver["best_energy"], rel=1e-12)
+            assert direct.solver["presolve_fixed"] == 50
+            assert direct.solver["residual_n"] == 0
 
     @pytest.mark.parametrize("backend", optimize.BACKENDS)
     def test_quantum_paper_path_builds_no_qubo(self, monkeypatch, backend):
-        # α = 1 is known in advance, so no Gram, QUBO, presolve, offset
-        # over K or sampler runs; the solver info reads as a fully
-        # presolved instance's.
-        train_set, val_set = gap_sets(600, delta=0.0)
-        cfg = TrainConfig(seed=600, max_iterations=4, solver_backend=backend)
-        q = build_qubo_paper(np.full((3, 3), 0.5), np.array([1, -1, 1]))
-        _, expected = _solve_qubo(q, cfg)
-        for name in ("gram_from_states", "build_qubo_paper", "presolve", "compute_beta",
-                     "simulated_anneal", "greedy_descent", "brute_force"):
-            monkeypatch.setattr(optimize, name, refuse)
-        report = train(train_set, val_set, cfg)
-        assert report.failures == []
-        assert report.iterations_used == 4
-        assert report.best_model.alpha.tolist() == [1] * 50
-        spec = FeatureMapSpec(n=2, theta=report.best_theta)
-        k = gram_from_states(feature_states(train_set.points, spec))
-        want = energy(build_qubo_paper(k, train_set.labels), np.ones(50))
-        expected.update(presolve_fixed=50, residual_n=0, selected=50,
-                        best_energy=pytest.approx(want, rel=1e-12))
-        assert report.solver == expected
+        paper_path_builds_no_qubo(monkeypatch, "quantum-zz", backend)
 
-    @pytest.mark.parametrize("kernel, builder", [("rbf", "paper"), ("quantum-zz", "dual")])
+    @pytest.mark.parametrize("backend", optimize.BACKENDS)
+    def test_rbf_paper_path_builds_no_qubo(self, monkeypatch, backend):
+        paper_path_builds_no_qubo(monkeypatch, "rbf", backend)
+
+    @pytest.mark.parametrize("kernel, builder", [
+        ("linear", "paper"), ("rbf", "dual"), ("quantum-zz", "dual")])
     def test_other_paths_still_presolve(self, monkeypatch, kernel, builder):
         train_set, val_set = gap_sets(600, delta=0.0, n_train=20, n_test=5)
         calls = []

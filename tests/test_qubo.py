@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from triqsvm.anneal import energy
-from triqsvm.kernels import LinearKernel, RbfKernel
-from triqsvm.optimize import TrainConfig, train
+from triqsvm.kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_cross, kernel_gram
+from triqsvm.optimize import TrainConfig, _paper_closed_form, train
 from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
 from triqsvm.qubo import (
     QuboMatrix,
@@ -148,6 +148,22 @@ class TestComputeBeta:
             compute_beta(np.array([1, 0]), np.array([1, -1, 1]), np.eye(3))
 
 
+def closed_form(kernel, points, labels):
+    """β and best energy of a ``paper`` pass in closed form, as ``train``
+    takes them."""
+    states = feature_states(points, kernel) if isinstance(kernel, FeatureMapSpec) else None
+    alpha, beta, info = _paper_closed_form(kernel, points, states, labels, TrainConfig())
+    assert alpha.tolist() == [1] * len(labels)
+    return beta, info["best_energy"]
+
+
+def qubo_oracle(k, labels):
+    """β and the energy of all ones through the Gram, the ``paper`` QUBO
+    and ``compute_beta``."""
+    ones = np.ones(len(labels))
+    return compute_beta(ones, labels, k), energy(build_qubo_paper(k, labels), ones)
+
+
 class TestPaperOffsetAndEnergy:
     """The closed form against the QUBO path it replaces: the Gram, the
     ``paper`` QUBO's energy at all ones, and ``compute_beta``."""
@@ -157,23 +173,47 @@ class TestPaperOffsetAndEnergy:
     def test_matches_gram_qubo_and_compute_beta(self, m, n):
         rng = np.random.default_rng(100 * m + n)
         spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
-        states = feature_states(rng.uniform(0, 2 * np.pi, (m, n)), spec)
+        points = rng.uniform(0, 2 * np.pi, (m, n))
         labels = rng.choice([-1, 1], size=m)
-        k = gram_from_states(states)
-        ones = np.ones(m)
-        beta, best_energy = paper_offset_and_energy(states, labels)
-        want_beta = compute_beta(ones, labels, k)
-        want_energy = energy(build_qubo_paper(k, labels), ones)
+        beta, best_energy = closed_form(spec, points, labels)
+        k = gram_from_states(feature_states(points, spec))
+        want_beta, want_energy = qubo_oracle(k, labels)
         assert abs(beta - want_beta) <= 1e-12 * max(1.0, abs(want_beta))
         assert abs(best_energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
         if m == 1:
             # One point: the QUBO has no off-diagonal entry.
             assert abs(best_energy) <= 1e-15
 
+    @pytest.mark.parametrize("m", [1, 2, 21, 50, 200])
+    def test_rbf_matches_gram_qubo_and_compute_beta(self, m):
+        # Both paths take K^T y from the same Gram, so β keeps its bits.
+        rng = np.random.default_rng(m)
+        points = rng.uniform(0, 2 * np.pi, (m, 2))
+        labels = rng.choice([-1, 1], size=m)
+        gamma = default_rbf_gamma(points) * np.exp(rng.uniform(-2 * np.pi, 2 * np.pi))
+        kernel = RbfKernel(gamma=gamma)
+        beta, best_energy = closed_form(kernel, points, labels)
+        want_beta, want_energy = qubo_oracle(kernel_gram(kernel, points), labels)
+        assert beta == want_beta
+        assert abs(best_energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e8])
+    def test_rbf_kernel_never_exceeds_one(self, gamma):
+        # The closed form needs K in [0, 1].  exp of a non-positive
+        # argument never exceeds 1, also between points an ulp apart.
+        base = np.random.default_rng(5).uniform(0, 2 * np.pi, (40, 2))
+        points = np.concatenate([base, np.nextafter(base, 7.0), np.nextafter(base, -1.0)])
+        kernel = RbfKernel(gamma=gamma)
+        cross = kernel_cross(kernel, points, points)
+        assert np.array_equal(cross, cross.T)
+        k = kernel_gram(kernel, points)
+        assert k.max() == 1.0
+        assert k.min() >= 0.0
+        assert np.all(np.diag(k) == 1.0)
+
     def test_size_mismatch(self):
-        states = feature_states(np.zeros((3, 2)), FeatureMapSpec())
         with pytest.raises(ValueError):
-            paper_offset_and_energy(states, np.array([1, -1]))
+            paper_offset_and_energy(np.array([1, -1]), np.zeros(3), 3.0)
 
 
 def quantum_model(points, labels, theta=(1.0, 1.0), alpha=None, beta=0.0):
@@ -344,6 +384,15 @@ class TestModelStates:
         sandwich = np.einsum("qi,ij,qj->q", phi.conj(), model.operator, phi)
         np.testing.assert_allclose(decision_values(xs, model), sandwich.real + model.beta,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lone_query_equals_its_row_in_a_batch(self, n):
+        # A lone query's product goes through the same matrix kernel as a
+        # batch's, so its value does not depend on the batch.
+        model, xs = trained_model(n)
+        batch = decision_values(xs, model)
+        for i in range(len(xs)):
+            assert decision_values(xs[i:i + 1], model).tobytes() == batch[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trained_and_reloaded_models_give_the_same_bytes(self, tmp_path, n):
