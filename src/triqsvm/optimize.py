@@ -4,7 +4,11 @@
 simplex of p + 1 points, trust-region steps, and a radius ρ that shrinks
 from ``rho_begin`` to ``rho_end``) for box constraints only.  Every point
 it evaluates lies in the box, it stops at the evaluation budget, and it
-returns the best point evaluated.  ``train`` runs the outer cycle: build
+returns the best point evaluated.  It rebuilds its linear model only when
+the simplex changes, and works on Python floats where numpy's wrappers
+would cost more than the arithmetic on p-element arrays; the points it
+evaluates are those of the reference iteration in ``tests/oracles.py``,
+bit for bit.  ``train`` runs the outer cycle: build
 the kernel matrix for the current parameters, build and solve the QUBO,
 compute the offset, score the validation set, and feed 1 - accuracy back
 to the optimizer, until the iteration cap or the target accuracy ends the
@@ -134,21 +138,31 @@ def _box_ball_step(g: np.ndarray, radius: float, lower: np.ndarray,
     The minimiser is clip(-t·g, lower, upper) at the t >= 0 where its norm
     reaches ``radius``, or the box's corner in direction -g if that lies
     inside the ball.  Coordinates reach their bounds in the order of t;
-    between two such breakpoints |d|² = fixed + t²·free.
+    between two such breakpoints |d|² = fixed + t²·free.  The walk runs on
+    Python floats, whose arithmetic rounds as numpy's does.  ``free`` stays
+    a numpy dot product, whose bits depend on BLAS, and ties in t keep
+    ``np.argsort``'s order, which need not be a stable sort's.
     """
+    gs = g.tolist()
+    bound = [u if gi < 0 else lo for gi, lo, u in zip(gs, lower.tolist(), upper.tolist())]
+    reach = [b / -gi if gi != 0 else math.inf for b, gi in zip(bound, gs)]
     moving = g != 0
-    bound = np.where(g < 0, upper, lower)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(moving, bound / -g, np.inf)
     fixed = 0.0
-    for i in np.argsort(reach)[: int(moving.sum())]:
-        free = float(g[moving] @ g[moving])
-        t = math.sqrt(max(radius * radius - fixed, 0.0) / free)
+    for i in np.array(reach).argsort()[: len(gs) - gs.count(0.0)].tolist():
+        rest = g[moving]
+        t = math.sqrt(max(radius * radius - fixed, 0.0) / float(rest @ rest))
         if t <= reach[i]:
-            return np.clip(-t * g, lower, upper)
-        fixed += float(bound[i]) ** 2
+            return _clipped(-t * g, lower, upper)
+        fixed += bound[i] ** 2
         moving[i] = False
     return np.where(g != 0, bound, 0.0)
+
+
+def _clipped(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``np.clip(x, lower, upper)``, bit for bit and signed zeros included,
+    in place and without its Python wrapper."""
+    np.maximum(x, lower, out=x)
+    return np.minimum(x, upper, out=x)
 
 
 def _reduced_rho(rho: float, rho_end: float) -> float:
@@ -174,6 +188,14 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     then pole + ρ·e_j for each j, clipped to the box, each made the pole
     at once if it is better.  A coordinate already at its upper bound steps
     down instead.
+
+    The linear model and the pole distances are functions of ``sim`` and
+    ``fval`` alone, so they are rebuilt only after ``_replace_vertex``
+    changes the simplex: after an accepted trust-region point or a
+    geometry step.  A step that is "bad" (too short, or no predicted
+    decrease) or a point that replaces no vertex reuses them.  The points
+    are those of the reference iteration in ``tests/oracles.py``, which
+    rebuilds both on every pass, bit for bit.
     """
     n = x0.size
     rho = delta = rho_begin
@@ -189,25 +211,29 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         sim[j] = x
         fval[j] = _moderated((yield x))
         if fval[j] < fval[n]:
-            sim[[j, n]] = sim[[n, j]]
-            fval[[j, n]] = fval[[n, j]]
+            _swap(sim, fval, j, n)
 
+    # The linear model and the pole distances of the current simplex; each
+    # is None from a change of the simplex until it is needed again.
+    model = distances = None
     while True:
-        model = _linear_model(sim, fval)
-        if model is None:
+        if model is None and (model := _linear_model(sim, fval)) is None:
             return False
+        if distances is None:
+            distances = _distances(sim)
         inverse, g = model
-        adequate = _distances(sim).max() <= 4.0 * delta * delta
+        adequate = distances.max() <= 4.0 * delta * delta
         d = _box_ball_step(g, delta, lower - sim[n], upper - sim[n])
-        dnorm = min(delta, float(np.linalg.norm(d)))
+        dnorm = min(delta, math.sqrt(d @ d))
         predicted = -float(g @ d)
         bad = dnorm <= 0.1 * rho or not predicted > 0.0
         if bad:
             delta = _snapped(0.1 * delta, rho)
         else:
-            x = np.clip(sim[n] + d, lower, upper)
+            x = _clipped(sim[n] + d, lower, upper)
             f = _moderated((yield x))
-            ratio = (fval[n] - f) / predicted
+            pole_f = float(fval[n])
+            ratio = (pole_f - f) / predicted
             if ratio <= _ETA1:
                 delta = _GAMMA1 * dnorm
             elif ratio <= _ETA2:
@@ -215,31 +241,34 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             else:
                 delta = max(_GAMMA1 * delta, _GAMMA2 * dnorm)
             delta = _snapped(delta, rho)
-            improved = f < fval[n]
+            improved = f < pole_f
             drop = _vertex_to_drop(sim, inverse, x, improved, max(rho, 0.1 * delta))
             if drop is not None:
                 _replace_vertex(sim, fval, drop, x, f)
+                model = distances = None
             bad = ratio <= 0.0 or drop is None
 
-        distances = _distances(sim)
-        if bad and not adequate and distances.max() > 4.0 * delta * delta:
-            # Geometry step: move the farthest vertex, within Δ/2 of the
-            # pole, as far as the box allows from the face opposite it.
-            far = int(np.argmax(distances))
-            model = _linear_model(sim, fval)
-            if model is None:
-                return False
-            inverse, g = model
-            normal = inverse[:, far]
-            lo, hi = lower - sim[n], upper - sim[n]
-            up = _box_ball_step(-normal, 0.5 * delta, lo, hi)
-            down = _box_ball_step(normal, 0.5 * delta, lo, hi)
-            reach_up, reach_down = float(normal @ up), -float(normal @ down)
-            if reach_down > reach_up or (reach_down == reach_up and g @ down < g @ up):
-                up = down
-            x = np.clip(sim[n] + up, lower, upper)
-            _replace_vertex(sim, fval, far, x, _moderated((yield x)))
-        elif bad and adequate and max(delta, dnorm) <= rho:
+        if bad and not adequate:
+            if distances is None:
+                distances = _distances(sim)
+            if distances.max() > 4.0 * delta * delta:
+                # Geometry step: move the farthest vertex, within Δ/2 of the
+                # pole, as far as the box allows from the face opposite it.
+                far = int(distances.argmax())
+                if model is None and (model := _linear_model(sim, fval)) is None:
+                    return False
+                inverse, g = model
+                normal = inverse[:, far]
+                lo, hi = lower - sim[n], upper - sim[n]
+                up = _box_ball_step(-normal, 0.5 * delta, lo, hi)
+                down = _box_ball_step(normal, 0.5 * delta, lo, hi)
+                reach_up, reach_down = float(normal @ up), -float(normal @ down)
+                if reach_down > reach_up or (reach_down == reach_up and g @ down < g @ up):
+                    up = down
+                x = _clipped(sim[n] + up, lower, upper)
+                _replace_vertex(sim, fval, far, x, _moderated((yield x)))
+                model = distances = None
+        elif bad and max(delta, dnorm) <= rho:
             if rho <= rho_end:
                 return True
             reduced = _reduced_rho(rho, rho_end)
@@ -257,7 +286,9 @@ def _moderated(value: float) -> float:
 
 def _distances(sim: np.ndarray) -> np.ndarray:
     """Squared distances from the other vertices to the pole."""
-    return np.sum((sim[:-1] - sim[-1]) ** 2, axis=1)
+    squares = sim[:-1] - sim[-1]
+    squares *= squares
+    return squares.sum(axis=1)
 
 
 def _linear_model(sim: np.ndarray, fval: np.ndarray):
@@ -269,7 +300,7 @@ def _linear_model(sim: np.ndarray, fval: np.ndarray):
     except np.linalg.LinAlgError:
         return None
     g = inverse @ (fval[:-1] - fval[-1])
-    return (inverse, g) if np.isfinite(g).all() else None
+    return (inverse, g) if all(map(math.isfinite, g.tolist())) else None
 
 
 def _vertex_to_drop(sim, inverse, x, improved: bool, scale: float):
@@ -277,25 +308,34 @@ def _vertex_to_drop(sim, inverse, x, improved: bool, scale: float):
     (19)-(22)): the largest barycentric weight of ``x``, scaled up for
     vertices far from the better of ``x`` and the pole.  The pole is
     dropped only for a better point; None when no vertex qualifies."""
-    weights = (x - sim[-1]) @ inverse
-    weights = np.append(weights, 1.0 - weights.sum())
-    dist2 = np.sum((sim - (x if improved else sim[-1])) ** 2, axis=1)
+    n = x.size
+    weights = np.empty(n + 1)
+    weights[:n] = (x - sim[-1]) @ inverse
+    weights[n] = 1.0 - weights[:n].sum()
+    squares = sim - (x if improved else sim[-1])
+    squares *= squares
+    dist2 = squares.sum(axis=1)
     score = np.maximum(1.0, dist2 / scale**2) * np.abs(weights)
     if not improved:
         score[-1] = -1.0
     score[np.isnan(score)] = -1.0
     if (score > 0).any():
-        return int(np.argmax(score))
-    return int(np.argmax(dist2)) if improved else None
+        return int(score.argmax())
+    return int(dist2.argmax()) if improved else None
 
 
 def _replace_vertex(sim, fval, j: int, x, f: float) -> None:
     """Put (x, f) in row ``j`` and make the best vertex the pole."""
     sim[j], fval[j] = x, f
-    best = int(np.argmin(fval))
+    best = int(fval.argmin())
     if fval[best] < fval[-1]:
-        sim[[best, -1]] = sim[[-1, best]]
-        fval[[best, -1]] = fval[[-1, best]]
+        _swap(sim, fval, best, -1)
+
+
+def _swap(sim, fval, i: int, j: int) -> None:
+    """Exchange vertices ``i`` and ``j`` with their values."""
+    sim[i], sim[j] = sim[j].copy(), sim[i].copy()
+    fval[i], fval[j] = fval[j], fval[i]
 
 
 def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) -> MinimizeResult:
@@ -317,7 +357,8 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
         raise ValueError("one (low, high) pair per coordinate is required")
     if not np.all(lows < highs):
         raise ValueError("each of the bounds needs low < high")
-    if np.any(x0 < lows) or np.any(x0 > highs):
+    # Written so that a NaN in x0 fails it.
+    if not ((lows <= x0) & (x0 <= highs)).all():
         raise ValueError("x0 must lie within bounds")
 
     best_x, best_fun = x0.copy(), np.inf

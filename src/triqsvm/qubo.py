@@ -77,11 +77,11 @@ class TrainedModel:
         m = points.shape[0]
         # Elementwise comparisons, not np.isin: a model is built on every
         # training iteration, and np.isin costs 30 us a call.
-        if alpha.shape != (m,) or not np.all((alpha == 0) | (alpha == 1)):
+        if alpha.shape != (m,) or not ((alpha == 0) | (alpha == 1)).all():
             raise ValueError("alpha must hold one 0 or 1 per training point")
-        if labels.shape != (m,) or not np.all((labels == -1) | (labels == 1)):
+        if labels.shape != (m,) or not ((labels == -1) | (labels == 1)).all():
             raise ValueError("train_labels must hold one -1 or +1 per training point")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("train_points must be finite")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
@@ -169,15 +169,16 @@ def paper_offset_and_energy(labels, ky, trace) -> tuple[float, float]:
 
     For K in [0, 1] every coupling -1/2 (1 + y_m y_n K_mn) of
     ``build_qubo_paper`` is <= 0, so all ones is a global minimum.  There
-    beta is ``compute_beta``'s mean(y - K^T y), written as it writes it so
-    that the same K y gives the same bits, and the energy of all ones is
+    beta is ``compute_beta``'s mean(y - K^T y), taken as the sum over m
+    that ``np.mean`` computes, so that the same K y gives the same bits
+    without ``np.mean``'s Python wrapper, and the energy of all ones is
     -1/2 (m (m - 1) + y^T K y - tr K).  No QUBO is built; ``labels @ ky``
     raises ValueError unless K y has one entry per label.
     """
     labels = np.asarray(labels, dtype=float)
     m = labels.size
     energy = -0.5 * (m * (m - 1) + labels @ ky - trace)
-    return float(np.mean(labels - ky)), float(energy)
+    return float((labels - ky).sum() / m), float(energy)
 
 
 def expectations(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
@@ -205,7 +206,7 @@ def accuracy(model: TrainedModel, ds: Dataset) -> float:
     if ds.m == 0:
         raise ValueError("cannot score an empty dataset")
     predicted = np.where(decision_values(ds.points, model) >= 0.0, 1, -1)
-    return float(np.mean(predicted == ds.labels))
+    return int(np.count_nonzero(predicted == ds.labels)) / ds.m
 
 
 def model_to_dict(model: TrainedModel) -> dict:

@@ -24,6 +24,8 @@ from triqsvm.optimize import (
 )
 from triqsvm.qubo import build_qubo_paper, compute_beta
 
+import oracles
+
 BOX = [(-2 * np.pi, 2 * np.pi)] * 2
 
 
@@ -176,6 +178,16 @@ class TestCobylaMinimize:
     def test_x0_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
             cobyla_minimize(lambda x: 0.0, np.array([9.0, 0.0]), BOX, OptimizerConfig())
+
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]])
+    def test_nan_in_x0_rejected(self, x0):
+        # NaN compares False both ways, so it must fail the bounds check
+        # rather than pass it: no point holding NaN lies in the box.
+        seen = []
+        with pytest.raises(ValueError, match="bounds"):
+            cobyla_minimize(lambda x: seen.append(x.copy()) or 0.0, np.array(x0), BOX,
+                            OptimizerConfig())
+        assert seen == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -336,6 +348,132 @@ class TestScipyOracle:
                                 options={"rhobeg": 0.5, "tol": 1e-4, "maxiter": 5})
         seen = TestCobylaIteration.first_points(objective, x0, box, 0.5, 4)
         assert [x.tolist() for x in seen] == [x.tolist() for x in oracle_seen[:4]]
+
+
+ORACLE_KINDS = ("smooth", "step", "nonfinite")
+ORACLE_SEEDS = range(25)
+
+
+def oracle_case(p: int, kind: str, seed: int):
+    """One seeded COBYLA case: (objective, x0, lows, highs, config).
+
+    Budgets run through 1-60 over the 300 cases; every third x0 has a
+    coordinate on its upper bound; ``rho_end`` is ``rho_begin`` over
+    10-1000, so that a third of the runs or more reduce ρ to it and
+    converge within their budget.
+    ``step`` is 1 - accuracy on 40 fixed points, as in training, and
+    ``nonfinite`` returns NaN and inf beyond thresholds near x0."""
+    k = ORACLE_KINDS.index(kind)
+    rng = np.random.default_rng([p, k, seed])
+    lows = -rng.uniform(0.5, 2 * np.pi, p)
+    highs = rng.uniform(0.5, 2 * np.pi, p)
+    x0 = rng.uniform(lows, highs)
+    if seed % 3 == 0:
+        x0[seed % p] = highs[seed % p]
+    rho_begin = rng.uniform(0.2, 1.0)
+    rho_end = rho_begin * 10.0 ** -int(rng.integers(1, 4))
+    max_evals = 1 + ((p - 1) * 75 + k * 25 + seed) % 60
+    center = rng.uniform(lows, highs)
+    weight = rng.uniform(0.5, 2.0, p)
+    directions = rng.normal(size=(40, p))
+    offsets = rng.uniform(0, 2 * np.pi, 40)
+    labels = rng.choice([-1.0, 1.0], 40)
+    nan_above = x0[0] + rng.uniform(0.1, 1.0) * rho_begin
+    inf_below = x0[-1] - rng.uniform(0.1, 1.0) * rho_begin
+
+    def smooth(x):
+        return float(weight @ (x - center) ** 2 + 0.3 * np.prod(x - center))
+
+    def step(x):
+        return float(np.mean(np.sign(np.cos(directions @ x + offsets)) != labels))
+
+    def nonfinite(x):
+        if x[0] > nan_above:
+            return float("nan")
+        if x[-1] < inf_below:
+            return float("inf")
+        return smooth(x)
+
+    objective = {"smooth": smooth, "step": step, "nonfinite": nonfinite}[kind]
+    config = OptimizerConfig(rho_begin=rho_begin, rho_end=rho_end, max_evals=max_evals)
+    return objective, x0, lows, highs, config
+
+
+def oracle_run(p: int, kind: str, seed: int):
+    """The case run through ``cobyla_minimize`` and through the reference
+    iteration in ``tests/oracles.py``: (points, result) for each."""
+    objective, x0, lows, highs, config = oracle_case(p, kind, seed)
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return objective(x)
+
+    got = cobyla_minimize(recorded, x0, list(zip(lows, highs)), config)
+    want_seen, *want = oracles.oracle_cobyla_minimize(
+        objective, x0, lows, highs, config.rho_begin, config.rho_end, config.max_evals)
+    return (seen, got), (want_seen, want)
+
+
+class TestBitwiseOracle:
+    """The iteration evaluates the reference iteration's points and returns
+    its result, compared by bytes: the 1e-12 tolerance of the golden
+    fixtures would let a moved rounding pass."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_points_and_result_match_bytes(self, p, kind):
+        for seed in ORACLE_SEEDS:
+            (seen, got), (want_seen, want) = oracle_run(p, kind, seed)
+            assert [x.tobytes() for x in seen] == [x.tobytes() for x in want_seen], seed
+            want_x, want_fun, want_evaluations, want_converged = want
+            assert got.x.tobytes() == want_x.tobytes(), seed
+            assert np.float64(got.fun).tobytes() == np.float64(want_fun).tobytes(), seed
+            assert (got.evaluations, got.converged) == (want_evaluations, want_converged), seed
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_step_matches_bytes_on_tied_breakpoints(self, p):
+        # Coordinates that reach their bounds at the same t come in
+        # np.argsort's order, which need not be a stable sort's (with
+        # AVX-512 it is not from p = 4 on), and that order sets how |d|²
+        # adds up.
+        rng = np.random.default_rng(p)
+        for _ in range(500):
+            g = rng.choice([-0.7, -0.3, -0.1, 0.0, 0.1, 0.3, 0.7], p)
+            lower = -np.abs(g) * rng.choice([0.5, 1.0], p)
+            upper = np.abs(g) * rng.choice([0.5, 1.0], p) + 0.01 * (g == 0)
+            radius = rng.uniform(0.05, 1.5)
+            got = optimize._box_ball_step(g, radius, lower, upper)
+            want = oracles._box_ball_step(g, radius, lower, upper)
+            assert got.tobytes() == want.tobytes()
+
+    def test_clipped_equals_np_clip_in_bytes(self):
+        # Signed zeros included: maximum(lower, x) would keep the other
+        # zero on ties.
+        rng = np.random.default_rng(0)
+        values = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        for size in range(1, 10):
+            for _ in range(300):
+                x, lower, upper = rng.choice(values, (3, size))
+                lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
+                want = np.clip(x, lower, upper)
+                assert optimize._clipped(x.copy(), lower, upper).tobytes() == want.tobytes()
+
+    def test_cases_cover_the_contract(self):
+        budgets, converged, nonfinite, on_upper = set(), 0, 0, 0
+        for p in range(1, 5):
+            for kind in ORACLE_KINDS:
+                for seed in ORACLE_SEEDS:
+                    objective, x0, _, highs, config = oracle_case(p, kind, seed)
+                    (seen, got), _ = oracle_run(p, kind, seed)
+                    budgets.add(config.max_evals)
+                    converged += got.converged
+                    nonfinite += any(not np.isfinite(objective(x)) for x in seen)
+                    on_upper += bool(np.any(x0 == highs))
+        assert budgets == set(range(1, 61))
+        assert converged >= 20
+        assert nonfinite >= 20
+        assert on_upper >= 100
 
 
 class TestRuntimeFootprint:
@@ -501,6 +639,8 @@ class TestTrain:
         assert report.iterations_used == len(report.accuracy_per_iteration)
         assert report.config["seed"] == 9
         assert report.config["parameter_count"] == 2
+        assert all(type(a) is float for a in report.accuracy_per_iteration)
+        assert type(report.best_accuracy) is float
 
     def test_rbf_kernel_path(self):
         train_set, val_set = two_blob_sets(seed=3)

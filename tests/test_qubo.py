@@ -215,6 +215,13 @@ class TestPaperOffsetAndEnergy:
         with pytest.raises(ValueError):
             paper_offset_and_energy(np.array([1, -1]), np.zeros(3), 3.0)
 
+    @pytest.mark.parametrize("m", [1, 7, 200])
+    def test_returns_python_floats(self, m):
+        rng = np.random.default_rng(m)
+        labels = rng.choice([-1, 1], size=m)
+        values = paper_offset_and_energy(labels, rng.uniform(-m, m, m), float(m))
+        assert [type(v) for v in values] == [float, float]
+
 
 def quantum_model(points, labels, theta=(1.0, 1.0), alpha=None, beta=0.0):
     points = np.asarray(points, dtype=float)
@@ -420,7 +427,9 @@ class TestAccuracy:
     def test_counting(self):
         labels = np.array([1] * 9 + [-1])
         ds = Dataset(np.random.default_rng(7).uniform(0, 1, (10, 2)), labels)
-        assert accuracy(self._constant_positive_model(), ds) == 0.9
+        score = accuracy(self._constant_positive_model(), ds)
+        assert score == 0.9
+        assert type(score) is float
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.empty((0, 2)), np.empty(0, dtype=int))
