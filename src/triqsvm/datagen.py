@@ -161,8 +161,9 @@ def load_csv(
     ``positive_label`` is the raw label value mapped to +1.  When
     ``negative_label`` is omitted it is inferred as the single other raw
     value present in the file; more than two distinct raw values is an
-    error either way.  Unparsable or non-finite (nan, +-inf) feature cells
-    are reported with their line number.
+    error either way.  Both labels must occur in the label column, so the
+    result always holds both classes.  Unparsable or non-finite (nan,
+    +-inf) feature cells are reported with their line number.
     """
     path = Path(path)
     if not path.is_file():
@@ -198,10 +199,19 @@ def load_csv(
     raw_set = set(raw_labels)
     if negative_label is None:
         others = raw_set - {positive_label}
-        if len(others) > 1:
-            raise ValueError(f"expected two raw label values, found {sorted(raw_set)}")
-        negative_label = others.pop() if others else None
-    expected = {positive_label} | ({negative_label} if negative_label is not None else set())
+        if len(others) != 1:
+            raise ValueError(
+                f"expected two raw label values in column {label_column!r}, "
+                f"found {sorted(raw_set)}"
+            )
+        negative_label = others.pop()
+    elif negative_label == positive_label:
+        raise ValueError(f"positive and negative label are both {positive_label!r}")
+    for role, value in (("positive", positive_label), ("negative", negative_label)):
+        if value not in raw_set:
+            raise ValueError(f"{role} label {value!r} never occurs in column {label_column!r}; "
+                             f"found {sorted(raw_set)}")
+    expected = {positive_label, negative_label}
     stray = raw_set - expected
     if stray:
         raise ValueError(f"unexpected label value(s) {sorted(stray)}; expected {sorted(expected)}")

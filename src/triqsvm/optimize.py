@@ -15,7 +15,8 @@ to the optimizer, until the iteration cap or the target accuracy ends the
 run.  The ``paper`` builder on a kernel with values in [0, 1] (quantum
 or rbf) skips the QUBO: there alpha = 1 is known to be optimal, and the
 offset and best energy come in closed form from K y, which the quantum
-kernel takes from the training states without a kernel matrix.
+kernel takes from the training states without a kernel matrix.  Each
+quantum pass builds its model's operator M once and hands it to the model.
 The reported model is the iteration with the highest validation accuracy
 (earliest on ties).
 """
@@ -41,14 +42,14 @@ from .anneal import (
 )
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
-from .qkernel import FeatureMapSpec, feature_states, gram_from_states
+from .qkernel import (FeatureMapSpec, expectations, feature_states, gram_from_states,
+                      weighted_operator)
 from .qubo import (
     TrainedModel,
     accuracy,
     build_qubo_dual,
     build_qubo_paper,
     compute_beta,
-    expectations,
     model_to_dict,
     paper_offset_and_energy,
 )
@@ -66,14 +67,16 @@ def _pin_malloc_thresholds() -> None:
 
     glibc's thresholds are dynamic: they start at 128 KiB and rise only
     after a large block is freed, so by default a temporary above 128 KiB
-    goes back to the OS and faults in again on every call.  Of the
-    benchmark's workloads, only ``predict-map`` still pays for that: its
-    evaluate + map operation, whose largest temporaries are a 10,000-row
-    query batch's states and phase planes, took 914-915 minor faults
-    unpinned against 0-1 pinned (1,226-1,227 unpinned with the earlier
-    per-qubit Hadamard layer).  A ``dual-anneal`` training operation takes
-    4-5 either way, and ``qsvm-hard`` and ``hqsvm-paper`` 0-1 either way
-    (in process, seed 1, one map thread, 2 CPUs, numpy 2.4.6).
+    goes back to the OS and faults in again on every call.  The pin is a
+    trade-off: it changes the allocator of the whole host process, and
+    taking it out costs the benchmark's workloads throughput.  Unpinned,
+    ``predict-map``'s evaluate + map operation (a 10,000-row query batch's
+    states and phase planes) took 680-683 minor faults against 1-2 and
+    6-11% less ``predict_qps``.  Scoring in row blocks of 4,096 amplitudes
+    took those faults to 1-3 unpinned, but ``hqsvm-paper`` then lost 5-8%
+    ``predict_qps``, although its holdout scoring after ``train`` takes no
+    faults either way in process (seed 1, 2 CPUs, numpy 2.4.6; three
+    alternating ``perfbench/run.py`` pairs per comparison).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -343,10 +346,14 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
 
     ``bounds`` is a sequence of (low, high) per coordinate, low < high.
     Every point COBYLA evaluates lies in the box, and ``max_evals`` is a
-    hard cap on objective calls.  A run that ends on the budget, or because
-    the objective raised ``_Stop``, reports ``converged=False``.  The
-    result is the best point evaluated (the earliest on ties), or ``x0``
-    with ``fun`` = inf when no evaluation returned a value below inf.
+    hard cap on objective calls.  ``converged`` is True when ρ reached
+    ``rho_end`` on the values evaluated, even when the last value the
+    budget allows completed that descent (then ``evaluations`` equals
+    ``max_evals``).  A run whose iteration asked for a point beyond the
+    budget, whose simplex turned singular, or whose objective raised
+    ``_Stop`` reports ``converged=False``.  The result is the best point
+    evaluated (the earliest on ties), or ``x0`` with ``fun`` = inf when no
+    evaluation returned a value below inf.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -495,28 +502,30 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     return result, info
 
 
-def _paper_closed_form(kernel, points, states, labels,
-                       cfg: TrainConfig) -> tuple[np.ndarray, float, dict]:
-    """α, β and the solver info of a ``paper`` pass on a kernel in [0, 1]
-    (quantum or rbf), whose QUBO is optimal at α = 1 whatever the backend.
+def _paper_closed_form(kernel, points, states, labels, cfg: TrainConfig):
+    """α, β, the solver info and the operator M of a ``paper`` pass on a
+    kernel in [0, 1] (quantum or rbf), whose QUBO is optimal at α = 1
+    whatever the backend.
 
     β and the energy come from K y and tr K (``paper_offset_and_energy``):
-    on rbf from the Gram; on the quantum kernel, in O(m 4**n) with no Gram,
-    as (K y)_n = <s_n|M|s_n>, M = Σ_m y_m |s_m><s_m|, and K_nn = ||s_n||**4.
-    The solver info is a fully presolved instance's (``_solve_qubo``).
+    on rbf from the Gram, with M None; on the quantum kernel, in O(m 4**n)
+    with no Gram, as (K y)_n = <s_n|M|s_n>, M = Σ_m y_m |s_m><s_m|, and
+    K_nn = ||s_n||**4.  At α = 1 this M is the model's, bit for bit.  The
+    solver info is a fully presolved instance's (``_solve_qubo``).
     """
     labels = np.asarray(labels, dtype=float)
     if states is None:
         k = kernel_gram(kernel, points)
-        ky, trace = k.T @ labels, np.trace(k)
+        ky, trace, operator = k.T @ labels, np.trace(k), None
     else:
-        ky = expectations(states, (states.T * labels) @ states.conj())
+        operator = weighted_operator(states, labels)
+        ky = expectations(states, operator)
         pairs = states.view(float)
         norms = np.einsum("ni,ni->n", pairs, pairs)
         trace = norms @ norms
     m = labels.size
     beta, best_energy = paper_offset_and_energy(labels, ky, trace)
-    return np.ones(m, dtype=int), beta, _solver_info(cfg, m, 0, best_energy, m)
+    return np.ones(m, dtype=int), beta, _solver_info(cfg, m, 0, best_energy, m), operator
 
 
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -524,12 +533,14 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
 
     Each objective evaluation is one full pass: kernel matrix, QUBO,
     solve, offset, validation accuracy.  On the quantum kernel the
-    training points' feature states are built once per pass: the Gram
-    and the pass's model operator come from them, so scoring the
-    validation set simulates only its own circuits.  The ``paper``
+    training points' feature states are built once per pass, and the
+    pass's operator M once from them; the model takes that M, so scoring
+    the validation set simulates only its own circuits.  The ``paper``
     builder on the quantum kernel or rbf builds no QUBO and runs no
     backend: α = 1, and β and the best energy come in closed form
-    (``_paper_closed_form``), with no Gram on the quantum kernel.  The
+    (``_paper_closed_form``, whose M with w = y is the model's), with no
+    Gram on the quantum kernel.  A ``dual`` pass takes the Gram from the
+    states and builds M with w = α ⊙ y after solving.  The
     run ends after ``max_iterations`` evaluations, or at the first one
     that reaches ``target_accuracy``.  COBYLA evaluates θ only inside
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
@@ -568,7 +579,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
             else:
                 states = None
             if cfg.qubo_builder == "paper" and isinstance(kernel, (FeatureMapSpec, RbfKernel)):
-                alpha, beta, solver_info = _paper_closed_form(
+                alpha, beta, solver_info, operator = _paper_closed_form(
                     kernel, train_set.points, states, train_set.labels, cfg)
             else:
                 k = (gram_from_states(states) if states is not None
@@ -577,6 +588,8 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
                 sample, solver_info = _solve_qubo(build(k, train_set.labels), cfg)
                 alpha = sample.best_assignment
                 beta = compute_beta(alpha, train_set.labels, k)
+                operator = (None if states is None
+                            else weighted_operator(states, alpha * train_set.labels))
             model = TrainedModel(
                 alpha=alpha,
                 beta=beta,
@@ -584,7 +597,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
                 train_labels=train_set.labels,
                 kernel=kernel,
                 builder=cfg.qubo_builder,
-                states=states,
+                built_operator=operator,
             )
             acc = accuracy(model, val_set)
             if states is not None:

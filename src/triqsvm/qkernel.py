@@ -19,7 +19,11 @@ under the phase evolution, which is the action of exp(i sum phi_S prod_S Z).
 Kernels are exact squared overlaps of statevectors; there is no shot
 sampling anywhere in this module.  ``gram_from_states`` takes states, not
 points, so a caller that keeps a batch's states does not simulate its
-circuits again; it is the one place that computes |<s|t>|**2.
+circuits again; it is the one place that computes |<s|t>|**2.  The
+operator algebra lives here too: ``weighted_operator`` builds
+M = sum_m w_m |s_m><s_m| and ``expectations`` takes Re <s|M|s> over a
+batch, so generated data's labels (``expectation_zz``) and a quantum
+model's decision values go through the same two routines.
 
 What depends only on the qubit count is built once per count and cached
 read-only: the table of (1 - 2 b_i) signs, the pair indices of the
@@ -218,24 +222,37 @@ def gram(points, spec: FeatureMapSpec) -> GramMatrix:
     return GramMatrix(gram_from_states(feature_states(points, spec)), m)
 
 
+def weighted_operator(states: np.ndarray, weights) -> np.ndarray:
+    """M = sum_m w_m |s_m><s_m| over the rows s_m of ``states``, shape
+    (2**n, 2**n): a quantum model's operator, with w = alpha * y."""
+    return (states.T * weights) @ states.conj()
+
+
+def expectations(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """Re <s|M|s> for each row s of C-contiguous complex128 ``states``, as
+    the real dot product of the float views of s and M s.  A lone row goes
+    through M as a pair: numpy would send a (1, 2**n) complex product to a
+    matrix-vector kernel, which rounds differently from the matrix one.
+    """
+    rows = np.concatenate([states, states]) if len(states) == 1 else states
+    product = (rows @ operator.T)[:len(states)]
+    return np.einsum("qi,qi->q", states.view(float), product.view(float))
+
+
 def expectation_zz(states, v: np.ndarray) -> np.ndarray:
     """Expectations <psi| V^dag (Z x ... x Z) V |psi> of a batch of states.
 
     ``states`` has shape (m, 2**n); the result holds m reals in [-1, 1].
-    V's unitarity is checked once per call.
+    V's unitarity is checked once per call.  V^dag Z...Z V is built and
+    scored as a quantum model's M is, with w the signs of Z...Z.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=complex))
+    states = np.atleast_2d(np.ascontiguousarray(states, dtype=complex))
     v = np.asarray(v, dtype=complex)
     dim = states.shape[1]
-    n = dim.bit_length() - 1
     if v.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {v.shape}")
     residual = np.max(np.abs(v.conj().T @ v - np.eye(dim)))
     if residual > 1e-10:
         raise ValueError(f"matrix is not unitary (max |V^dag V - I| = {residual:.2e})")
-    w = states @ v.T
-    signs = np.prod(_z_table(n), axis=0)
-    value = np.sum(w.conj() * (signs * w), axis=1)
-    if np.any(np.abs(value.imag) >= 1e-10):
-        raise ArithmeticError(f"expectation has imaginary residue {value.imag!r}")
-    return value.real
+    signs = np.prod(_z_table(dim.bit_length() - 1), axis=0)
+    return expectations(states, weighted_operator(v.conj(), signs))

@@ -10,7 +10,8 @@ gives its offset and energy from K y and tr K without building it.
 
 The trained classifier is sign(sum_m alpha_m y_m K(x_m, x) + beta) with
 ties at exactly zero resolved to +1; a quantum model evaluates the sum as
-<phi(x)|M|phi(x)> through one 2**n x 2**n operator M.
+<phi(x)|M|phi(x)> through one 2**n x 2**n operator M, which its trainer
+hands it and which ``qkernel`` builds and scores.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .kernels import Kernel, kernel_cross, kernel_from_dict, kernel_to_dict
-from .qkernel import FeatureMapSpec, feature_states
+from .qkernel import FeatureMapSpec, expectations, feature_states, weighted_operator
 
 MODEL_SCHEMA_VERSION = "1"
 
@@ -54,10 +55,13 @@ class TrainedModel:
 
     A quantum model also holds ``operator``, M = sum_m w_m |s_m><s_m| over
     its training points' feature states, with w = alpha * y, so that the
-    kernel sum at a query is <phi|M|phi> (Schuld, arXiv:2101.11020).  M is
-    built from ``states`` if supplied (complex128, shape (m, 2**n)), else
-    from ``train_points``.  It takes 16 * 4**n bytes (16 MiB at n = 10),
-    and model files do not store it.  Classical kernels have no operator.
+    kernel sum at a query is <phi|M|phi> (Schuld, arXiv:2101.11020).  The
+    trainer passes the M it built as ``built_operator`` (complex128, shape
+    (2**n, 2**n)); without it, M is built from ``train_points``.  Like
+    any init-only argument, ``built_operator`` reads None on every model,
+    so ``dataclasses.replace`` builds M again from the new fields.  M
+    takes 16 * 4**n bytes (16 MiB at n = 10), and model files do not
+    store it.  Classical kernels have no operator.
     """
 
     alpha: np.ndarray
@@ -66,10 +70,10 @@ class TrainedModel:
     train_labels: np.ndarray
     kernel: Kernel
     builder: str = "paper"
-    states: InitVar[np.ndarray | None] = None
+    built_operator: InitVar[np.ndarray | None] = None
     operator: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self, states):
+    def __post_init__(self, built_operator):
         alpha = np.asarray(self.alpha)
         labels = np.asarray(self.train_labels)
         # A copy: the model's operator must stay that of its points.
@@ -86,19 +90,20 @@ class TrainedModel:
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
         if isinstance(self.kernel, FeatureMapSpec):
-            if states is None:
+            if built_operator is None:
                 states = feature_states(points, self.kernel)
+                built_operator = weighted_operator(states, alpha * labels)
             else:
-                states = np.asarray(states)
-                shape = (m, 2**self.kernel.n)
-                if states.dtype != np.complex128 or states.shape != shape:
+                built_operator = np.asarray(built_operator)
+                shape = (2**self.kernel.n,) * 2
+                if built_operator.dtype != np.complex128 or built_operator.shape != shape:
                     raise ValueError(
-                        f"states must be a complex128 array of shape {shape}, "
-                        f"got {states.dtype} {states.shape}"
+                        f"the operator must be a complex128 array of shape {shape}, "
+                        f"got {built_operator.dtype} {built_operator.shape}"
                     )
-            object.__setattr__(self, "operator", (states.T * (alpha * labels)) @ states.conj())
-        elif states is not None:
-            raise ValueError("only a quantum kernel has feature states")
+            object.__setattr__(self, "operator", built_operator)
+        elif built_operator is not None:
+            raise ValueError("only a quantum kernel has an operator")
         object.__setattr__(self, "alpha", alpha.astype(int))
         object.__setattr__(self, "train_points", points)
         object.__setattr__(self, "train_labels", labels.astype(int))
@@ -179,17 +184,6 @@ def paper_offset_and_energy(labels, ky, trace) -> tuple[float, float]:
     m = labels.size
     energy = -0.5 * (m * (m - 1) + labels @ ky - trace)
     return float((labels - ky).sum() / m), float(energy)
-
-
-def expectations(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """Re <s|M|s> for each row s of C-contiguous complex128 ``states``, as
-    the real dot product of the float views of s and M s.  A lone row goes
-    through M as a pair: numpy would send a (1, 2**n) complex product to a
-    matrix-vector kernel, which rounds differently from the matrix one.
-    """
-    rows = np.concatenate([states, states]) if len(states) == 1 else states
-    product = (rows @ operator.T)[:len(states)]
-    return np.einsum("qi,qi->q", states.view(float), product.view(float))
 
 
 def decision_values(xs, model: TrainedModel) -> np.ndarray:

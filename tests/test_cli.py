@@ -123,6 +123,18 @@ class TestGenData:
         assert meta["rescaled"] is True
         assert meta["column_ranges"] == [[9.0, 14.0], [11.0, 22.0]]
 
+    def test_from_csv_with_a_mistyped_positive_label_fails(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("radius,texture,diagnosis\n10,20,no\n14,15,no\n", encoding="utf-8")
+        out = tmp_path / "canonical.csv"
+        result = run_cli(
+            "gen-data", "--from-csv", raw, "--feature-columns", "radius,texture",
+            "--label-column", "diagnosis", "--positive-label", "Yes", "--out", out,
+        )
+        assert result.returncode == 1
+        assert "'Yes' never occurs in column 'diagnosis'" in result.stderr
+        assert not out.exists()
+
 
 class TestTrain:
     def test_quick_run_writes_artifacts(self, small_dataset, tmp_path):

@@ -183,6 +183,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no such file"):
             load_csv(tmp_path / "nope.csv", ["a", "b"], "tag", positive_label="yes")
 
+    @pytest.mark.parametrize("tags, positive, negative, message", [
+        (["no", "no"], "Yes", None, "positive label 'Yes' never occurs in column 'tag'"),
+        (["no", "yes"], "Yes", "no", "positive label 'Yes' never occurs in column 'tag'"),
+        (["yes", "yes"], "yes", "no", "negative label 'no' never occurs in column 'tag'"),
+        (["yes", "yes"], "yes", None, "two raw label values in column 'tag'"),
+        (["yes", "no"], "yes", "yes", "both 'yes'"),
+    ], ids=["mistyped-positive", "mistyped-positive-given-negative", "absent-negative",
+            "one-raw-value", "same-label-twice"])
+    def test_one_class_result_rejected(self, tmp_path, tags, positive, negative, message):
+        # A label that never occurs would map every row to one class.
+        rows = "".join(f"{i},{i + 1},{tag}\n" for i, tag in enumerate(tags))
+        path = self._write(tmp_path, "a,b,tag\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, ["a", "b"], "tag", positive_label=positive, negative_label=negative)
+
 
 class TestRescale:
     def test_min_max_onto_angle_range(self):

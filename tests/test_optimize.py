@@ -175,6 +175,23 @@ class TestCobylaMinimize:
         np.testing.assert_allclose(result.x, [-1.0, -2.0], atol=1e-4)
         assert result.converged
 
+    @pytest.mark.parametrize("rho_end", [1e-2, 1e-4])
+    def test_budget_spent_on_the_final_value_still_converges(self, rho_end):
+        # The value that completes the descent to rho_end may be the last
+        # one the budget allows: the run then converges on the budget.
+        def objective(x):
+            return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 0.5) ** 2
+
+        config = OptimizerConfig(rho_begin=0.5, rho_end=rho_end, max_evals=1000)
+        free = cobyla_minimize(objective, np.zeros(2), BOX, config)
+        assert free.converged and free.evaluations < 1000
+        k = free.evaluations
+        capped = cobyla_minimize(objective, np.zeros(2), BOX,
+                                 dataclasses.replace(config, max_evals=k))
+        assert capped.evaluations == k
+        assert capped.converged
+        assert capped.x.tobytes() == free.x.tobytes() and capped.fun == free.fun
+
     def test_x0_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
             cobyla_minimize(lambda x: 0.0, np.array([9.0, 0.0]), BOX, OptimizerConfig())
@@ -692,7 +709,8 @@ class TestTrain:
         report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=9))
         model = report.best_model
         states = qkernel.feature_states(train_set.points, model.kernel)
-        rebuilt = dataclasses.replace(model, states=states)
+        operator = qkernel.weighted_operator(states, model.alpha * model.train_labels)
+        rebuilt = dataclasses.replace(model, built_operator=operator)
         assert model.operator.tobytes() == rebuilt.operator.tobytes()
 
     def test_config_validation(self):
@@ -758,4 +776,51 @@ class TestStatesBuilt:
         report = train(train_set, val_set, cfg)
         assert built == []
         assert report.states_built == 0
+        assert report.best_model.operator is None
+
+
+def spy_on_operators(monkeypatch):
+    """Rows of the states behind every operator M that training builds,
+    under each name it reaches ``weighted_operator`` by."""
+    built = []
+    original = qkernel.weighted_operator
+
+    def counted(states, weights):
+        built.append(states.shape[0])
+        return original(states, weights)
+
+    for module in (optimize, qubo):
+        monkeypatch.setattr(module, "weighted_operator", counted)
+    return built
+
+
+class TestOperatorsBuilt:
+    """Each quantum pass builds its model's operator M once and hands it
+    to the model; classical kernels build none."""
+
+    @pytest.mark.parametrize("builder", ["paper", "dual"])
+    def test_one_operator_per_quantum_pass(self, monkeypatch, builder):
+        built = spy_on_operators(monkeypatch)
+        # Random labels: no iteration reaches the target.
+        rng = np.random.default_rng(13)
+        train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, 2)),
+                            np.where(rng.random(12) < 0.5, 1, -1))
+        val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, 2)),
+                          np.where(rng.random(8) < 0.5, 1, -1))
+        cfg = TrainConfig(solver_backend="greedy", qubo_builder=builder, max_iterations=5,
+                          seed=13)
+        report = train(train_set, val_set, cfg)
+        assert report.iterations_used == 5 and report.failures == []
+        assert built == [12] * 5
+
+    @pytest.mark.parametrize("builder", ["paper", "dual"])
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_classical_kernels_build_none(self, monkeypatch, kind, builder):
+        built = spy_on_operators(monkeypatch)
+        train_set, val_set = two_blob_sets(seed=3)
+        cfg = TrainConfig(kernel_kind=kind, solver_backend="greedy", qubo_builder=builder,
+                          max_iterations=4, seed=3)
+        report = train(train_set, val_set, cfg)
+        assert report.failures == []
+        assert built == []
         assert report.best_model.operator is None

@@ -256,11 +256,13 @@ class TestPersistency:
 
 def qubo_path(kernel, points, states, labels, cfg):
     """A ``paper`` pass as it ran before its closed form: Gram, QUBO,
-    annealer on the whole instance (no presolve), ``compute_beta``."""
+    annealer on the whole instance (no presolve), ``compute_beta``.  It
+    returns no operator, so its models build M from their points, as a
+    loaded model does."""
     k = gram_from_states(states) if states is not None else kernel_gram(kernel, points)
     sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
     beta = compute_beta(sample.best_assignment, labels, k)
-    return sample.best_assignment, beta, {"best_energy": float(sample.best_energy)}
+    return sample.best_assignment, beta, {"best_energy": float(sample.best_energy)}, None
 
 
 def refuse(*args, **kwargs):

@@ -9,7 +9,7 @@ import pytest
 from triqsvm.anneal import energy
 from triqsvm.kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_cross, kernel_gram
 from triqsvm.optimize import TrainConfig, _paper_closed_form, train
-from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states
+from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states, weighted_operator
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -152,8 +152,16 @@ def closed_form(kernel, points, labels):
     """β and best energy of a ``paper`` pass in closed form, as ``train``
     takes them."""
     states = feature_states(points, kernel) if isinstance(kernel, FeatureMapSpec) else None
-    alpha, beta, info = _paper_closed_form(kernel, points, states, labels, TrainConfig())
+    alpha, beta, info, operator = _paper_closed_form(kernel, points, states, labels,
+                                                     TrainConfig())
     assert alpha.tolist() == [1] * len(labels)
+    # The operator it returns is the one a model of these points builds.
+    model = TrainedModel(alpha=alpha, beta=beta, train_points=points, train_labels=labels,
+                         kernel=kernel)
+    if operator is None:
+        assert model.operator is None
+    else:
+        assert operator.tobytes() == model.operator.tobytes()
     return beta, info["best_energy"]
 
 
@@ -287,35 +295,47 @@ class TestDecisionAndClassify:
             decision_values([[1.0, 2.0, 3.0]], model)
 
 
-def trained_model(n):
+def trained_model(n, builder="paper"):
     """A greedy-trained n-qubit model, with 65 query points."""
     rng = np.random.default_rng(40 + n)
     train_set = Dataset(rng.uniform(0, 2 * np.pi, (23, n)),
                         np.where(rng.random(23) < 0.5, 1, -1))
     val_set = Dataset(rng.uniform(0, 2 * np.pi, (7, n)),
                       np.where(rng.random(7) < 0.5, 1, -1))
-    cfg = TrainConfig(solver_backend="greedy", max_iterations=3, seed=n)
+    cfg = TrainConfig(solver_backend="greedy", qubo_builder=builder, max_iterations=3, seed=n)
     return train(train_set, val_set, cfg).best_model, rng.uniform(0, 2 * np.pi, (65, n))
 
 
 class TestModelStates:
     """A quantum model holds the operator M = sum_m w_m |s_m><s_m| of its
-    training points' feature states, built at construction from the states
-    the caller supplies or from the points; scoring reads only M."""
+    training points' feature states: the M its caller built, or one built
+    from the points at construction.  Scoring reads only M."""
 
     def test_states_equal_feature_states_of_the_points(self):
-        # The operator built from supplied states, from the points and
-        # from a model file is the same, and it is the sum of the weighted
-        # projectors onto the points' feature states.
+        # The operator built from the points' states and supplied, built
+        # from the points and built from a model file is the same, and it
+        # is the sum of the weighted projectors onto the points' states.
         model = four_point_model()
         states = feature_states(model.train_points, model.kernel)
-        supplied = dataclasses.replace(model, states=states)
+        weights = model.alpha * model.train_labels
+        supplied = dataclasses.replace(
+            model, built_operator=weighted_operator(states, weights))
         assert model.operator.tobytes() == supplied.operator.tobytes()
         assert model_from_dict(model_to_dict(model)).operator.tobytes() == (
             model.operator.tobytes())
-        weights = model.alpha * model.train_labels
         expected = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, states))
         np.testing.assert_allclose(model.operator, expected, rtol=0, atol=1e-12)
+
+    def test_replace_builds_the_operator_of_the_new_fields(self):
+        # ``built_operator`` reads None on a model, so ``replace`` does not
+        # carry the old M into a model with other weights.
+        model = four_point_model()
+        other = np.array([0, 1, 1, 0])
+        fresh = quantum_model(model.train_points, model.train_labels,
+                              theta=model.kernel.theta, alpha=other, beta=model.beta)
+        replaced = dataclasses.replace(model, alpha=other)
+        assert replaced.operator.tobytes() == fresh.operator.tobytes()
+        assert replaced.operator.tobytes() != model.operator.tobytes()
 
     def test_operator_replaces_the_states(self):
         # One (2**n, 2**n) complex128 array, whatever m; no (m, 2**n) array.
@@ -340,7 +360,7 @@ class TestModelStates:
 
     def test_states_are_not_written_to_model_files(self):
         model = four_point_model()
-        for name in ("states", "operator"):
+        for name in ("states", "operator", "built_operator"):
             assert name not in model_to_dict(model)
             assert name not in repr(model)
 
@@ -349,9 +369,10 @@ class TestModelStates:
         (4, 4, float),
     ], ids=["too-few-rows", "too-many-rows", "wrong-dimension", "complex64", "real"])
     def test_supplied_states_of_the_wrong_shape_or_dtype_rejected(self, rows, dim, dtype):
+        # A supplied operator must be a complex128 (2**n, 2**n) array.
         model = four_point_model()
-        with pytest.raises(ValueError, match="states must be"):
-            dataclasses.replace(model, states=np.ones((rows, dim), dtype=dtype))
+        with pytest.raises(ValueError, match="operator must be"):
+            dataclasses.replace(model, built_operator=np.ones((rows, dim), dtype=dtype))
 
     def test_classical_kernels_have_no_states(self):
         for kernel in (RbfKernel(gamma=0.5), LinearKernel()):
@@ -360,7 +381,7 @@ class TestModelStates:
                                  train_labels=np.array([1]), kernel=kernel)
             assert model.operator is None
             with pytest.raises(ValueError, match="only a quantum kernel"):
-                dataclasses.replace(model, states=np.ones((1, 4), dtype=complex))
+                dataclasses.replace(model, built_operator=np.ones((4, 4), dtype=complex))
 
     @pytest.mark.parametrize("attr", ["alpha", "beta", "train_points", "operator"])
     def test_assigning_an_attribute_raises(self, attr):
@@ -403,13 +424,15 @@ class TestModelStates:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trained_and_reloaded_models_give_the_same_bytes(self, tmp_path, n):
-        # The trainer supplies its states; the loaded model rebuilds them
+        # The trainer supplies the operator it built, on the closed-form
+        # paper path and on the dual path; the loaded model rebuilds it
         # from the stored points.
-        model, xs = trained_model(n)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        assert decision_values(xs, load_model(path)).tobytes() == (
-            decision_values(xs, model).tobytes())
+        for builder in ("paper", "dual"):
+            model, xs = trained_model(n, builder)
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            assert decision_values(xs, load_model(path)).tobytes() == (
+                decision_values(xs, model).tobytes())
 
 
 class TestAccuracy:
