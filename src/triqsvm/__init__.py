@@ -4,6 +4,9 @@ A simulated gate-based quantum kernel, an annealing-style QUBO solver and
 a classical derivative-free optimizer, composed into one training cycle.
 """
 
+# Set before the submodules are imported: ``optimize`` echoes it.
+__version__ = "0.1.0"
+
 from .anneal import (AnnealSchedule, SampleResult, brute_force, energy, greedy_descent,
                      simulated_anneal)
 from .datagen import (
@@ -38,5 +41,3 @@ from .qubo import (
     load_model,
     save_model,
 )
-
-__version__ = "0.1.0"

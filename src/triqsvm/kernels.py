@@ -57,8 +57,18 @@ def kernel_cross(kernel: RbfKernel | LinearKernel, points, queries) -> np.ndarra
             f"queries {queries.shape[1]}-dimensional"
         )
     if isinstance(kernel, RbfKernel):
-        d2 = ((points[:, None, :] - queries[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-kernel.gamma * d2)
+        # ||x - z||**2 one coordinate at a time into one (m, q) array, with
+        # no (m, q, d) temporary.  Below 8 coordinates this adds in the
+        # order of ``sum(axis=-1)`` over the differences, bit for bit; from
+        # 8 on, that sum adds pairwise and rounds differently.
+        d2 = np.subtract.outer(points[:, 0], queries[:, 0])
+        d2 *= d2
+        for c in range(1, points.shape[1]):
+            diff = np.subtract.outer(points[:, c], queries[:, c])
+            diff *= diff
+            d2 += diff
+        d2 *= -kernel.gamma
+        return np.exp(d2, out=d2)
     if isinstance(kernel, LinearKernel):
         return points @ queries.T
     raise TypeError(f"unsupported kernel {kernel!r}")

@@ -15,8 +15,12 @@ to the optimizer, until the iteration cap or the target accuracy ends the
 run.  The ``paper`` builder on a kernel with values in [0, 1] (quantum
 or rbf) skips the QUBO: there alpha = 1 is known to be optimal, and the
 offset and best energy come in closed form from K y, which the quantum
-kernel takes from the training states without a kernel matrix.  Each
-quantum pass builds its model's operator M once and hands it to the model.
+kernel takes from the training states without a kernel matrix.  θ enters
+the quantum kernel only through one detuning row shared by every point, so
+``train`` builds the training points' θ-free phases once per run, and
+each quantum pass turns them into states through the one statevector
+routine (``qkernel.states_from_phases``), then builds its model's operator
+M once and hands it to the model.
 The reported model is the iteration with the highest validation accuracy
 (earliest on ties).
 """
@@ -32,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .anneal import (
     AnnealSchedule,
     SampleResult,
@@ -42,8 +47,8 @@ from .anneal import (
 )
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
-from .qkernel import (FeatureMapSpec, expectations, feature_states, gram_from_states,
-                      weighted_operator)
+from .qkernel import (FeatureMapSpec, data_phases, expectations, gram_from_states,
+                      states_from_phases, weighted_operator)
 from .qubo import (
     TrainedModel,
     accuracy,
@@ -532,12 +537,16 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     """Run the outer training cycle and keep the best-scoring iteration.
 
     Each objective evaluation is one full pass: kernel matrix, QUBO,
-    solve, offset, validation accuracy.  On the quantum kernel the
-    training points' feature states are built once per pass, and the
-    pass's operator M once from them; the model takes that M, so scoring
-    the validation set simulates only its own circuits.  The ``paper``
-    builder on the quantum kernel or rbf builds no QUBO and runs no
-    backend: α = 1, and β and the best energy come in closed form
+    solve, offset, validation accuracy.  The float labels are built once
+    per run, and on the quantum kernel so are the training points' θ-free
+    phases E (``qkernel.data_phases``).  Each quantum pass turns E into
+    the training states with ``qkernel.states_from_phases``, the routine
+    ``feature_states`` calls, so they equal ``feature_states`` of the
+    points bit for bit, and builds the pass's operator M once from them.
+    The model takes that M, and validation is scored through
+    ``accuracy(model, val_set)``, which simulates only its own circuits.
+    The ``paper`` builder on the quantum kernel or rbf builds no QUBO and
+    runs no backend: α = 1, and β and the best energy come in closed form
     (``_paper_closed_form``, whose M with w = y is the model's), with no
     Gram on the quantum kernel.  A ``dual`` pass takes the Gram from the
     states and builds M with w = α ⊙ y after solving.  The
@@ -546,7 +555,8 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
     without parameters (linear) has nothing to tune, so its run is one
     pass with an empty θ and no optimizer.  An iteration that raises is
-    recorded with accuracy 0 and loss 1.
+    recorded with accuracy 0 and loss 1.  The config echo records the
+    ``triqsvm`` and numpy versions that trained.
     """
     if train_set.m == 0 or val_set.m == 0:
         raise ValueError("training and validation sets must be nonempty")
@@ -565,6 +575,10 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
 
     start = time.perf_counter()
     x0 = initial_theta(p, cfg.seed) if p else np.empty(0)
+    # What θ does not change, once per run: the training points' phases
+    # E (``qkernel.data_phases``) and the labels as floats.
+    phases = data_phases(train_set.points) if cfg.kernel_kind == "quantum-zz" else None
+    labels = train_set.labels.astype(float)
     accuracies: list[float] = []
     failures: list[str] = []
     state = {"best_acc": -1.0, "best": None, "states_built": 0}
@@ -574,22 +588,22 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         try:
             kernel = kernel_at(theta)
             if isinstance(kernel, FeatureMapSpec):
-                states = feature_states(train_set.points, kernel)
+                states = states_from_phases(phases, kernel)
                 state["states_built"] += train_set.m
             else:
                 states = None
             if cfg.qubo_builder == "paper" and isinstance(kernel, (FeatureMapSpec, RbfKernel)):
                 alpha, beta, solver_info, operator = _paper_closed_form(
-                    kernel, train_set.points, states, train_set.labels, cfg)
+                    kernel, train_set.points, states, labels, cfg)
             else:
                 k = (gram_from_states(states) if states is not None
                      else kernel_gram(kernel, train_set.points))
                 build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
-                sample, solver_info = _solve_qubo(build(k, train_set.labels), cfg)
+                sample, solver_info = _solve_qubo(build(k, labels), cfg)
                 alpha = sample.best_assignment
-                beta = compute_beta(alpha, train_set.labels, k)
+                beta = compute_beta(alpha, labels, k)
                 operator = (None if states is None
-                            else weighted_operator(states, alpha * train_set.labels))
+                            else weighted_operator(states, alpha * labels))
             model = TrainedModel(
                 alpha=alpha,
                 beta=beta,
@@ -630,6 +644,8 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         "optimizer": _field_values(opt),
         "initial_theta": [float(t) for t in x0],
         "parameter_count": p,
+        "triqsvm_version": __version__,
+        "numpy_version": np.__version__,
     }
     return TrainReport(
         best_theta=best_theta,

@@ -25,14 +25,26 @@ M = sum_m w_m |s_m><s_m| and ``expectations`` takes Re <s|M|s> over a
 batch, so generated data's labels (``expectation_zz``) and a quantum
 model's decision values go through the same two routines.
 
+theta moves only the one-body angles, by a detuning c(theta) that is the
+same for every point, so D(x) = E(x) * exp(i c(theta) . z) with
+E(x) = exp(i P(x)) free of theta.  ``data_phases`` builds E for a batch
+of points, each ``FeatureMapSpec`` builds its single 2**n-entry row
+exp(i c . z) once, and ``states_from_phases`` is the one statevector
+routine: it multiplies E by that row and returns D * (D @ W).
+``feature_states`` is that routine on its points' own E; a trainer keeps
+the training points' E for a whole run and calls the routine once per
+value of theta, with the same bits.
+
 What depends only on the qubit count is built once per count and cached
 read-only: the table of (1 - 2 b_i) signs, the pair indices of the
 two-body angles and the dense real matrix W = 2**-n H+- of the Hadamard
-layers (8 * 4**n bytes).  A batch of states then costs one phase
-diagonal D, applied twice, and one real (2m, 2**n) x (2**n, 2**n) product
-of D's stacked real and imaginary planes with W, and no per-call set-up
-beyond them.  Like the operator M of a quantum model and
-``expectation_zz``, W is 4**n wide, so there is one path for every n.
+layers (8 * 4**n bytes).  From E and a spec's row, a batch of states
+costs one complex multiply giving the phase diagonal D, which is applied
+twice, and one real (2m, 2**n) x (2**n, 2**n) product of D's stacked
+real and imaginary planes with W, with no per-call set-up beyond them;
+building E itself takes m * 2**n complex ``exp`` calls.  Like the
+operator M of a quantum model and ``expectation_zz``, W is 4**n wide, so
+there is one path for every n.
 """
 
 from __future__ import annotations
@@ -74,13 +86,20 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class FeatureMapSpec:
     """Configuration of the feature circuit: qubit count and training
-    parameters theta (one per qubit)."""
+    parameters theta (one per qubit), kept as a read-only copy.
+
+    theta reaches the states only through ``detuning_row``, exp(i c . z)
+    with the one-body detuning c_i = (pi/8) sin(pi (theta_i - 1)): one
+    read-only row of 2**n entries, the same for every point, built once
+    per spec so that scoring with a model's spec does not build it again.
+    """
 
     n: int = 2
     theta: np.ndarray = field(default_factory=lambda: np.ones(2))
+    detuning_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = _read_only(np.array(self.theta, dtype=float))
         object.__setattr__(self, "theta", theta)
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
@@ -89,27 +108,29 @@ class FeatureMapSpec:
         # Written so that a NaN entry fails the check too.
         if not np.all(np.abs(theta) <= 2 * np.pi):
             raise ValueError("all |theta_k| must be <= 2*pi")
+        detuning = DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
+        row = np.exp(1j * (detuning @ _z_table(self.n)))
+        object.__setattr__(self, "detuning_row", _read_only(row))
 
 
-def _angles(points: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-body and two-body angles of the data map, one row per point.
+def data_phases(points: np.ndarray) -> np.ndarray:
+    """E(x) = exp(i P(x)), the part of the phase diagonal that theta does
+    not reach, one row of 2**n entries per point.
 
-    One-body: the data coordinate plus a bounded periodic detuning
-    controlled by theta (exactly zero at integer theta).  Two-body:
-    (pi - x_i)(pi - x_j) per pair in :func:`_pair_index`, independent of theta.
+    P(x) = x . z + sum over the pairs i < j of :func:`_pair_index` of
+    (pi - x_i)(pi - x_j) z_i z_j, with z the rows of :func:`_z_table`.
     """
-    i, j = _pair_index(points.shape[1])
-    one = points + DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
-    return one, (np.pi - points[:, i]) * (np.pi - points[:, j])
-
-
-def _phase_diagonal(one: np.ndarray, two: np.ndarray) -> np.ndarray:
-    """Diagonal of the phase evolution D for each row of angles."""
-    z = _z_table(one.shape[1])
-    phase = one @ z
-    for k, (i, j) in enumerate(zip(*_pair_index(one.shape[1]))):
-        phase = phase + two[:, k : k + 1] * z[i] * z[j]
-    return np.exp(1j * phase)
+    n = points.shape[1]
+    z = _z_table(n)
+    phase = points @ z
+    shifted = np.pi - points
+    for i, j in zip(*_pair_index(n)):
+        phase += shifted[:, i : i + 1] * shifted[:, j : j + 1] * (z[i] * z[j])
+    # exp of 0 + i P in place: the bits of np.exp(1j * P), without the
+    # complex temporary that 1j * P allocates.
+    phases = np.zeros(phase.shape, dtype=complex)
+    phases.imag = phase
+    return np.exp(phases, out=phases)
 
 
 @lru_cache(maxsize=None)
@@ -128,25 +149,22 @@ def _hadamard(n: int) -> np.ndarray:
     return _read_only(signs * 2.0**-n)
 
 
-def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
-    """Feature states D H D H|0...0> of a batch of points, shape (m, 2**n).
+def states_from_phases(phases: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
+    """Feature states D H D H|0...0> from the rows of :func:`data_phases`,
+    shape (m, 2**n); ``phases`` is left as it is.
 
-    With D the phase diagonal of each point, a state is D * (D @ W), W from
-    :func:`_hadamard`, which takes 8 * 4**n bytes per qubit count.  W is
-    real, so it acts on the real and imaginary planes of D stacked into
-    one (2m, 2**n) operand: one real gemm per batch.  A batch of one is
-    still a two-row product, not a matrix-vector one, so at n <= 5 row k
-    of a batch equals the batch of row k alone bit for bit (tested).  At
-    n >= 6 OpenBLAS 0.3.31 on AVX-512 rounds a two-row product differently
-    from wider ones, by up to 3e-15 in an amplitude; batches of two or more
-    rows still agree.  The result is a new array the caller may write to.
+    Each row's phase diagonal is D = E * ``spec.detuning_row``, the one
+    2**n-entry row through which theta enters, and a state is
+    D * (D @ W), W from :func:`_hadamard`.  W is real, so it acts on the
+    real and imaginary planes of D stacked into one (2m, 2**n) operand:
+    one real gemm per batch.  A batch of one is still a two-row product,
+    not a matrix-vector one, so at n <= 5 row k of a batch equals the
+    batch of row k alone bit for bit (tested).  At n >= 6 OpenBLAS 0.3.31
+    on AVX-512 rounds a two-row product differently from wider ones, by up
+    to 3e-15 in an amplitude; batches of two or more rows still agree.
+    The result is a new array the caller may write to.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != spec.n:
-        raise ValueError(
-            f"data points must have dimension {spec.n}, got shape {points.shape}"
-        )
-    diag = _phase_diagonal(*_angles(points, spec.theta))
+    diag = phases * spec.detuning_row
     m = diag.shape[0]
     planes = np.concatenate([diag.real, diag.imag]) @ _hadamard(spec.n)
     state = np.empty_like(diag)
@@ -154,6 +172,19 @@ def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
     state.imag = planes[m:]
     state *= diag
     return state
+
+
+def feature_states(points, spec: FeatureMapSpec) -> np.ndarray:
+    """Feature states of a batch of points, shape (m, 2**n): the points'
+    own :func:`data_phases` through :func:`states_from_phases`, the one
+    statevector routine.  A trainer that keeps a point set's phases across
+    values of theta gets these states bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != spec.n:
+        raise ValueError(
+            f"data points must have dimension {spec.n}, got shape {points.shape}"
+        )
+    return states_from_phases(data_phases(points), spec)
 
 
 # No package path uses ``GramMatrix`` or ``gram``.  They stay only because the

@@ -71,6 +71,13 @@ def oracle_kernel(x, z, theta) -> float:
     return float(np.abs(np.vdot(a, b)) ** 2)
 
 
+def oracle_rbf_cross(points, queries, gamma) -> np.ndarray:
+    """The rbf kernel matrix as ``kernels.kernel_cross`` first built it: an
+    (m, q, d) array of differences, squared and summed over its last axis."""
+    d2 = ((points[:, None, :] - queries[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-gamma * d2)
+
+
 def zz_observable(n: int) -> np.ndarray:
     z1 = np.diag([1.0, -1.0]).astype(complex)
     m = np.array([[1.0]], dtype=complex)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import triqsvm
 from triqsvm import anneal
 from triqsvm.anneal import AnnealSchedule
 from triqsvm.cli import cli
@@ -146,6 +147,8 @@ class TestTrain:
         assert model.alpha.shape == (12,)
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == "1"
+        assert report["train_report"]["config"]["triqsvm_version"] == triqsvm.__version__
+        assert report["train_report"]["config"]["numpy_version"] == np.__version__
         assert report["flags"]["seed"] == 300
         assert report["flags"]["backend"] == "exact"
         assert report["dataset"]["n_train"] == 12 and report["dataset"]["n_test"] == 2

@@ -5,7 +5,7 @@ outputs stored in ``tests/golden/training.json``.
 The set covers both QUBO builders with the anneal, greedy and exact
 backends on the quantum kernel (two seeds) and on the rbf and linear
 kernels (one seed).  The CLI report is compared without its timestamp,
-its wall times and its paths.
+its wall times, its paths and the package and numpy versions it records.
 
 θ, β and the solver's best energy are compared to a relative tolerance
 of 1e-12; every other value exactly, among them α, the accuracy
@@ -106,7 +106,7 @@ def run(*args) -> None:
 
 def cli_train_holdout(tmp: Path) -> dict:
     """``train --holdout`` on a dual anneal: model.json and report.json,
-    the report without its timestamp, wall times and paths."""
+    the report without its timestamp, wall times, paths and versions."""
     data, out = tmp / "data.csv", tmp / "run"
     run("gen-data", "--m", 30, "--delta", 0.0, "--seed", 4, "--out", data)
     run("train", "--data", data, "--n-train", 12, "--n-test", 4, "--holdout",
@@ -116,6 +116,8 @@ def cli_train_holdout(tmp: Path) -> dict:
     for key in ("created_utc", "wall_time_s"):
         del report[key]
     del report["train_report"]["wall_time"]
+    for key in ("triqsvm_version", "numpy_version"):
+        del report["train_report"]["config"][key]
     del report["flags"]["data"]
     del report["dataset"]["path"]
     return {"model": json.loads((out / "model.json").read_text(encoding="utf-8")),

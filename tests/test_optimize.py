@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from triqsvm.anneal import AnnealSchedule, brute_force
+import triqsvm
 import triqsvm.optimize as optimize
 import triqsvm.qkernel as qkernel
 import triqsvm.qubo as qubo
@@ -22,7 +23,7 @@ from triqsvm.optimize import (
     initial_theta,
     train,
 )
-from triqsvm.qubo import build_qubo_paper, compute_beta
+from triqsvm.qubo import build_qubo_paper, compute_beta, model_from_dict, model_to_dict
 
 import oracles
 
@@ -656,6 +657,8 @@ class TestTrain:
         assert report.iterations_used == len(report.accuracy_per_iteration)
         assert report.config["seed"] == 9
         assert report.config["parameter_count"] == 2
+        assert report.config["triqsvm_version"] == triqsvm.__version__
+        assert report.config["numpy_version"] == np.__version__
         assert all(type(a) is float for a in report.accuracy_per_iteration)
         assert type(report.best_accuracy) is float
 
@@ -726,19 +729,20 @@ class TestTrain:
             TrainConfig(kernel_kind="poly")
 
 
-def spy_on_feature_states(monkeypatch):
-    """Rows of every ``feature_states`` call that training and scoring
-    make, under each name they reach it by."""
+def spy_on_states(monkeypatch):
+    """Rows of every call of ``qkernel.states_from_phases``, the one
+    statevector routine that training and scoring (through
+    ``feature_states``) reach, under each name they reach it by."""
     built = []
-    original = qkernel.feature_states
+    original = qkernel.states_from_phases
 
-    def counted(points, spec):
-        states = original(points, spec)
+    def counted(phases, spec):
+        states = original(phases, spec)
         built.append(states.shape[0])
         return states
 
-    for module in (optimize, qubo):
-        monkeypatch.setattr(module, "feature_states", counted)
+    for module in (qkernel, optimize):
+        monkeypatch.setattr(module, "states_from_phases", counted)
     return built
 
 
@@ -747,8 +751,9 @@ class TestStatesBuilt:
     training states once per iteration, then the v validation states."""
 
     def test_run_stopped_by_the_target(self, monkeypatch):
-        built = spy_on_feature_states(monkeypatch)
+        # Generating the data simulates circuits too, so the spy starts after.
         train_set, val_set = quick_sets(seed=320)
+        built = spy_on_states(monkeypatch)
         report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=320))
         assert report.accuracy_per_iteration == [0.75, 1.0]
         assert built == [12, 4] * 2
@@ -757,7 +762,7 @@ class TestStatesBuilt:
     def test_full_ten_iteration_run(self, monkeypatch):
         # Random labels: no iteration reaches the target, and COBYLA is
         # still searching when the cap ends this run.
-        built = spy_on_feature_states(monkeypatch)
+        built = spy_on_states(monkeypatch)
         rng = np.random.default_rng(13)
         train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, 2)),
                             np.where(rng.random(12) < 0.5, 1, -1))
@@ -770,13 +775,36 @@ class TestStatesBuilt:
 
     @pytest.mark.parametrize("kind", ["rbf", "linear"])
     def test_classical_kernels_build_none(self, monkeypatch, kind):
-        built = spy_on_feature_states(monkeypatch)
         train_set, val_set = two_blob_sets(seed=3)
+        built = spy_on_states(monkeypatch)
         cfg = TrainConfig(kernel_kind=kind, solver_backend="greedy", max_iterations=4, seed=3)
         report = train(train_set, val_set, cfg)
         assert built == []
         assert report.states_built == 0
         assert report.best_model.operator is None
+
+
+class TestOneStatevectorPath:
+    """A model trained from the run's kept phases has the operator that a
+    model rebuilt through ``feature_states`` builds, bit for bit."""
+
+    @pytest.mark.parametrize("builder", ["paper", "dual"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trained_operator_equals_rebuilt_ones(self, d, builder):
+        # Random labels: no iteration reaches the target.
+        rng = np.random.default_rng(70 + d)
+        train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, d)),
+                            np.where(rng.random(12) < 0.5, 1, -1))
+        val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, d)),
+                          np.where(rng.random(8) < 0.5, 1, -1))
+        cfg = TrainConfig(solver_backend="greedy", qubo_builder=builder, max_iterations=4,
+                          seed=d)
+        report = train(train_set, val_set, cfg)
+        assert report.failures == []
+        model = report.best_model
+        assert model.operator.shape == (2**d, 2**d)
+        for rebuilt in (dataclasses.replace(model), model_from_dict(model_to_dict(model))):
+            assert rebuilt.operator.tobytes() == model.operator.tobytes()
 
 
 def spy_on_operators(monkeypatch):

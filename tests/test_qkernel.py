@@ -1,27 +1,34 @@
 """Feature map, batched statevector and kernel tests against dense-matrix oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from triqsvm.kernels import kernel_cross, kernel_from_dict, kernel_gram
+from triqsvm.kernels import (RbfKernel, default_rbf_gamma, kernel_cross, kernel_from_dict,
+                             kernel_gram)
 from triqsvm.qkernel import (
     FeatureMapSpec,
-    _angles,
     _hadamard,
     _pair_index,
-    _phase_diagonal,
     _z_table,
+    data_phases,
     expectation_zz,
     feature_states,
     gram,
     gram_from_states,
+    states_from_phases,
 )
 
 from oracles import (
+    bit,
+    detune_angles,
     oracle_expectation_zz,
     oracle_feature_state,
     oracle_kernel,
+    oracle_rbf_cross,
     hadamard_all,
+    phase_matrix,
     random_state,
     random_unitary,
 )
@@ -70,6 +77,18 @@ def tensordot_hadamard_layer(state):
     return np.ascontiguousarray(t).view(complex).reshape(m, dim)
 
 
+def oracle_diagonal(points, theta):
+    """The phase diagonal D(x) of each row, from the oracle's detuned
+    angles (``detune_angles``) and its own sign table."""
+    m, n = points.shape
+    z = np.array([[1 - 2 * bit(b, i, n) for b in range(2**n)] for i in range(n)], dtype=float)
+    zz = np.array([z[i] * z[j] for i, j in combinations(range(n), 2)]).reshape(-1, 2**n)
+    angles = [detune_angles(x, theta) for x in points]
+    one = np.array([a[0] for a in angles])
+    two = np.array([a[1] for a in angles]).reshape(m, -1)
+    return np.exp(1j * (one @ z + two @ zz))
+
+
 # Batch sizes for the comparisons with the tensordot layer: one row, small
 # and odd sizes, and a large batch.
 BYTE_BATCH_SIZES = (1, 2, 7, 257, 10_000)
@@ -97,6 +116,19 @@ class TestFeatureMapSpec:
     def test_theta_length(self):
         with pytest.raises(ValueError):
             FeatureMapSpec(n=2, theta=np.zeros(3))
+
+    def test_theta_is_a_read_only_copy_with_its_row(self):
+        # The spec builds exp(i c . z) from theta once, so it owns theta.
+        theta = np.array([0.3, -1.2])
+        spec = FeatureMapSpec(n=2, theta=theta)
+        theta[0] = 5.0
+        assert spec.theta.tolist() == [0.3, -1.2]
+        for array in (spec.theta, spec.detuning_row):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        one, _ = detune_angles(np.zeros(2), (0.3, -1.2))
+        want = np.diag(phase_matrix(2, one, [0.0]))
+        np.testing.assert_allclose(spec.detuning_row, want, rtol=0, atol=1e-15)
 
     def test_unknown_data_map(self):
         with pytest.raises(ValueError, match="data map"):
@@ -139,28 +171,56 @@ class TestHadamardLayer:
 
 class TestPhaseEvolution:
     def test_zero_angles_are_identity(self):
-        diag = _phase_diagonal(np.zeros((1, 2)), np.zeros((1, 1)))
-        np.testing.assert_array_equal(diag, np.ones((1, 4)))
+        # One qubit has no pair angle, so x = 0 gives E = 1 and theta = 1 a
+        # zero detuning, exactly: D = 1, and D H D H|0> is |0>.
+        phases = data_phases(np.zeros((1, 1)))
+        np.testing.assert_array_equal(phases, np.ones((1, 2)))
+        state = states_from_phases(phases, FeatureMapSpec(n=1, theta=np.ones(1)))
+        np.testing.assert_array_equal(state, [[1.0, 0.0]])
 
     def test_pair_angle_pi_is_global_phase(self):
-        # (1-2b1)(1-2b2) is +-1, and exp(+-i pi) = -1 either way, so the
-        # kernel value against the pre-image is unchanged.
+        # At x = (0, pi - 1) the pair angle is pi * 1 = pi, exactly.
+        # (1-2b1)(1-2b2) is +-1, and exp(+-i pi) = -1 either way, so against
+        # the one-body phases alone it is a global phase, and the kernel
+        # value against that image is unchanged.
+        x = np.array([[0.0, np.pi - 1.0]])
+        one, two = detune_angles(x[0], (1.0, 1.0))
+        assert two == [np.pi]
+        one_body = np.diag(phase_matrix(2, one, [0.0]))[None]
         state = np.full((1, 4), 0.5 + 0j)
-        out = state * _phase_diagonal(np.zeros((1, 2)), np.array([[np.pi]]))
-        np.testing.assert_allclose(out, -state, atol=1e-12)
-        overlap = abs(np.vdot(state, out)) ** 2
+        out = state * data_phases(x)
+        np.testing.assert_allclose(out, -state * one_body, atol=1e-12)
+        overlap = abs(np.vdot(state * one_body, out)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_on_uniform(self):
+        # x = (pi/2, pi): the pair angle is (pi/2) * 0 = 0, and the pi on
+        # qubit 1 is exp(+-i pi) = -1 on every basis state.
         state = np.full((1, 4), 0.5 + 0j)
-        out = state * _phase_diagonal(np.array([[np.pi / 2, 0.0]]), np.zeros((1, 1)))
-        np.testing.assert_allclose(out, [[0.5j, 0.5j, -0.5j, -0.5j]], atol=1e-12)
+        out = state * data_phases(np.array([[np.pi / 2, np.pi]]))
+        np.testing.assert_allclose(out, [[-0.5j, -0.5j, 0.5j, 0.5j]], atol=1e-12)
 
     def test_magnitudes_never_change(self):
         rng = np.random.default_rng(7)
-        angles = rng.uniform(-10, 10, (50, 3))
-        diag = _phase_diagonal(angles[:, :2], angles[:, 2:])
-        np.testing.assert_allclose(np.abs(diag), 1.0, atol=1e-12)
+        phases = data_phases(rng.uniform(-10, 10, (50, 3)))
+        np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_phases_kept_across_theta_give_feature_states(self, n):
+        # One E per point set, as ``train`` keeps it for a run: the states
+        # it gives at each theta are those of ``feature_states``, bit for
+        # bit, and E itself is left as it was.
+        rng = np.random.default_rng(60 + n)
+        points = rng.uniform(0, 2 * np.pi, (40, n))
+        phases = data_phases(points)
+        kept = phases.tobytes()
+        thetas = [np.ones(n), np.full(n, 2 * np.pi), np.full(n, -2 * np.pi),
+                  *rng.uniform(-2 * np.pi, 2 * np.pi, (4, n))]
+        for theta in thetas:
+            spec = FeatureMapSpec(n=n, theta=theta)
+            want = feature_states(points, spec).tobytes()
+            assert states_from_phases(phases, spec).tobytes() == want
+        assert phases.tobytes() == kept
 
 
 class TestFeatureState:
@@ -211,7 +271,7 @@ class TestFeatureState:
         rng = np.random.default_rng(40 + n)
         spec = FeatureMapSpec(n=n, theta=rng.uniform(-2 * np.pi, 2 * np.pi, n))
         points = rng.uniform(-3.0, 7.0, (m, n))
-        diag = _phase_diagonal(*_angles(points, spec.theta))
+        diag = oracle_diagonal(points, spec.theta)
         state = np.zeros((m, 2**n), dtype=complex)
         state[:, 0] = 1.0
         for _ in range(2):
@@ -300,6 +360,48 @@ class TestKernelEntry:
         entries = gram_from_states(feature_states(points, spec))
         assert entries.tobytes() == gram_from_states(feature_states(points, spec)).tobytes()
         assert feature_states(points, spec).tobytes() == feature_states(points, spec).tobytes()
+
+
+def rbf_case(m, d):
+    """Points, a fifth as many queries and an rbf kernel at the data-driven
+    gamma, for the comparisons with the (m, q, d) expression."""
+    rng = np.random.default_rng(10 * m + d)
+    points = rng.uniform(0, 2 * np.pi, (m, d))
+    queries = rng.uniform(0, 2 * np.pi, (m // 5, d))
+    return points, queries, RbfKernel(gamma=default_rbf_gamma(points))
+
+
+def mirrored(k):
+    return np.triu(k) + np.triu(k, 1).T
+
+
+class TestRbfKernelMatrix:
+    """``kernel_cross`` adds the squared differences one coordinate at a
+    time into one (m, q) array; ``oracle_rbf_cross`` is the (m, q, d)
+    expression it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("m", [50, 200, 500])
+    def test_bytes_match_the_3d_expression(self, m, d):
+        # Below 8 coordinates ``sum(axis=2)`` adds in coordinate order.
+        points, queries, kernel = rbf_case(m, d)
+        want = oracle_rbf_cross(points, queries, kernel.gamma)
+        assert kernel_cross(kernel, points, queries).tobytes() == want.tobytes()
+        want = mirrored(oracle_rbf_cross(points, points, kernel.gamma))
+        assert kernel_gram(kernel, points).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("m", [50, 200, 500])
+    def test_wide_points_match_the_3d_expression(self, m, d):
+        # From 8 coordinates on, ``sum(axis=2)`` adds pairwise.
+        points, queries, kernel = rbf_case(m, d)
+        want = oracle_rbf_cross(points, queries, kernel.gamma)
+        np.testing.assert_allclose(kernel_cross(kernel, points, queries), want,
+                                   rtol=0, atol=1e-12)
+        k = kernel_gram(kernel, points)
+        assert np.array_equal(k, k.T)
+        np.testing.assert_allclose(k, mirrored(oracle_rbf_cross(points, points, kernel.gamma)),
+                                   rtol=0, atol=1e-12)
 
 
 class TestGram:
@@ -430,6 +532,6 @@ class TestNormPreservation:
         points = rng.uniform(0, 2 * np.pi, (20, 2))
         state = feature_states(points, spec2((1.3, -2.1)))
         state = state @ (2.0 * _hadamard(2))
-        state = state * _phase_diagonal(rng.uniform(-3, 3, (20, 2)), rng.uniform(-3, 3, (20, 1)))
+        state = state * data_phases(rng.uniform(-3, 3, (20, 2)))
         norms = np.sum(np.abs(state) ** 2, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)
