@@ -16,8 +16,10 @@ under the training flags that its table's sidecar records.
 annealer's reads run in parallel blocks); every other command runs on one
 thread, and ``map`` scores its whole grid with one batched
 ``decision_values`` call.  ``map`` formats each grid axis once and every
-cell reuses its axes' text, in the CSV and the SVG alike; per cell, the
-CSV formats only the decision value.
+cell reuses its axes' text, in the CSV and the SVG alike.  The CSV is
+built one column at a time through ``datagen.write_csv_columns``: per
+cell it formats only the decision value, and it joins its text once per
+block of whole x1 rows.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .datagen import (
     rescale,
     split,
     split_rest,
+    write_csv_columns,
     write_dataset_csv,
 )
 from .optimize import BACKENDS, BUILDERS, KERNEL_KINDS, TrainConfig, report_to_dict, train
@@ -332,18 +335,22 @@ def cmd_map(model_file, out, resolution, domain, svg, train_data, test_data):
     values = decision_values(grid, model)
     labels = np.where(values >= 0.0, 1, -1)
     # Row i * resolution + j of the grid is (g1[i], g2[j]), so each axis is
-    # formatted once.  repr of a Python float is the same text as of a numpy
-    # float64, and faster; converting one x1 row at a time keeps the lists
-    # small.
-    x1_text = [f"{x!r}," for x in g1.tolist()]
-    x2_text = [f"{x!r}," for x in g2.tolist()]
-    label_text = {1: ",1\n", -1: ",-1\n"}
+    # formatted once, and a block of whole x1 rows repeats its x1 texts and
+    # tiles the x2 texts.  repr of a Python float is the same text as of a
+    # numpy float64, and faster.
+    x1_text = list(map(repr, g1.tolist()))
+    x2_text = list(map(repr, g2.tolist()))
+    label_text = {1: "1", -1: "-1"}
+
+    def columns(rows):
+        heads = x1_text[rows.start // resolution : rows.stop // resolution]
+        return [[head for head in heads for _ in x2_text], x2_text * len(heads),
+                list(map(repr, values[rows].tolist())),
+                list(map(label_text.__getitem__, labels[rows].tolist()))]
+
     with Path(out).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("x1,x2,decision_value,label\n")
-        for i, head in enumerate(x1_text):
-            row = slice(i * resolution, (i + 1) * resolution)
-            fh.write("".join([f"{head}{x2}{value!r}{label_text[label]}" for x2, value, label
-                              in zip(x2_text, values[row].tolist(), labels[row].tolist())]))
+        write_csv_columns(fh, grid.shape[0], columns, group=resolution)
     _write_meta(out, "map", flags={"model": str(model_file), "resolution": resolution,
                                    "domain": list(bounds), "svg": str(svg) if svg else None},
                 cells=int(grid.shape[0]))

@@ -49,7 +49,7 @@ there is one path for every n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 
@@ -64,6 +64,21 @@ DETUNE_AMPLITUDE = np.pi / 8
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def fields_equal(a, b):
+    """Value equality of two instances of one dataclass over the fields it
+    compares, with arrays compared by ``np.array_equal``; the generated
+    ``__eq__`` raises on array fields instead.  NotImplemented for an
+    instance of another class."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    for f in fields(a):
+        if f.compare:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+                return False
+    return True
 
 
 # The caches below hand one array to every caller, so each is read-only.
@@ -97,6 +112,9 @@ class FeatureMapSpec:
     n: int = 2
     theta: np.ndarray = field(default_factory=lambda: np.ones(2))
     detuning_row: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # Equal specs have equal n and theta; hashing still raises TypeError.
+    __eq__ = fields_equal
 
     def __post_init__(self):
         theta = _read_only(np.array(self.theta, dtype=float))

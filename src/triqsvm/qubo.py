@@ -24,7 +24,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .kernels import Kernel, kernel_cross, kernel_from_dict, kernel_to_dict
-from .qkernel import FeatureMapSpec, expectations, feature_states, weighted_operator
+from .qkernel import (FeatureMapSpec, expectations, feature_states, fields_equal,
+                      weighted_operator)
 
 MODEL_SCHEMA_VERSION = "1"
 
@@ -72,6 +73,10 @@ class TrainedModel:
     builder: str = "paper"
     built_operator: InitVar[np.ndarray | None] = None
     operator: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    # Equal models have equal fields, the operator aside; hashing still
+    # raises TypeError.
+    __eq__ = fields_equal
 
     def __post_init__(self, built_operator):
         alpha = np.asarray(self.alpha)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import triqsvm
-from triqsvm import anneal
+from triqsvm import anneal, datagen
 from triqsvm.anneal import AnnealSchedule
 from triqsvm.cli import cli
 from triqsvm.datagen import SplitSpec, adhoc_generate, read_dataset_csv, split
@@ -472,6 +472,23 @@ class TestMap:
                          "--domain", ",".join(map(repr, domain)), "--out", out)
         assert result.returncode == 0, result.stderr
         grid = map_grid(resolution, domain)
+        values = decision_values(grid, load_model(model_path))
+        assert out.read_bytes() == per_row_map_csv(grid, values)
+
+    @pytest.mark.parametrize("resolution, block_rows", [
+        (37, None),  # 27 whole x1 rows per block, then a partial block of 10
+        (7, 5),      # fewer block rows than a grid row: one x1 row per block
+        (2, None),
+    ], ids=["partial-last-block", "one-row-blocks", "resolution-2"])
+    def test_csv_blocks_match_per_row_formatting(self, tmp_path, monkeypatch,
+                                                 resolution, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(datagen, "_CSV_BLOCK_ROWS", block_rows)
+        model_path = mixed_model(tmp_path)
+        out = tmp_path / "map.csv"
+        cli.main(args=["map", str(model_path), "--resolution", str(resolution),
+                       "--out", str(out)], standalone_mode=False)
+        grid = map_grid(resolution)
         values = decision_values(grid, load_model(model_path))
         assert out.read_bytes() == per_row_map_csv(grid, values)
 

@@ -168,6 +168,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path, ["a", "b"], "tag", positive_label="yes")
 
+    def test_error_line_is_the_physical_line_after_a_blank_line(self, tmp_path):
+        # The blank line 3 is skipped, but still counts as a line of the file.
+        path = self._write(tmp_path, "a,b,tag\n1,2,yes\n\n1,oops,no\n")
+        with pytest.raises(ValueError, match="line 4: cannot parse 'b' value 'oops'"):
+            load_csv(path, ["a", "b"], "tag", positive_label="yes")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999"])
     def test_non_finite_cell_reports_line(self, tmp_path, cell):
         path = self._write(tmp_path, f"a,b,tag\n1,2,yes\n3,4,no\n1,{cell},no\n")
@@ -257,7 +263,30 @@ class TestSplit:
         assert {tuple(r) for r in combined} == {tuple(r) for r in ds.points}
 
 
+def per_row_dataset_csv(ds):
+    """The canonical CSV formatted one row at a time."""
+    rows = [f"{x1!r},{x2!r},{label}\n"
+            for (x1, x2), label in zip(ds.points.tolist(), ds.labels.tolist())]
+    return ("f1,f2,label\n" + "".join(rows)).encode()
+
+
 class TestCanonicalCsv:
+    @pytest.mark.parametrize("m", [1, 2, 1000, 2500])
+    def test_write_matches_per_row_formatting(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        points = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (m, 2))
+        # Negative zero, and coordinates whose shortest round-trip text runs
+        # to 17 significant digits.
+        points[0] = [-0.0, 0.1 + 0.2]
+        if m > 1:
+            points[1] = [2.0 * np.pi / 3.0, -1e-17]
+        ds = Dataset(points, np.where(rng.random(m) < 0.5, 1, -1))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        text = path.read_bytes()
+        assert text == per_row_dataset_csv(ds)
+        assert b"-0.0,0.30000000000000004," in text
+
     def test_round_trip_is_exact(self, tmp_path):
         ds = adhoc_generate(20, 0.6, seed=8)
         path = tmp_path / "data.csv"
@@ -283,4 +312,55 @@ class TestCanonicalCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f1,f2,label\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="label"):
+            read_dataset_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,label\n1.5,2,1\n\n3,-4.25,-1\n\n", encoding="utf-8")
+        ds = read_dataset_csv(path)
+        assert ds.points.tolist() == [[1.5, 2.0], [3.0, -4.25]]
+        assert ds.labels.tolist() == [1, -1]
+
+    def test_extra_trailing_fields_are_ignored(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,label\n1,2,1,note\n3,4,-1,,\n", encoding="utf-8")
+        ds = read_dataset_csv(path)
+        assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [1, -1]
+
+    def test_quoted_cells_crlf_and_padded_cells_parse(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'f1,f2,label\r\n"1.5", 2 ," -1"\r\n 3,"4e-1",1 \r\n')
+        ds = read_dataset_csv(path)
+        assert ds.points.tolist() == [[1.5, 2.0], [3.0, 0.4]]
+        assert ds.labels.tolist() == [-1, 1]
+
+    @pytest.mark.parametrize("row, shown", [
+        ("1,2", "{'f1': '1', 'f2': '2', 'label': None}"),
+        ("1,2,1.0", "{'f1': '1', 'f2': '2', 'label': '1.0'}"),
+        ("x,2,1,note", "{'f1': 'x', 'f2': '2', 'label': '1', None: ['note']}"),
+    ], ids=["short-row", "float-label", "extra-field"])
+    def test_unparsable_row_message(self, tmp_path, row, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2,label\n1,2,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_dataset_csv(path)
+        assert str(info.value) == f"{path}, line 3: unparsable row {shown}"
+
+    def test_non_finite_row_message_shows_extra_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f1,f2,label\nnan,2,1,note\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_dataset_csv(path)
+        shown = "{'f1': 'nan', 'f2': '2', 'label': '1', None: ['note']}"
+        assert str(info.value) == f"{path}, line 2: non-finite feature in row {shown}"
+
+    @pytest.mark.parametrize("text, line", [
+        ("f1,f2,label\n1,2,1\n\nx,4,-1\n", 4),
+        ('f1,f2,label\n"1\n",2,1\nx,4,-1\n', 4),
+    ], ids=["after-blank-line", "after-multi-line-cell"])
+    def test_error_line_is_the_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad\.csv, line {line}: unparsable row"):
             read_dataset_csv(path)

@@ -134,6 +134,15 @@ class TestFeatureMapSpec:
         with pytest.raises(ValueError, match="data map"):
             kernel_from_dict(dict(QUANTUM_KERNEL, data_map="nope"))
 
+    def test_value_equality(self):
+        spec = FeatureMapSpec(n=2, theta=np.ones(2))
+        assert spec == FeatureMapSpec(n=2, theta=np.ones(2))
+        assert spec != FeatureMapSpec(n=2, theta=np.array([1.0, 0.5]))
+        assert spec != FeatureMapSpec(n=3, theta=np.ones(3))
+        assert spec != RbfKernel()
+        with pytest.raises(TypeError):
+            hash(spec)
+
 
 class TestHadamardLayer:
     """W = 2**-n H+- stands for both Hadamard layers: 2**(n/2) W is the

@@ -470,6 +470,35 @@ class TestQuboMatrixType:
             QuboMatrix(np.array([[np.inf]]))
 
 
+class TestModelEquality:
+    def test_equal_fields_compare_equal(self):
+        assert four_point_model() == four_point_model()
+
+    @pytest.mark.parametrize("change", [
+        {"kernel": FeatureMapSpec(n=2, theta=np.array([0.25, 0.75]))},
+        {"alpha": np.array([1, 1, 1, 1])},
+        {"beta": 0.125},
+    ], ids=["theta", "alpha", "beta"])
+    def test_one_unequal_field_compares_unequal(self, change):
+        model = four_point_model()
+        assert dataclasses.replace(model, **change) != model
+
+    def test_two_loads_of_one_file_compare_equal(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(four_point_model(), path)
+        assert load_model(path) == load_model(path)
+
+    def test_operator_is_not_compared(self):
+        model = four_point_model()
+        other = dataclasses.replace(model, built_operator=np.zeros((4, 4), dtype=complex))
+        assert not np.array_equal(other.operator, model.operator)
+        assert other == model
+
+    def test_hash_raises(self):
+        with pytest.raises(TypeError):
+            hash(four_point_model())
+
+
 class TestModelSerialization:
     def _model(self):
         return four_point_model()
