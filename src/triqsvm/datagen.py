@@ -189,7 +189,9 @@ def load_csv(
     feature_columns = list(feature_columns)
     if len(feature_columns) != 2:
         raise ValueError("exactly two feature columns are required")
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not
+    # part of the first column's name.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in feature_columns + [label_column]:
@@ -333,7 +335,7 @@ def read_dataset_csv(path) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CANONICAL_HEADER):

@@ -6,23 +6,27 @@ from ``rho_begin`` to ``rho_end``) for box constraints only.  Every point
 it evaluates lies in the box, it stops at the evaluation budget, and it
 returns the best point evaluated.  It rebuilds its linear model only when
 the simplex changes, and works on Python floats where numpy's wrappers
-would cost more than the arithmetic on p-element arrays; the points it
-evaluates are those of the reference iteration in ``tests/oracles.py``,
-bit for bit.  ``train`` runs the outer cycle: build
-the kernel matrix for the current parameters, build and solve the QUBO,
-compute the offset, score the validation set, and feed 1 - accuracy back
-to the optimizer, until the iteration cap or the target accuracy ends the
-run.  The ``paper`` builder on a kernel with values in [0, 1] (quantum
-or rbf) skips the QUBO: there alpha = 1 is known to be optimal, and the
-offset and best energy come in closed form from K y, which the quantum
-kernel takes from the training states without a kernel matrix.  θ enters
-the quantum kernel only through one detuning row shared by every point, so
-``train`` builds the training points' θ-free phases once per run, and
-each quantum pass turns them into states through the one statevector
-routine (``qkernel.states_from_phases``), then builds its model's operator
-M once and hands it to the model.
-The reported model is the iteration with the highest validation accuracy
-(earliest on ties).
+would cost more than the arithmetic on p-element arrays: max, argmax,
+abs, comparisons and products that round as numpy's do.  Dot products,
+the inverse and multi-element sums stay in numpy, whose bits depend on
+BLAS, LAPACK and its summation order, so the points it evaluates are
+those of the reference iteration in ``tests/oracles.py``, bit for bit.
+``train`` runs the outer cycle: build the kernel matrix for the current
+parameters, build and solve the QUBO, compute the offset, score the
+validation set, and feed 1 - accuracy back to the optimizer, until the
+iteration cap or the target accuracy ends the run.  The pass that spends
+the cap ends the run itself, as the target does, so COBYLA builds no
+model or step for a point it may not evaluate.  The ``paper`` builder on
+a kernel with values in [0, 1] (quantum or rbf) skips the QUBO: there
+alpha = 1 is known to be optimal, and the offset and best energy come in
+closed form from K y, which the quantum kernel takes from the training
+states without a kernel matrix.  θ enters the quantum kernel only
+through one detuning row shared by every point, so ``train`` builds the
+training points' θ-free phases once per run, and each quantum pass turns
+them into states through the one statevector routine
+(``qkernel.states_from_phases``), then builds its model's operator M
+once and hands it to the model.  The reported model is the iteration
+with the highest validation accuracy (earliest on ties).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,8 +52,8 @@ from .anneal import (
 )
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
-from .qkernel import (FeatureMapSpec, data_phases, expectations, gram_from_states,
-                      states_from_phases, weighted_operator)
+from .qkernel import (THETA_BOUND, FeatureMapSpec, data_phases, expectations,
+                      gram_from_states, states_from_phases, weighted_operator)
 from .qubo import (
     TrainedModel,
     accuracy,
@@ -62,8 +67,6 @@ from .qubo import (
 BACKENDS = ("anneal", "exact", "greedy")
 BUILDERS = ("paper", "dual")
 KERNEL_KINDS = ("quantum-zz", "rbf", "linear")
-
-THETA_BOUND = 2.0 * np.pi
 
 
 def _pin_malloc_thresholds() -> None:
@@ -124,8 +127,9 @@ class MinimizeResult:
 
 
 class _Stop(Exception):
-    """Raised by ``train``'s objective once the target accuracy is met; it
-    ends the ``cobyla_minimize`` run."""
+    """Raised by ``train``'s objective once the target accuracy is met or
+    the pass has spent the iteration budget; it ends the
+    ``cobyla_minimize`` run."""
 
 
 # Trust-region constants (PRIMA's defaults): a step whose actual over
@@ -197,8 +201,9 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     at once if it is better.  A coordinate already at its upper bound steps
     down instead.
 
-    The linear model and the pole distances are functions of ``sim`` and
-    ``fval`` alone, so they are rebuilt only after ``_replace_vertex``
+    The linear model and the pole frame (the pole distances and the box
+    relative to the pole) are functions of ``sim`` and ``fval`` alone, so
+    they are rebuilt only after ``_replace_vertex``
     changes the simplex: after an accepted trust-region point or a
     geometry step.  A step that is "bad" (too short, or no predicted
     decrease) or a point that replaces no vertex reuses them.  The points
@@ -221,17 +226,18 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         if fval[j] < fval[n]:
             _swap(sim, fval, j, n)
 
-    # The linear model and the pole distances of the current simplex; each
-    # is None from a change of the simplex until it is needed again.
-    model = distances = None
+    # The linear model and the pole frame of the current simplex; each is
+    # None from a change of the simplex until it is needed again.
+    model = frame = None
     while True:
         if model is None and (model := _linear_model(sim, fval)) is None:
             return False
-        if distances is None:
-            distances = _distances(sim)
+        if frame is None:
+            frame = _pole_frame(sim, lower, upper)
         inverse, g = model
-        adequate = distances.max() <= 4.0 * delta * delta
-        d = _box_ball_step(g, delta, lower - sim[n], upper - sim[n])
+        distances, lo, hi = frame
+        adequate = max(distances) <= 4.0 * delta * delta
+        d = _box_ball_step(g, delta, lo, hi)
         dnorm = min(delta, math.sqrt(d @ d))
         predicted = -float(g @ d)
         bad = dnorm <= 0.1 * rho or not predicted > 0.0
@@ -253,21 +259,22 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             drop = _vertex_to_drop(sim, inverse, x, improved, max(rho, 0.1 * delta))
             if drop is not None:
                 _replace_vertex(sim, fval, drop, x, f)
-                model = distances = None
+                model = frame = None
             bad = ratio <= 0.0 or drop is None
 
         if bad and not adequate:
-            if distances is None:
-                distances = _distances(sim)
-            if distances.max() > 4.0 * delta * delta:
+            if frame is None:
+                frame = _pole_frame(sim, lower, upper)
+            distances, lo, hi = frame
+            farthest = max(distances)
+            if farthest > 4.0 * delta * delta:
                 # Geometry step: move the farthest vertex, within Δ/2 of the
                 # pole, as far as the box allows from the face opposite it.
-                far = int(distances.argmax())
+                far = distances.index(farthest)
                 if model is None and (model := _linear_model(sim, fval)) is None:
                     return False
                 inverse, g = model
                 normal = inverse[:, far]
-                lo, hi = lower - sim[n], upper - sim[n]
                 up = _box_ball_step(-normal, 0.5 * delta, lo, hi)
                 down = _box_ball_step(normal, 0.5 * delta, lo, hi)
                 reach_up, reach_down = float(normal @ up), -float(normal @ down)
@@ -275,7 +282,7 @@ def _cobyla_points(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                     up = down
                 x = _clipped(sim[n] + up, lower, upper)
                 _replace_vertex(sim, fval, far, x, _moderated((yield x)))
-                model = distances = None
+                model = frame = None
         elif bad and max(delta, dnorm) <= rho:
             if rho <= rho_end:
                 return True
@@ -292,11 +299,14 @@ def _moderated(value: float) -> float:
     return _HUGE if value != value else min(max(value, -_HUGE), _HUGE)
 
 
-def _distances(sim: np.ndarray) -> np.ndarray:
-    """Squared distances from the other vertices to the pole."""
-    squares = sim[:-1] - sim[-1]
+def _pole_frame(sim: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """The squared distances from the other vertices to the pole, summed in
+    numpy and handed back as Python floats for ``max`` and ``index``, and
+    the box's bounds relative to the pole, which bound every step."""
+    pole = sim[-1]
+    squares = sim[:-1] - pole
     squares *= squares
-    return squares.sum(axis=1)
+    return squares.sum(axis=1).tolist(), lower - pole, upper - pole
 
 
 def _linear_model(sim: np.ndarray, fval: np.ndarray):
@@ -322,14 +332,19 @@ def _vertex_to_drop(sim, inverse, x, improved: bool, scale: float):
     weights[n] = 1.0 - weights[:n].sum()
     squares = sim - (x if improved else sim[-1])
     squares *= squares
-    dist2 = squares.sum(axis=1)
-    score = np.maximum(1.0, dist2 / scale**2) * np.abs(weights)
+    dist2 = squares.sum(axis=1).tolist()
+    # The score on Python floats: the vertices' distances are finite, so
+    # max(1.0, ·) picks what np.maximum picks, and a NaN can only come
+    # from a weight.
+    scale2 = scale**2
+    score = [max(1.0, d / scale2) * abs(w) for d, w in zip(dist2, weights.tolist())]
     if not improved:
         score[-1] = -1.0
-    score[np.isnan(score)] = -1.0
-    if (score > 0).any():
-        return int(score.argmax())
-    return int(dist2.argmax()) if improved else None
+    score = [-1.0 if s != s else s for s in score]
+    best = max(score)
+    if best > 0:
+        return score.index(best)
+    return dist2.index(max(dist2)) if improved else None
 
 
 def _replace_vertex(sim, fval, j: int, x, f: float) -> None:
@@ -530,7 +545,16 @@ def _paper_closed_form(kernel, points, states, labels, cfg: TrainConfig):
         trace = norms @ norms
     m = labels.size
     beta, best_energy = paper_offset_and_energy(labels, ky, trace)
-    return np.ones(m, dtype=int), beta, _solver_info(cfg, m, 0, best_energy, m), operator
+    return _all_ones(m), beta, _solver_info(cfg, m, 0, best_energy, m), operator
+
+
+@lru_cache(maxsize=1)
+def _all_ones(m: int) -> np.ndarray:
+    """α = 1 over m points, read-only: a run's passes share one array, and
+    each model takes its own copy."""
+    ones = np.ones(m, dtype=int)
+    ones.flags.writeable = False
+    return ones
 
 
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -619,14 +643,18 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         except Exception as exc:  # noqa: BLE001 - failed iterations score 0
             failures.append(f"iteration {iteration}: {exc}")
             accuracies.append(0.0)
-            return 1.0
-        accuracies.append(acc)
-        if acc > state["best_acc"]:
-            state["best_acc"] = acc
-            state["best"] = (np.array(theta, dtype=float), model, solver_info)
-        if acc >= cfg.target_accuracy:
+        else:
+            accuracies.append(acc)
+            if acc > state["best_acc"]:
+                state["best_acc"] = acc
+                state["best"] = (np.array(theta, dtype=float), model, solver_info)
+            if acc >= cfg.target_accuracy:
+                raise _Stop
+        # The pass that spends the budget ends the run as well, so COBYLA
+        # builds no model or step for a point it may not evaluate.
+        if iteration == cfg.max_iterations:
             raise _Stop
-        return 1.0 - acc
+        return 1.0 - accuracies[-1]
 
     opt = OptimizerConfig(max_evals=cfg.max_iterations)
     if p:

@@ -60,6 +60,9 @@ import numpy as np
 # theta=(1,...,1) reproduces the plain angles phi_i(x) = x_i used to label
 # generated data.
 DETUNE_AMPLITUDE = np.pi / 8
+# Every |theta_k| of a feature map lies within this bound.
+THETA_BOUND = 2.0 * np.pi
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -123,11 +126,12 @@ class FeatureMapSpec:
             raise ValueError("qubit count must be >= 1")
         if theta.shape != (self.n,):
             raise ValueError(f"theta must have one entry per qubit, got shape {theta.shape}")
-        # Written so that a NaN entry fails the check too.
-        if not np.all(np.abs(theta) <= 2 * np.pi):
+        # On Python floats, since theta has one entry per qubit; written so
+        # that a NaN entry fails the check too.
+        if not all(abs(t) <= THETA_BOUND for t in theta.tolist()):
             raise ValueError("all |theta_k| must be <= 2*pi")
         detuning = DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
-        row = np.exp(1j * (detuning @ _z_table(self.n)))
+        row = _exp_i(detuning @ _z_table(self.n))
         object.__setattr__(self, "detuning_row", _read_only(row))
 
 
@@ -144,11 +148,15 @@ def data_phases(points: np.ndarray) -> np.ndarray:
     shifted = np.pi - points
     for i, j in zip(*_pair_index(n)):
         phase += shifted[:, i : i + 1] * shifted[:, j : j + 1] * (z[i] * z[j])
-    # exp of 0 + i P in place: the bits of np.exp(1j * P), without the
-    # complex temporary that 1j * P allocates.
-    phases = np.zeros(phase.shape, dtype=complex)
-    phases.imag = phase
-    return np.exp(phases, out=phases)
+    return _exp_i(phase)
+
+
+def _exp_i(phase: np.ndarray) -> np.ndarray:
+    """exp(i P) as the exp of 0 + i P in place: the bits of
+    np.exp(1j * P), without the complex temporary that 1j * P allocates."""
+    out = np.zeros(phase.shape, dtype=complex)
+    out.imag = phase
+    return np.exp(out, out=out)
 
 
 @lru_cache(maxsize=None)

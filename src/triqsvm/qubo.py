@@ -86,11 +86,11 @@ class TrainedModel:
         m = points.shape[0]
         # Elementwise comparisons, not np.isin: a model is built on every
         # training iteration, and np.isin costs 30 us a call.
-        if alpha.shape != (m,) or not ((alpha == 0) | (alpha == 1)).all():
+        if alpha.shape != (m,) or not _all((alpha == 0) | (alpha == 1)):
             raise ValueError("alpha must hold one 0 or 1 per training point")
-        if labels.shape != (m,) or not ((labels == -1) | (labels == 1)).all():
+        if labels.shape != (m,) or not _all((labels == -1) | (labels == 1)):
             raise ValueError("train_labels must hold one -1 or +1 per training point")
-        if not np.isfinite(points).all():
+        if not _all(np.isfinite(points)):
             raise ValueError("train_points must be finite")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
@@ -112,6 +112,13 @@ class TrainedModel:
         object.__setattr__(self, "alpha", alpha.astype(int))
         object.__setattr__(self, "train_points", points)
         object.__setattr__(self, "train_labels", labels.astype(int))
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()`` for a boolean array, as a count: at m = 200,
+    ``np.count_nonzero`` takes 0.3 us where ``all``'s Python wrapper
+    takes 0.95 us."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def _check_sizes(k: np.ndarray, labels: np.ndarray) -> None:
@@ -204,8 +211,10 @@ def accuracy(model: TrainedModel, ds: Dataset) -> float:
     """Fraction of dataset points classified to their stored label."""
     if ds.m == 0:
         raise ValueError("cannot score an empty dataset")
-    predicted = np.where(decision_values(ds.points, model) >= 0.0, 1, -1)
-    return int(np.count_nonzero(predicted == ds.labels)) / ds.m
+    # The labels are -1 or +1 and a decision value of 0 classifies as +1,
+    # so a point is right where dv >= 0 and label == 1 agree.
+    right = (decision_values(ds.points, model) >= 0.0) == (ds.labels == 1)
+    return int(np.count_nonzero(right)) / ds.m
 
 
 def model_to_dict(model: TrainedModel) -> dict:

@@ -163,6 +163,17 @@ class TestLoadCsv:
                       negative_label="benign")
         assert ds.labels.tolist() == [1, -1]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        text = "a,b,tag\n1,2.5,yes\n3,4.5,no\n"
+        plain = load_csv(self._write(tmp_path, text), ["a", "b"], "tag", positive_label="yes")
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfa,b,tag")
+        ds = load_csv(path, ["a", "b"], "tag", positive_label="yes")
+        assert ds.points.tobytes() == plain.points.tobytes()
+        assert ds.labels.tolist() == [1, -1]
+
     def test_unparsable_cell_reports_line(self, tmp_path):
         path = self._write(tmp_path, "a,b,tag\n1,2,yes\n1,oops,no\n")
         with pytest.raises(ValueError, match="line 3"):
@@ -307,6 +318,20 @@ class TestCanonicalCsv:
         path.write_text(f"f1,f2,label\n1,2,1\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"bad\.csv, line 3: non-finite feature"):
             read_dataset_csv(path)
+
+    def test_byte_order_mark_is_read_and_never_written(self, tmp_path):
+        ds = adhoc_generate(12, 0.6, seed=8)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        written = path.read_bytes()
+        assert written.startswith(b"f1,f2,label\n")
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + written)
+        back = read_dataset_csv(marked)
+        assert back.points.tobytes() == ds.points.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+        write_dataset_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == written
 
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "bad.csv"

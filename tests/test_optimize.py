@@ -852,3 +852,93 @@ class TestOperatorsBuilt:
         assert report.failures == []
         assert built == []
         assert report.best_model.operator is None
+
+
+def spy_on_models_and_passes(monkeypatch):
+    """Events in call order: "model" for each ``_linear_model`` call of the
+    COBYLA iteration, "pass" for each pass of ``train`` that scores its
+    validation set."""
+    events = []
+    linear_model, score = optimize._linear_model, optimize.accuracy
+
+    def model(*args):
+        events.append("model")
+        return linear_model(*args)
+
+    def scored(*args):
+        events.append("pass")
+        return score(*args)
+
+    monkeypatch.setattr(optimize, "_linear_model", model)
+    monkeypatch.setattr(optimize, "accuracy", scored)
+    return events
+
+
+def after_last(events, name):
+    return events[len(events) - events[::-1].index(name):]
+
+
+def random_label_sets(seed):
+    rng = np.random.default_rng(seed)
+    train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, 2)),
+                        np.where(rng.random(12) < 0.5, 1, -1))
+    val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, 2)),
+                      np.where(rng.random(8) < 0.5, 1, -1))
+    return train_set, val_set
+
+
+class TestLastPass:
+    """The pass that spends ``train``'s budget ends the run, so COBYLA
+    builds no linear model for a point it could not evaluate;
+    ``cobyla_minimize`` itself still sends every value it gets."""
+
+    def test_full_budget_train_builds_no_model_after_its_last_pass(self, monkeypatch):
+        # Random labels: no pass reaches the target, and COBYLA is still
+        # searching when the budget runs out.  Before the budget's pass
+        # ended the run, COBYLA built an 8th model after it.
+        events = spy_on_models_and_passes(monkeypatch)
+        train_set, val_set = random_label_sets(13)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=13))
+        assert report.iterations_used == 10 and report.failures == []
+        assert events.count("pass") == 10
+        assert after_last(events, "pass") == []
+        assert events.count("model") == 7
+
+    def test_train_stopped_by_the_target_is_unchanged(self, monkeypatch):
+        events = spy_on_models_and_passes(monkeypatch)
+        train_set, val_set = random_label_sets(15)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=15))
+        assert report.iterations_used == 5 and report.best_accuracy == 1.0
+        assert report.accuracy_per_iteration[-1] == 1.0
+        assert after_last(events, "pass") == []
+        assert events.count("model") == 2
+
+    def test_failed_last_pass_ends_the_run_too(self, monkeypatch):
+        # Every pass after the first fails: the budget's pass still ends the
+        # run before COBYLA models its value.
+        events = spy_on_models_and_passes(monkeypatch)
+
+        def first_only(model, ds):
+            events.append("pass")
+            if events.count("pass") > 1:
+                raise RuntimeError("scoring failed")
+            return qubo.accuracy(model, ds)
+
+        monkeypatch.setattr(optimize, "accuracy", first_only)
+        train_set, val_set = random_label_sets(13)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=13))
+        assert report.iterations_used == 10 and len(report.failures) == 9
+        assert after_last(events, "pass") == []
+
+    def test_direct_minimize_still_models_the_last_value(self, monkeypatch):
+        # Outside train the budget's last value is still sent, since it can
+        # complete the descent that sets ``converged``.
+        events = spy_on_models_and_passes(monkeypatch)
+
+        def objective(x):
+            events.append("pass")
+            return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 0.5) ** 2
+
+        result = cobyla_minimize(objective, np.zeros(2), BOX, OptimizerConfig(max_evals=10))
+        assert result.evaluations == events.count("pass") == 10
+        assert after_last(events, "pass") == ["model"]

@@ -8,6 +8,7 @@ import pytest
 from triqsvm.kernels import (RbfKernel, default_rbf_gamma, kernel_cross, kernel_from_dict,
                              kernel_gram)
 from triqsvm.qkernel import (
+    DETUNE_AMPLITUDE,
     FeatureMapSpec,
     _hadamard,
     _pair_index,
@@ -106,8 +107,26 @@ class TestFeatureMapSpec:
             kernel_from_dict(dict(QUANTUM_KERNEL, reps=3))
 
     def test_theta_bound(self):
-        with pytest.raises(ValueError, match="theta"):
-            FeatureMapSpec(n=2, theta=np.array([0.0, 7.0]))
+        for bad in (7.0, -7.0, np.inf, -np.inf, np.nextafter(2 * np.pi, np.inf),
+                    np.nextafter(-2 * np.pi, -np.inf)):
+            with pytest.raises(ValueError, match="theta"):
+                FeatureMapSpec(n=2, theta=np.array([0.0, bad]))
+
+    def test_theta_on_the_bound_accepted(self):
+        spec = FeatureMapSpec(n=2, theta=np.array([2 * np.pi, -2 * np.pi]))
+        assert spec.theta.tolist() == [2 * np.pi, -2 * np.pi]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_detuning_row_is_the_complex_exp_bit_for_bit(self, n):
+        # The row is built as exp(0 + i c.z) in place; the reference is the
+        # plain expression with its complex temporary.
+        rng = np.random.default_rng(n)
+        thetas = [rng.uniform(-2 * np.pi, 2 * np.pi, n) for _ in range(300)]
+        thetas += [np.full(n, 2 * np.pi), np.full(n, -2 * np.pi), np.ones(n), np.zeros(n)]
+        for theta in thetas:
+            c = DETUNE_AMPLITUDE * np.sin(np.pi * (theta - 1.0))
+            want = np.exp(1j * (c @ _z_table(n)))
+            assert FeatureMapSpec(n=n, theta=theta).detuning_row.tobytes() == want.tobytes()
 
     def test_theta_nan_rejected(self):
         with pytest.raises(ValueError, match="theta"):

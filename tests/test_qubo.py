@@ -459,6 +459,16 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="empty"):
             accuracy(self._constant_positive_model(), ds)
 
+    def test_zero_decision_value_counts_as_positive(self):
+        # No selected point and no offset: every decision value is exactly
+        # 0.0, which classifies as +1.
+        model = quantum_model([[1.0, 1.0]], [1], alpha=np.array([0]), beta=0.0)
+        points = np.random.default_rng(8).uniform(0, 1, (10, 2))
+        assert np.all(decision_values(points, model) == 0.0)
+        labels = np.array([1] * 7 + [-1] * 3)
+        assert accuracy(model, Dataset(points, labels)) == 0.7
+        assert accuracy(model, Dataset(points, -labels)) == 0.3
+
 
 class TestQuboMatrixType:
     def test_rejects_non_square(self):
