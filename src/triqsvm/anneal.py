@@ -24,12 +24,18 @@ path taken, after one RuntimeWarning, when the kernel cannot be built or
 loaded.
 
 With the kernel, the reads are split into contiguous blocks, one per
-usable CPU, and each block runs the whole schedule in its own thread: the
-kernel call, the uniform draws and the log all release the GIL.  Blocks
-share no read and no random stream, so any block count gives the same
-bits.  The draw buffer and the kernel's scratch are made before the
-blocks start, so the read threads allocate no arrays.  The numpy loop
-holds the GIL and runs as one block.
+usable CPU, and each block runs in its own thread: the kernel call, the
+uniform draws and the log all release the GIL.  A block runs its reads
+one lane group at a time (``lanes`` reads, fewer in its last group), each
+group through the whole schedule.  Blocks and groups share no read and
+no random stream, so any block count gives the same bits.  The draws of
+one chunk of sweeps for one group of each block fill a buffer of at most
+``workers * lanes * min(200, sweeps) * n`` doubles, however many reads
+there are, and each block owns one slot of it.  That buffer and the
+kernel's scratch are made before the blocks start, so the read threads
+allocate no arrays.  The numpy loop holds the GIL and runs as one block
+and one group of all reads, with ``reads * min(200, sweeps) * n`` doubles
+of draws.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_metropolis.c")
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # Reads per lockstep group the kernel can run; 1 is the per-read loop.
 _LANE_WIDTHS = (1, 4, 8)
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -186,11 +193,11 @@ def _kernel() -> _Kernel | None:
                       RuntimeWarning, stacklevel=3)
         return None
     function = library.metropolis
-    function.argtypes = [ctypes.c_long] * 6 + [ctypes.POINTER(ctypes.c_double)] * 11
+    function.argtypes = [ctypes.c_long] * 6 + [ctypes.c_void_p] * 11
     function.restype = None
     library.metropolis_lanes.argtypes = []
     library.metropolis_lanes.restype = ctypes.c_long
-    library.energies.argtypes = [ctypes.c_long] * 2 + [ctypes.POINTER(ctypes.c_double)] * 3
+    library.energies.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 3
     library.energies.restype = None
     return _Kernel(function, library.metropolis_lanes(), library.energies)
 
@@ -203,13 +210,19 @@ def _scratch_size(n: int, lanes: int) -> int:
 
 
 def _pointers(arrays) -> list:
-    """ctypes pointers to the kernel's arrays, each given with its shape;
-    every array must be C-contiguous float64 of that shape."""
+    """Addresses of the kernel's arrays, each given with its shape; every
+    array must be C-contiguous float64 of that shape."""
     pointers = []
+    addressof, view = ctypes.addressof, ctypes.c_char.from_buffer
     for array, shape in arrays:
-        if array.dtype != np.float64 or array.shape != shape or not array.flags.c_contiguous:
+        if array.dtype != _FLOAT64 or array.shape != shape or not array.flags.c_contiguous:
             raise ValueError(f"kernel argument must be C-contiguous float64 of shape {shape}")
-        pointers.append(array.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+        try:
+            # A ctypes view made through the buffer protocol gives the
+            # address about three times faster than ``ndarray.ctypes``.
+            pointers.append(addressof(view(array)))
+        except (TypeError, ValueError):  # a read-only or an empty array
+            pointers.append(array.ctypes.data)
     return pointers
 
 
@@ -277,15 +290,19 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     so tests can check the incremental bookkeeping against energy()).
 
     The reads run in contiguous blocks, one per usable CPU with the C
-    kernel and a single block with the numpy loop.  Each block runs the
-    schedule in chunks of sweeps: it draws its reads' -log(u) thresholds
-    into its own rows of one draw buffer, then the kernel (or the numpy
-    loop) runs the chunk on the block's rows.  The buffer, like the
-    kernel's scratch, is made before the blocks start, so the read
-    threads allocate no arrays.  The start and best states' exact
-    energies come from the kernel's ``energies`` in one call each (from
-    ``energy`` per read with the numpy loop).  Every block count, every
-    lane width, and either loop, gives bit-identical results.
+    kernel and a single block with the numpy loop.  A block runs its
+    reads in groups of the kernel's lane width (all its reads at once
+    with the numpy loop), and each group runs the schedule in chunks of
+    sweeps: the group's -log(u) thresholds for one chunk are drawn into
+    the front of the block's own slot of the draw buffer, then the kernel
+    (or the numpy loop) runs the chunk on the group's rows.  The buffer,
+    ``(workers, width * min(200, sweeps) * n)`` doubles with ``width``
+    the group size, is made before the blocks start, like the kernel's
+    scratch, so the read threads allocate no arrays.  The start and best
+    states' exact energies come from the kernel's ``energies`` in one
+    call each (from ``energy`` per read with the numpy loop).  Every
+    block count, every lane width, and either loop, gives bit-identical
+    results.
     """
     qm = q.q
     n = qm.shape[0]
@@ -311,48 +328,53 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     best_energy = running.copy()
     best_state = state.copy()
     trace = np.empty((reads, schedule.sweeps))
-    # One chunk's draws for every read, made before any block starts so
-    # that the read threads allocate nothing for them.
     chunk = min(_SWEEP_CHUNK, schedule.sweeps)
-    draws = np.empty(reads * chunk * n)
-
-    def run_block(a: int, b: int, sweeps) -> None:
-        # The block's own part of the buffer: a partial last chunk uses the
-        # front of it, and never the part of a block still on a full chunk.
-        own = draws[a * chunk * n:b * chunk * n]
-        done = 0
-        while done < schedule.sweeps:
-            count = min(chunk, schedule.sweeps - done)
-            log_u = own[:(b - a) * count * n].reshape(b - a, count, n)
-            # -log(u)/beta as the acceptance threshold on the energy delta is
-            # equivalent to u < exp(-beta * delta) and needs no exp per step.
-            for rng, row in zip(rngs[a:b], log_u):
-                rng.random(out=row)
-            np.negative(np.log(log_u, out=log_u), out=log_u)
-            sweeps(done, log_u, betas, diag, coupling, state[a:b], field[a:b], running[a:b],
-                   best_energy[a:b], best_state[a:b], trace[a:b])
-            done += count
-
     if kernel is None:
-        workers, block_sweeps = 1, [_sweeps_numpy]
+        workers, width, block_sweeps = 1, reads, [_sweeps_numpy]
     else:
         workers = min(reads, _usable_cpus())
+        # A lane group: the kernel's width, or a whole block when no block
+        # is that wide.
+        width = min(kernel.lanes, -(-reads // workers))
         # Each block's lane-transposed scratch, made before the blocks start.
         block_sweeps = [
             functools.partial(_sweeps_c, kernel, kernel.lanes,
                               np.empty(_scratch_size(n, kernel.lanes)))
             for _ in range(workers)
         ]
+    # One chunk's draws for one lane group of each block, made before any
+    # block starts so that the read threads allocate nothing for them.
+    draws = np.empty((workers, width * chunk * n))
+
+    def run_block(own: np.ndarray, a: int, b: int, sweeps) -> None:
+        # Reads a .. b - 1 run the whole schedule one lane group at a time;
+        # each chunk's draws go into the front of the block's own slot.
+        for g in range(a, b, width):
+            h = min(g + width, b)
+            rows = (state[g:h], field[g:h], running[g:h], best_energy[g:h], best_state[g:h],
+                    trace[g:h])
+            for done in range(0, schedule.sweeps, chunk):
+                count = min(chunk, schedule.sweeps - done)
+                log_u = own[:(h - g) * count * n].reshape(h - g, count, n)
+                # -log(u)/beta as the acceptance threshold on the energy delta
+                # is equivalent to u < exp(-beta * delta) and needs no exp per
+                # step.
+                for rng, row in zip(rngs[g:h], log_u):
+                    rng.random(out=row)
+                np.negative(np.log(log_u, out=log_u), out=log_u)
+                sweeps(done, log_u, betas, diag, coupling, *rows)
+
     if workers == 1:
-        run_block(0, reads, block_sweeps[0])
+        run_block(draws[0], 0, reads, block_sweeps[0])
     else:
         edges = [reads * w // workers for w in range(workers + 1)]
         # The calling thread runs the first block; leaving the with block
         # joins every pool thread, also when a block raised.
         with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run_block, a, b, sweeps)
-                       for a, b, sweeps in zip(edges[1:-1], edges[2:], block_sweeps[1:])]
-            run_block(edges[0], edges[1], block_sweeps[0])
+            futures = [pool.submit(run_block, own, a, b, sweeps)
+                       for own, a, b, sweeps in zip(draws[1:], edges[1:-1], edges[2:],
+                                                    block_sweeps[1:])]
+            run_block(draws[0], edges[0], edges[1], block_sweeps[0])
             for future in futures:
                 future.result()
 

@@ -371,7 +371,9 @@ def _read_sweep_rows(path: Path) -> dict:
     rows = {}
     if not path.is_file():
         return rows
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a table saved back from a spreadsheet may start with a
+    # byte-order mark, which must not become part of the first column name.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         # An empty file has no header and is an empty table.
         missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or SWEEP_COLUMNS)]

@@ -18,7 +18,12 @@ then prints, old against new:
 - the largest |Δβ|;
 - the largest |Δ decision value| on the holdouts (the trained model) and
   on the ``predict-map`` grid (the model read back from its file, as
-  ``triqsvm map`` scores it).
+  ``triqsvm map`` scores it);
+- the sha256 of each output of the README's CLI quickstart (steps 1-4:
+  ``gen-data``, ``train``, ``evaluate``, ``map``), each tree's CLI run in
+  a directory of its own: the dataset CSV and its sidecar, the model
+  file, the ``evaluate`` JSON without its ``created_utc`` line, and the
+  map's CSV, sidecar and SVG.
 
 It exits 0 when everything is equal and 1 otherwise.  It reads no timing
 and replaces no test: the golden fixtures and the byte oracles in
@@ -30,12 +35,23 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+# The README's CLI quickstart, steps 1-4, and the files whose sha256 the
+# comparison prints (report.json holds timings, so it is left out).
+QUICKSTART = (
+    ("gen-data", "--m", "60", "--delta", "0.6", "--seed", "300", "--out", "adhoc.csv"),
+    ("train", "--data", "adhoc.csv", "--n-train", "50", "--seed", "300", "--out", "run/"),
+    ("evaluate", "run/model.json", "adhoc.csv", "--out", "eval.json"),
+    ("map", "run/model.json", "--resolution", "50", "--out", "map.csv", "--svg", "map.svg"),
+)
+QUICKSTART_OUTPUTS = ("adhoc.csv", "adhoc.csv.meta.json", "run/model.json", "eval.json",
+                      "map.csv", "map.csv.meta.json", "map.svg")
 
 
 def _sha256(*arrays) -> str:
@@ -102,6 +118,22 @@ def record(tree: Path, out: Path) -> None:
     np.savez(out, **arrays)
 
 
+def quickstart(tree: Path) -> dict:
+    """sha256 of each quickstart output of ``tree``'s CLI, run in a fresh
+    directory; a line holding ``created_utc`` is left out of the hash."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    digests = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for args in QUICKSTART:
+            subprocess.run([sys.executable, "-m", "triqsvm", *args], cwd=scratch, env=env,
+                           check=True, stdout=subprocess.DEVNULL)
+        for name in QUICKSTART_OUTPUTS:
+            lines = (Path(scratch) / name).read_bytes().splitlines(keepends=True)
+            kept = b"".join(line for line in lines if b'"created_utc"' not in line)
+            digests[name] = hashlib.sha256(kept).hexdigest()
+    return digests
+
+
 def _bytes(array):
     return array.shape, array.dtype.str, array.tobytes()
 
@@ -157,8 +189,13 @@ def compare(old_tree: Path, new_tree: Path) -> int:
         rows.setdefault((name, seed), []).append(f"{a:.4g}" if a == b else f"{a:.4g}->{b:.4g}")
     for (name, seed), cells in rows.items():
         print(f"  {name} seed {seed}: {' '.join(cells)}")
+    old_files, new_files = quickstart(old_tree), quickstart(new_tree)
+    print("README quickstart outputs, sha256 (old / new):")
+    for name in QUICKSTART_OUTPUTS:
+        a, b = old_files[name], new_files[name]
+        print(f"  {name}: {a}" + (" equal" if a == b else f" / {b} DIFFER"))
     identical = (all(len(m) == len(keys) for m in counts.values())
-                 and beta == holdout == grid == 0.0)
+                 and beta == holdout == grid == 0.0 and old_files == new_files)
     print(json.dumps({"identical": identical}))
     return 0 if identical else 1
 

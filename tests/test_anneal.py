@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestKernel:
         got = anneal._energies_c(kernel, np.empty((0, 0)), np.empty((2, 0)))
         assert got.tobytes() == np.array([energy(QuboMatrix(np.empty((0, 0))), [])] * 2).tobytes()
 
+    def test_read_only_arrays_are_passed_by_address(self, needs_compiler):
+        # A QuboMatrix keeps a read-only array as given; its address is not
+        # read through the buffer protocol, which needs a writable array.
+        qm = np.random.default_rng(20).uniform(-1, 1, (6, 6))
+        states = np.random.default_rng(21).integers(0, 2, (5, 6)).astype(float)
+        want = anneal._energies_c(anneal._kernel(), qm, states)
+        qm.flags.writeable = states.flags.writeable = False
+        got = anneal._energies_c(anneal._kernel(), qm, states)
+        assert got.tobytes() == want.tobytes()
+
     def test_energies_arguments_are_checked(self, needs_compiler):
         kernel = anneal._kernel()
         n = 4
@@ -499,6 +510,46 @@ class TestParallelReads:
         monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
         for got, want in zip(_anneal_reads(q, schedule), reference):
             assert got.tobytes() == want.tobytes()
+
+    def test_reads_run_one_lane_group_at_a_time(self, monkeypatch, needs_compiler):
+        # Blocks of 25 reads, 450 sweeps in chunks of 200, 200 and 50.
+        kernel = anneal._kernel()
+        schedule = AnnealSchedule(num_reads=50, sweeps=450, seed=13)
+        sweeps_c = anneal._sweeps_c
+        chunks = [[] for _ in range(schedule.num_reads)]
+
+        def record(loaded, lanes, scratch, first, log_u, betas, diag, coupling, state,
+                   field, running, best_energy, best_state, trace):
+            assert log_u.shape[0] <= kernel.lanes
+            # The group's first read, from where its rows start in the trace.
+            g = (trace.ctypes.data - trace.base.ctypes.data) // trace.strides[0]
+            for r in range(g, g + log_u.shape[0]):
+                chunks[r].append((first, log_u.shape[1]))
+            sweeps_c(loaded, lanes, scratch, first, log_u, betas, diag, coupling, state,
+                     field, running, best_energy, best_state, trace)
+
+        monkeypatch.setattr(anneal, "_sweeps_c", record)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        simulated_anneal(dual_instance(30), schedule)
+        assert chunks == [[(0, 200), (200, 200), (400, 50)]] * schedule.num_reads
+
+    def test_draw_memory_does_not_grow_with_reads(self, monkeypatch, needs_compiler):
+        # One chunk's draws for every read at once would take
+        # 144 * 200 * 50 * 8 B = 11.5 MB more at 160 reads than at 16.  What
+        # still grows with the reads (the trace, the states and the random
+        # generators) took about 0.5 MB.
+        q = dual_instance(50)
+        assert anneal._kernel() is not None
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        peaks = []
+        for reads in (16, 160):
+            tracemalloc.start()
+            try:
+                _anneal_reads(q, AnnealSchedule(num_reads=reads, sweeps=200, seed=14))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2_000_000
 
     def test_worker_error_propagates_and_threads_are_joined(self, monkeypatch, needs_compiler):
         sweeps_c = anneal._sweeps_c

@@ -703,6 +703,18 @@ class TestSweep:
         assert out.read_bytes() == table
         assert out.with_name("sweep.csv.meta.json").read_bytes() == sidecar
 
+    def test_table_with_a_byte_order_mark_resumes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("triqsvm.cli.train", lambda train_set, val_set, cfg:
+                            SimpleNamespace(best_accuracy=0.5, iterations_used=1))
+        out = tmp_path / "sweep.csv"
+        out.write_text(f"\ufeff{SWEEP_HEADER}\n10,2,qsvm,7,33.33,9\n", encoding="utf-8")
+        cli.main(args=["sweep", "--out", str(out), "--sizes", "10", "--seeds", "7,8",
+                       "--methods", "qsvm", "--delta", "0.0"], standalone_mode=False)
+        written = out.read_text(encoding="utf-8")
+        # The marked row is kept, the new seed is added, and the rewrite
+        # carries no mark.
+        assert written.startswith(f"{SWEEP_HEADER}\n10,2,qsvm,7,33.33,9\n10,2,qsvm,8,50.00,1\n")
+
     def test_unknown_method_rejected(self, tmp_path):
         result = run_cli("sweep", "--out", tmp_path / "s.csv", "--methods", "zen")
         assert result.returncode == 1
