@@ -22,10 +22,16 @@
  * the kernel allocates nothing.
  *
  * energies() gives the exact energies of whole states, bit for bit as
- * anneal.energy's cumsum. */
+ * anneal.energy's cumsum, and uniforms() the reads' uniform draws, bit for
+ * bit as numpy's PCG64 Generator.random; it needs a compiler with 128-bit
+ * integers. */
 
 #include <stdint.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "the PCG64 draws need a compiler with __uint128_t"
+#endif
 
 /* Reads r0 .. reads - 1, one at a time. */
 static void per_read(long r0, long reads, long n, long count, long first, long sweeps,
@@ -182,5 +188,35 @@ void energies(long rows, long n, const double *q, const double *states, double *
             for (long j = i ? 0 : 1; j < n; j++)
                 e += q[i * n + j] * (x[i] * x[j]);
         out[r] = e;
+    }
+}
+
+/* Up to 8 PCG64 streams, numpy's: state = state * M + inc mod 2^128, the
+ * XSL-RR output of the new state, and next_double = (x >> 11) * 2^-53.
+ * Stream s's state is pcg[4 s] (low 64 bits) and pcg[4 s + 1] (high), its
+ * increment pcg[4 s + 2] and pcg[4 s + 3]; out[s count + k] is its k-th
+ * draw, and its state is advanced past them.  The streams step in turn,
+ * so their independent 128-bit multiplies overlap. */
+void uniforms(long streams, long count, uint64_t *pcg, double *out)
+{
+    const __uint128_t multiplier = ((__uint128_t)0x2360ed051fc65da4ULL << 64)
+                                   | 0x4385df649fccf645ULL;
+    __uint128_t state[8], inc[8];
+    for (long s = 0; s < streams; s++) {
+        state[s] = ((__uint128_t)pcg[4 * s + 1] << 64) | pcg[4 * s];
+        inc[s] = ((__uint128_t)pcg[4 * s + 3] << 64) | pcg[4 * s + 2];
+    }
+    for (long k = 0; k < count; k++)
+        for (long s = 0; s < streams; s++) {
+            __uint128_t next = state[s] * multiplier + inc[s];
+            uint64_t folded = (uint64_t)(next >> 64) ^ (uint64_t)next;
+            unsigned rot = (unsigned)(next >> 122);
+            uint64_t x = (folded >> rot) | (folded << ((64 - rot) & 63));
+            out[s * count + k] = (double)(x >> 11) * (1.0 / 9007199254740992.0);
+            state[s] = next;
+        }
+    for (long s = 0; s < streams; s++) {
+        pcg[4 * s] = (uint64_t)state[s];
+        pcg[4 * s + 1] = (uint64_t)(state[s] >> 64);
     }
 }

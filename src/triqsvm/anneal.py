@@ -7,7 +7,7 @@ enumerates every assignment (the oracle for small instances) and
 variables that first-order persistency settles for every optimum and
 leaves the rest as a smaller instance for a sampler.
 
-Each read r draws its own random stream seeded with ``seed + r``, so reads
+Each read r draws its own PCG64 stream seeded with ``seed + r``, so reads
 are order-independent and the sampler is deterministic per (instance,
 schedule).
 
@@ -18,24 +18,27 @@ lockstep, one read per SIMD lane, as the numpy loop does: 8 lanes with
 AVX-512F and 4 with AVX2, the widest the CPU offers.  The reads left
 after the last full group of lanes, and every read on other CPUs, run
 one at a time.  The kernel also gives the reads' exact start and best
-energies, summed as ``energy`` sums them.  Every path is bit-identical to
-the numpy loop and ``energy``, which stay as the reference and are the
-path taken, after one RuntimeWarning, when the kernel cannot be built or
+energies, summed as ``energy`` sums them, and draws the reads' uniforms
+as numpy's PCG64 ``Generator.random`` does, up to 8 streams interleaved
+on any CPU.  Every path is bit-identical to the numpy loop, its own
+generators and ``energy``, which stay as the reference and are the path
+taken, after one RuntimeWarning, when the kernel cannot be built or
 loaded.
 
 With the kernel, the reads are split into contiguous blocks, one per
-usable CPU, and each block runs in its own thread: the kernel call, the
-uniform draws and the log all release the GIL.  A block runs its reads
-one lane group at a time (``lanes`` reads, fewer in its last group), each
-group through the whole schedule.  Blocks and groups share no read and
-no random stream, so any block count gives the same bits.  The draws of
-one chunk of sweeps for one group of each block fill a buffer of at most
-``workers * lanes * min(200, sweeps) * n`` doubles, however many reads
-there are, and each block owns one slot of it.  That buffer and the
-kernel's scratch are made before the blocks start, so the read threads
-allocate no arrays.  The numpy loop holds the GIL and runs as one block
-and one group of all reads, with ``reads * min(200, sweeps) * n`` doubles
-of draws.
+usable CPU, and each block runs in its own thread: the kernel calls,
+draws included, and the log all release the GIL.  A block runs its reads
+one group at a time (8 reads, fewer in its last group), each group
+through the whole schedule, and the kernel runs a group ``lanes`` reads
+at a time.  Blocks and groups share no read and no random stream, so any
+block count gives the same bits.  The draws of one chunk of sweeps for
+one group of each block fill a buffer of at most
+``workers * 8 * min(200, sweeps) * n`` doubles, however many reads
+there are, and each block owns one slot of it.  That buffer, the
+kernel's scratch and the streams the draws advance are made before the
+blocks start, so the read threads allocate no arrays.  The numpy loop
+holds the GIL and runs as one block and one group of all reads, with
+``reads * min(200, sweeps) * n`` doubles of draws.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import concurrent.futures
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import platform
 import shutil
@@ -72,6 +76,9 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # Reads per lockstep group the kernel can run; 1 is the per-read loop.
 _LANE_WIDTHS = (1, 4, 8)
 _FLOAT64 = np.dtype(np.float64)
+_UINT64 = np.dtype(np.uint64)
+# Most PCG64 streams one ``uniforms`` call interleaves.
+_MAX_STREAMS = 8
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,14 @@ class AnnealSchedule:
             raise ValueError("beta_start and beta_end must be finite")
         if not 0.0 < self.beta_start < self.beta_end:
             raise ValueError("need 0 < beta_start < beta_end")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        # A Python int: ``seed + r`` on a numpy integer can wrap around.
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass
@@ -175,11 +190,12 @@ def _build_kernel() -> Path:
 
 class _Kernel(NamedTuple):
     """The loaded Metropolis kernel, the widest lane width it runs on this
-    CPU, and the exact energies of whole states."""
+    CPU, the exact energies of whole states and the PCG64 draws."""
 
     metropolis: Callable[..., None]
     lanes: int
     energies: Callable[..., None]
+    uniforms: Callable[..., None]
 
 
 @functools.cache
@@ -199,7 +215,9 @@ def _kernel() -> _Kernel | None:
     library.metropolis_lanes.restype = ctypes.c_long
     library.energies.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 3
     library.energies.restype = None
-    return _Kernel(function, library.metropolis_lanes(), library.energies)
+    library.uniforms.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 2
+    library.uniforms.restype = None
+    return _Kernel(function, library.metropolis_lanes(), library.energies, library.uniforms)
 
 
 def _scratch_size(n: int, lanes: int) -> int:
@@ -210,13 +228,15 @@ def _scratch_size(n: int, lanes: int) -> int:
 
 
 def _pointers(arrays) -> list:
-    """Addresses of the kernel's arrays, each given with its shape; every
-    array must be C-contiguous float64 of that shape."""
+    """Addresses of the kernel's arrays, each given with its shape and,
+    unless it is float64, its dtype; every array must be C-contiguous of
+    that dtype and shape."""
     pointers = []
     addressof, view = ctypes.addressof, ctypes.c_char.from_buffer
-    for array, shape in arrays:
-        if array.dtype != _FLOAT64 or array.shape != shape or not array.flags.c_contiguous:
-            raise ValueError(f"kernel argument must be C-contiguous float64 of shape {shape}")
+    for array, shape, *dtype in arrays:
+        dtype = dtype[0] if dtype else _FLOAT64
+        if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
+            raise ValueError(f"kernel argument must be C-contiguous {dtype} of shape {shape}")
         try:
             # A ctypes view made through the buffer protocol gives the
             # address about three times faster than ``ndarray.ctypes``.
@@ -233,6 +253,37 @@ def _energies_c(kernel, qm: np.ndarray, states: np.ndarray) -> np.ndarray:
     out = np.empty(rows)
     kernel.energies(rows, n, *_pointers(((qm, (n, n)), (states, (rows, n)), (out, (rows,)))))
     return out
+
+
+def _uniforms_c(kernel, pcg: np.ndarray, out: np.ndarray) -> None:
+    """Fill each row of ``out`` with the next uniforms of the PCG64 stream
+    in the same row of ``pcg`` (state low, high, inc low, high) through
+    the C kernel, advancing the states in place, bit for bit as
+    ``Generator.random``."""
+    streams, count = out.shape
+    if not 1 <= streams <= _MAX_STREAMS:
+        raise ValueError(f"{streams} streams: the kernel draws 1 to {_MAX_STREAMS} at a time")
+    kernel.uniforms(streams, count,
+                    *_pointers(((pcg, (streams, 4), _UINT64), (out, (streams, count)))))
+
+
+def _starts(seed: int, reads: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each read's start bits, ``(reads, n)`` floats, and its PCG64 stream
+    after them, ``(reads, 4)`` uint64 as ``_uniforms_c`` reads it.  Read
+    r's stream is ``Generator(PCG64(seed + r))``, the stream
+    ``default_rng(seed + r)`` gives, after ``integers(0, 2, n)``.
+    That call may leave half a 64-bit output buffered, which ``random``
+    never reads, so the state and increment are all that carry over."""
+    bits = np.empty((reads, n))
+    pcg = np.empty((reads, 4), dtype=np.uint64)
+    low = (1 << 64) - 1
+    for r in range(reads):
+        generator = np.random.Generator(np.random.PCG64(seed + r))
+        bits[r] = generator.integers(0, 2, size=n)
+        stream = generator.bit_generator.state["state"]
+        state, inc = stream["state"], stream["inc"]
+        pcg[r] = (state & low, state >> 64, inc & low, inc >> 64)
+    return bits, pcg
 
 
 def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state, field,
@@ -289,20 +340,26 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     states with their incrementally tracked energies (the latter two exist
     so tests can check the incremental bookkeeping against energy()).
 
+    With the C kernel, each read's start bits and PCG64 stream come from
+    ``_starts``, and the streams advance as the reads draw; the numpy
+    loop seeds its own ``default_rng(seed + r)`` per read.
     The reads run in contiguous blocks, one per usable CPU with the C
     kernel and a single block with the numpy loop.  A block runs its
-    reads in groups of the kernel's lane width (all its reads at once
-    with the numpy loop), and each group runs the schedule in chunks of
-    sweeps: the group's -log(u) thresholds for one chunk are drawn into
-    the front of the block's own slot of the draw buffer, then the kernel
-    (or the numpy loop) runs the chunk on the group's rows.  The buffer,
-    ``(workers, width * min(200, sweeps) * n)`` doubles with ``width``
-    the group size, is made before the blocks start, like the kernel's
-    scratch, so the read threads allocate no arrays.  The start and best
-    states' exact energies come from the kernel's ``energies`` in one
-    call each (from ``energy`` per read with the numpy loop).  Every
-    block count, every lane width, and either loop, gives bit-identical
-    results.
+    reads in groups of up to 8, as many streams as one ``uniforms`` call
+    interleaves (all its reads at once with the numpy loop), and each
+    group runs the schedule in chunks of sweeps: the group's uniforms for
+    one chunk are drawn into the front of the block's own slot of the
+    draw buffer, by one ``uniforms`` call for the group's interleaved
+    streams (by ``Generator.random`` per read with the numpy loop),
+    turned into -log(u) thresholds in place, then the kernel (``lanes``
+    reads at a time) or the numpy loop runs the chunk on the group's
+    rows.  The buffer, ``(workers, width * min(200, sweeps) * n)`` doubles
+    with ``width`` the group size, is made before the blocks start, like the
+    kernel's scratch and the streams, so the read threads allocate no
+    arrays.  The start and best states' exact energies come from the
+    kernel's ``energies`` in one call each (from ``energy`` per read with
+    the numpy loop).  Every block count, every lane width, and either loop,
+    gives bit-identical results.
     """
     qm = q.q
     n = qm.shape[0]
@@ -312,13 +369,22 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     coupling = _coupling(qm)
     kernel = _kernel()
     if kernel is None:
+        rngs = [np.random.default_rng(schedule.seed + r) for r in range(reads)]
+        state = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
+
         def energies(states):
             return np.array([energy(q, row) for row in states])
+
+        def draw(g: int, h: int, out: np.ndarray) -> None:
+            for rng, row in zip(rngs[g:h], out):
+                rng.random(out=row)
     else:
+        state, pcg = _starts(schedule.seed, reads, n)
         energies = functools.partial(_energies_c, kernel, np.ascontiguousarray(qm))
 
-    rngs = [np.random.default_rng(schedule.seed + r) for r in range(reads)]
-    state = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
+        def draw(g: int, h: int, out: np.ndarray) -> None:
+            _uniforms_c(kernel, pcg[g:h], out.reshape(h - g, -1))
+
     # Adding 0.0 turns -0.0 into +0.0.  Neither array can then hold a
     # negative zero, so the signed zero the numpy loop adds on a rejected
     # flip is a no-op, and the C kernel can skip that update.
@@ -333,21 +399,22 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
         workers, width, block_sweeps = 1, reads, [_sweeps_numpy]
     else:
         workers = min(reads, _usable_cpus())
-        # A lane group: the kernel's width, or a whole block when no block
-        # is that wide.
-        width = min(kernel.lanes, -(-reads // workers))
+        # A draw group: as many reads as one ``uniforms`` call interleaves,
+        # whatever the kernel's lane width, or a whole block when no block
+        # is that wide.  The kernel runs the group ``lanes`` reads at a time.
+        width = min(_MAX_STREAMS, -(-reads // workers))
         # Each block's lane-transposed scratch, made before the blocks start.
         block_sweeps = [
             functools.partial(_sweeps_c, kernel, kernel.lanes,
                               np.empty(_scratch_size(n, kernel.lanes)))
             for _ in range(workers)
         ]
-    # One chunk's draws for one lane group of each block, made before any
+    # One chunk's draws for one group of each block, made before any
     # block starts so that the read threads allocate nothing for them.
     draws = np.empty((workers, width * chunk * n))
 
     def run_block(own: np.ndarray, a: int, b: int, sweeps) -> None:
-        # Reads a .. b - 1 run the whole schedule one lane group at a time;
+        # Reads a .. b - 1 run the whole schedule one group at a time;
         # each chunk's draws go into the front of the block's own slot.
         for g in range(a, b, width):
             h = min(g + width, b)
@@ -359,8 +426,7 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
                 # -log(u)/beta as the acceptance threshold on the energy delta
                 # is equivalent to u < exp(-beta * delta) and needs no exp per
                 # step.
-                for rng, row in zip(rngs[g:h], log_u):
-                    rng.random(out=row)
+                draw(g, h, log_u)
                 np.negative(np.log(log_u, out=log_u), out=log_u)
                 sweeps(done, log_u, betas, diag, coupling, *rows)
 

@@ -119,6 +119,16 @@ class TestSimulatedAnneal:
         with pytest.raises(ValueError):
             AnnealSchedule(beta_start=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 1.0, "1", None, np.float64(2.0), np.int64(-3)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            AnnealSchedule(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint32(5), 2**70])
+    def test_integer_seeds_are_accepted(self, seed):
+        schedule = AnnealSchedule(seed=seed)
+        assert schedule.seed == seed and type(schedule.seed) is int
+
     @pytest.mark.parametrize("bounds", [
         {"beta_end": float("inf")},
         {"beta_start": float("inf")},
@@ -207,6 +217,15 @@ def fresh_kernel():
 def needs_compiler():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler 'cc' on PATH")
+
+
+def pcg_words(bit_generator) -> np.ndarray:
+    """A PCG64's state and increment as the C draws hold them: state low
+    and high 64 bits, then increment low and high."""
+    stream = bit_generator.state["state"]
+    low = (1 << 64) - 1
+    return np.array([stream["state"] & low, stream["state"] >> 64, stream["inc"] & low,
+                     stream["inc"] >> 64], dtype=np.uint64)
 
 
 def lane_widths(kernel) -> list[int]:
@@ -331,6 +350,60 @@ class TestKernel:
                                   (qm, np.zeros((6, n))[::2]), (qm, np.zeros((3, n + 1)))]:
             with pytest.raises(ValueError, match="C-contiguous float64"):
                 anneal._energies_c(kernel, bad_q, bad_states)
+
+    @pytest.mark.parametrize("count", [0, 1, 37, 10_000])
+    def test_uniforms_byte_identical_to_generator_random(self, needs_compiler, count):
+        kernel = anneal._kernel()
+        for streams in range(1, 9):
+            seeds = range(100 * streams, 100 * streams + streams)
+            pcg = np.vstack([pcg_words(np.random.PCG64(seed)) for seed in seeds])
+            generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+            # Successive calls continue each stream where the last one left it.
+            for _ in range(3):
+                out = np.empty((streams, count))
+                anneal._uniforms_c(kernel, pcg, out)
+                want = np.stack([g.random(count) for g in generators])
+                assert out.tobytes() == want.tobytes(), f"{streams} streams"
+                assert pcg.tolist() == [pcg_words(g.bit_generator).tolist()
+                                        for g in generators]
+
+    def test_uniforms_arguments_are_checked(self, needs_compiler):
+        kernel = anneal._kernel()
+        streams, count = 2, 5
+        pcg = np.vstack([pcg_words(np.random.PCG64(s)) for s in range(streams)])
+        anneal._uniforms_c(kernel, pcg, np.empty((streams, count)))
+        for bad in [pcg.astype(np.int64), pcg.astype(np.float64), pcg[:, :3].copy(),
+                    np.vstack([pcg, pcg])[::2], np.vstack([pcg, pcg])]:
+            with pytest.raises(ValueError, match="C-contiguous uint64"):
+                anneal._uniforms_c(kernel, bad, np.empty((streams, count)))
+        for bad_out in [np.empty((streams, count), dtype=np.float32),
+                        np.empty((streams, 2 * count))[:, ::2]]:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                anneal._uniforms_c(kernel, pcg, bad_out)
+        # Stream counts the C code has no room for.
+        for bad in [0, 9, 16]:
+            words = np.zeros((bad, 4), dtype=np.uint64)
+            with pytest.raises(ValueError, match="streams"):
+                anneal._uniforms_c(kernel, words, np.empty((bad, count)))
+
+    def test_starts_match_fresh_generators(self):
+        bits, pcg = anneal._starts(40, 5, 13)
+        assert bits.dtype == np.float64 and pcg.dtype == np.uint64
+        for r in range(5):
+            rng = np.random.default_rng(40 + r)
+            assert bits[r].tobytes() == rng.integers(0, 2, size=13).astype(float).tobytes()
+            assert pcg[r].tolist() == pcg_words(rng.bit_generator).tolist()
+
+    def test_numpy_integer_seed_gives_the_int_seeds_reads(self, monkeypatch, needs_compiler):
+        # np.uint32(2**32 - 1) + 1 wraps to 0.  The schedule keeps the seed
+        # as a Python int, so read 1 is seeded 2**32 on both paths.
+        q = dual_instance(20)
+        as_numpy = AnnealSchedule(num_reads=3, sweeps=200, seed=np.uint32(2**32 - 1))
+        as_int = AnnealSchedule(num_reads=3, sweeps=200, seed=2**32 - 1)
+        reference = numpy_reads(q, as_int, monkeypatch)
+        for run in (numpy_reads(q, as_numpy, monkeypatch), _anneal_reads(q, as_numpy)):
+            for got, want in zip(run, reference):
+                assert got.tobytes() == want.tobytes()
 
     def test_compiles_without_warnings(self, tmp_path, needs_compiler):
         proc = subprocess.run(["cc", *anneal._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
@@ -520,7 +593,7 @@ class TestParallelReads:
 
         def record(loaded, lanes, scratch, first, log_u, betas, diag, coupling, state,
                    field, running, best_energy, best_state, trace):
-            assert log_u.shape[0] <= kernel.lanes
+            assert log_u.shape[0] <= anneal._MAX_STREAMS and lanes == kernel.lanes
             # The group's first read, from where its rows start in the trace.
             g = (trace.ctypes.data - trace.base.ctypes.data) // trace.strides[0]
             for r in range(g, g + log_u.shape[0]):
@@ -533,11 +606,35 @@ class TestParallelReads:
         simulated_anneal(dual_instance(30), schedule)
         assert chunks == [[(0, 200), (200, 200), (400, 50)]] * schedule.num_reads
 
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_narrow_lanes_still_draw_eight_streams_a_call(self, monkeypatch, needs_compiler,
+                                                          lanes):
+        # The draws need no SIMD: on CPUs with 4 lanes or none, one call
+        # still interleaves up to 8 of a block's streams.
+        kernel = anneal._kernel()
+        q = dual_instance(30)
+        schedule = AnnealSchedule(num_reads=21, sweeps=250, seed=16)
+        reference = numpy_reads(q, schedule, monkeypatch)
+        uniforms_c = anneal._uniforms_c
+        streams = []
+
+        def record(loaded, pcg, out):
+            streams.append(out.shape[0])
+            uniforms_c(loaded, pcg, out)
+
+        monkeypatch.setattr(anneal, "_kernel", lambda: kernel._replace(lanes=lanes))
+        monkeypatch.setattr(anneal, "_uniforms_c", record)
+        monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
+        for got, want in zip(_anneal_reads(q, schedule), reference):
+            assert got.tobytes() == want.tobytes()
+        # Blocks of 10 and 11 reads: groups of 8 and the rest, two chunks each.
+        assert sorted(streams) == sorted([8, 8, 2, 2, 8, 8, 3, 3])
+
     def test_draw_memory_does_not_grow_with_reads(self, monkeypatch, needs_compiler):
         # One chunk's draws for every read at once would take
         # 144 * 200 * 50 * 8 B = 11.5 MB more at 160 reads than at 16.  What
-        # still grows with the reads (the trace, the states and the random
-        # generators) took about 0.5 MB.
+        # still grows with the reads (the trace, the states and fields, and
+        # the PCG64 words) took about 0.5 MB.
         q = dual_instance(50)
         assert anneal._kernel() is not None
         monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
