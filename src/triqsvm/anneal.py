@@ -227,13 +227,16 @@ def _scratch_size(n: int, lanes: int) -> int:
     return (4 * n + 1) * lanes
 
 
-def _pointers(arrays) -> list:
-    """Addresses of the kernel's arrays, each given with its shape and,
-    unless it is float64, its dtype; every array must be C-contiguous of
-    that dtype and shape."""
+def _pointers(read, written) -> list:
+    """Addresses of the arrays the kernel reads, then of those it writes,
+    each given with its shape and, unless it is float64, its dtype; every
+    array must be C-contiguous of that dtype and shape, and writeable if
+    the kernel writes it."""
+    if not all(array.flags.writeable for array, *_ in written):
+        raise ValueError("kernel output must be a writeable array")
     pointers = []
     addressof, view = ctypes.addressof, ctypes.c_char.from_buffer
-    for array, shape, *dtype in arrays:
+    for array, shape, *dtype in (*read, *written):
         dtype = dtype[0] if dtype else _FLOAT64
         if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
             raise ValueError(f"kernel argument must be C-contiguous {dtype} of shape {shape}")
@@ -251,7 +254,7 @@ def _energies_c(kernel, qm: np.ndarray, states: np.ndarray) -> np.ndarray:
     for bit."""
     rows, n = len(states), len(qm)
     out = np.empty(rows)
-    kernel.energies(rows, n, *_pointers(((qm, (n, n)), (states, (rows, n)), (out, (rows,)))))
+    kernel.energies(rows, n, *_pointers(((qm, (n, n)), (states, (rows, n))), ((out, (rows,)),)))
     return out
 
 
@@ -264,7 +267,7 @@ def _uniforms_c(kernel, pcg: np.ndarray, out: np.ndarray) -> None:
     if not 1 <= streams <= _MAX_STREAMS:
         raise ValueError(f"{streams} streams: the kernel draws 1 to {_MAX_STREAMS} at a time")
     kernel.uniforms(streams, count,
-                    *_pointers(((pcg, (streams, 4), _UINT64), (out, (streams, count)))))
+                    *_pointers((), ((pcg, (streams, 4), _UINT64), (out, (streams, count)))))
 
 
 def _starts(seed: int, reads: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +298,11 @@ def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state
         raise ValueError(f"lane width {lanes} is not available on this CPU "
                          f"(widths {[w for w in _LANE_WIDTHS if w <= kernel.lanes]})")
     pointers = _pointers((
-        (diag, (n,)), (coupling, (n, n)), (log_u, (reads, count, n)),
-        (betas, betas.shape[:1]), (state, (reads, n)), (field, (reads, n)),
-        (running, (reads,)), (best_energy, (reads,)), (best_state, (reads, n)),
-        (trace, (reads, betas.shape[0])), (scratch, (_scratch_size(n, lanes),)),
+        (diag, (n,)), (coupling, (n, n)), (log_u, (reads, count, n)), (betas, betas.shape[:1]),
+    ), (
+        (state, (reads, n)), (field, (reads, n)), (running, (reads,)), (best_energy, (reads,)),
+        (best_state, (reads, n)), (trace, (reads, betas.shape[0])),
+        (scratch, (_scratch_size(n, lanes),)),
     ))
     if not 0 <= first <= betas.shape[0] - count:
         raise ValueError("sweep chunk runs past the schedule")

@@ -11,22 +11,21 @@ abs, comparisons and products that round as numpy's do.  Dot products,
 the inverse and multi-element sums stay in numpy, whose bits depend on
 BLAS, LAPACK and its summation order, so the points it evaluates are
 those of the reference iteration in ``tests/oracles.py``, bit for bit.
-``train`` runs the outer cycle: build the kernel matrix for the current
-parameters, build and solve the QUBO, compute the offset, score the
-validation set, and feed 1 - accuracy back to the optimizer, until the
-iteration cap or the target accuracy ends the run.  The pass that spends
-the cap ends the run itself, as the target does, so COBYLA builds no
-model or step for a point it may not evaluate.  The ``paper`` builder on
-a kernel with values in [0, 1] (quantum or rbf) skips the QUBO: there
-alpha = 1 is known to be optimal, and the offset and best energy come in
-closed form from K y, which the quantum kernel takes from the training
-states without a kernel matrix.  θ enters the quantum kernel only
-through one detuning row shared by every point, so ``train`` builds the
-training points' θ-free phases once per run, and each quantum pass turns
-them into states through the one statevector routine
-(``qkernel.states_from_phases``), then builds its model's operator M
-once and hands it to the model.  The reported model is the iteration
-with the highest validation accuracy (earliest on ties).
+``train`` runs the outer cycle: find the binary weights α for the
+current parameters, compute the offset, score the validation set, and
+feed 1 - accuracy back to the optimizer, until the iteration cap or the
+target accuracy ends the run.  The pass that spends the cap ends the run
+itself, as the target does, so COBYLA builds no model or step for a
+point it may not evaluate.  α solves the QUBO of the kernel matrix, or
+is the known optimum 1 for the ``paper`` builder on a kernel in [0, 1]
+(quantum or rbf).  Then w = α ⊙ y, f = K^T w at the training points and
+β = ``offset(y, f)``, on every pass; on the quantum kernel f = <s|M|s>
+through the model's operator M = Σ_m w_m |s_m><s_m|.  θ enters the
+quantum kernel only through one detuning row shared by every point, so
+``train`` builds the training points' θ-free phases once per run, and
+each pass turns them into states (``qkernel.states_from_phases``).  The
+reported model is the iteration with the highest validation accuracy
+(earliest on ties).
 """
 
 from __future__ import annotations
@@ -59,9 +58,11 @@ from .qubo import (
     accuracy,
     build_qubo_dual,
     build_qubo_paper,
-    compute_beta,
+    # Unused: kept for the benchmark's tracer, which wraps this name here.
+    compute_beta,  # noqa: F401
     model_to_dict,
-    paper_offset_and_energy,
+    offset,
+    paper_energy,
 )
 
 BACKENDS = ("anneal", "exact", "greedy")
@@ -522,30 +523,19 @@ def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
     return result, info
 
 
-def _paper_closed_form(kernel, points, states, labels, cfg: TrainConfig):
-    """α, β, the solver info and the operator M of a ``paper`` pass on a
-    kernel in [0, 1] (quantum or rbf), whose QUBO is optimal at α = 1
-    whatever the backend.
-
-    β and the energy come from K y and tr K (``paper_offset_and_energy``):
-    on rbf from the Gram, with M None; on the quantum kernel, in O(m 4**n)
-    with no Gram, as (K y)_n = <s_n|M|s_n>, M = Σ_m y_m |s_m><s_m|, and
-    K_nn = ||s_n||**4.  At α = 1 this M is the model's, bit for bit.  The
-    solver info is a fully presolved instance's (``_solve_qubo``).
-    """
-    labels = np.asarray(labels, dtype=float)
+def _paper_closed_form(labels, f, k, states, cfg: TrainConfig) -> dict:
+    """The solver info of a ``paper`` pass at α = 1 on a kernel in [0, 1]
+    (quantum or rbf), where its QUBO is optimal: a fully presolved
+    instance's (``_solve_qubo``), its energy ``paper_energy`` of f = K y
+    and tr K, from the Gram on rbf and as Σ_n ||s_n||**4 on quantum."""
     if states is None:
-        k = kernel_gram(kernel, points)
-        ky, trace, operator = k.T @ labels, np.trace(k), None
+        trace = np.trace(k)
     else:
-        operator = weighted_operator(states, labels)
-        ky = expectations(states, operator)
         pairs = states.view(float)
         norms = np.einsum("ni,ni->n", pairs, pairs)
         trace = norms @ norms
     m = labels.size
-    beta, best_energy = paper_offset_and_energy(labels, ky, trace)
-    return _all_ones(m), beta, _solver_info(cfg, m, 0, best_energy, m), operator
+    return _solver_info(cfg, m, 0, paper_energy(labels, f, trace), m)
 
 
 @lru_cache(maxsize=1)
@@ -560,21 +550,21 @@ def _all_ones(m: int) -> np.ndarray:
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
     """Run the outer training cycle and keep the best-scoring iteration.
 
-    Each objective evaluation is one full pass: kernel matrix, QUBO,
-    solve, offset, validation accuracy.  The float labels are built once
-    per run, and on the quantum kernel so are the training points' θ-free
-    phases E (``qkernel.data_phases``).  Each quantum pass turns E into
-    the training states with ``qkernel.states_from_phases``, the routine
+    Each objective evaluation is one full pass: α, offset, validation
+    accuracy.  The float labels are built once per run, and on the
+    quantum kernel so are the training points' θ-free phases E
+    (``qkernel.data_phases``).  Each quantum pass turns E into the
+    training states with ``qkernel.states_from_phases``, the routine
     ``feature_states`` calls, so they equal ``feature_states`` of the
-    points bit for bit, and builds the pass's operator M once from them.
-    The model takes that M, and validation is scored through
-    ``accuracy(model, val_set)``, which simulates only its own circuits.
-    The ``paper`` builder on the quantum kernel or rbf builds no QUBO and
-    runs no backend: α = 1, and β and the best energy come in closed form
-    (``_paper_closed_form``, whose M with w = y is the model's), with no
-    Gram on the quantum kernel.  A ``dual`` pass takes the Gram from the
-    states and builds M with w = α ⊙ y after solving.  The
-    run ends after ``max_iterations`` evaluations, or at the first one
+    points bit for bit.  The ``paper`` builder on the quantum kernel or
+    rbf takes α = 1 with no QUBO or backend (``_paper_closed_form``);
+    other passes solve the QUBO of the Gram.  Every pass then takes
+    w = α ⊙ y, f = K^T w at the training points and β = ``offset(y, f)``;
+    on the quantum kernel, f = ``qkernel.expectations``, the routine that
+    scores, of the operator M built once from w, which the model takes.
+    Validation is scored through ``accuracy(model, val_set)``, which
+    simulates only its own circuits.
+    The run ends after ``max_iterations`` evaluations, or at the first one
     that reaches ``target_accuracy``.  COBYLA evaluates θ only inside
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
     without parameters (linear) has nothing to tune, so its run is one
@@ -611,26 +601,28 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
         iteration = len(accuracies) + 1
         try:
             kernel = kernel_at(theta)
+            # On a kernel in [0, 1] the paper QUBO is optimal at α = 1.
+            closed = cfg.qubo_builder == "paper" and not isinstance(kernel, LinearKernel)
             if isinstance(kernel, FeatureMapSpec):
                 states = states_from_phases(phases, kernel)
                 state["states_built"] += train_set.m
+                k = None if closed else gram_from_states(states)
             else:
-                states = None
-            if cfg.qubo_builder == "paper" and isinstance(kernel, (FeatureMapSpec, RbfKernel)):
-                alpha, beta, solver_info, operator = _paper_closed_form(
-                    kernel, train_set.points, states, labels, cfg)
+                states, k = None, kernel_gram(kernel, train_set.points)
+            if closed:
+                alpha = _all_ones(train_set.m)
             else:
-                k = (gram_from_states(states) if states is not None
-                     else kernel_gram(kernel, train_set.points))
                 build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
                 sample, solver_info = _solve_qubo(build(k, labels), cfg)
                 alpha = sample.best_assignment
-                beta = compute_beta(alpha, labels, k)
-                operator = (None if states is None
-                            else weighted_operator(states, alpha * labels))
+            weights = alpha * labels
+            operator = None if states is None else weighted_operator(states, weights)
+            f = k.T @ weights if operator is None else expectations(states, operator)
+            if closed:
+                solver_info = _paper_closed_form(labels, f, k, states, cfg)
             model = TrainedModel(
                 alpha=alpha,
-                beta=beta,
+                beta=offset(labels, f),
                 train_points=train_set.points,
                 train_labels=train_set.labels,
                 kernel=kernel,

@@ -5,13 +5,14 @@ entries, each -1/2 * (y_n y_m + K[m][n]) * y_m y_n, leaving the diagonal
 empty.  ``build_qubo_dual`` encodes the standard soft-margin dual over
 binary weights, so that minimizing the energy maximizes
 sum(alpha) - 1/2 (alpha y)^T K (alpha y).  On a kernel in [0, 1] the
-``paper`` QUBO is optimal at alpha = 1, where ``paper_offset_and_energy``
-gives its offset and energy from K y and tr K without building it.
+``paper`` QUBO is optimal at alpha = 1, where ``paper_energy`` gives its
+energy from K y and tr K without building it.
 
 The trained classifier is sign(sum_m alpha_m y_m K(x_m, x) + beta) with
 ties at exactly zero resolved to +1; a quantum model evaluates the sum as
 <phi(x)|M|phi(x)> through one 2**n x 2**n operator M, which its trainer
-hands it and which ``qkernel`` builds and scores.
+hands it and which ``qkernel`` builds and scores.  beta is always
+``offset(labels, f)``, with f that sum at each training point.
 """
 
 from __future__ import annotations
@@ -166,36 +167,34 @@ def build_qubo_dual(k, labels) -> QuboMatrix:
     return QuboMatrix(q)
 
 
-def compute_beta(alpha, labels, k) -> float:
-    """Offset beta = mean_n(y_n - sum_m alpha_m y_m K[m][n]).
+def offset(labels, f) -> float:
+    """beta = mean_n(y_n - f_n), f_n being sum_m alpha_m y_m K(x_m, x_n)
+    over all m, m = n included; the sum ``np.mean`` takes, bit for bit,
+    without its Python wrapper."""
+    labels = np.asarray(labels, dtype=float)
+    return float((labels - f).sum() / labels.size)
 
-    The inner sum runs over all m, including m = n.
-    """
+
+def compute_beta(alpha, labels, k) -> float:
+    """``offset`` with f = K^T (alpha * y) from a kernel matrix."""
     k = np.asarray(k, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _check_sizes(k, labels)
     if alpha.shape != labels.shape:
         raise ValueError(f"alpha shape {alpha.shape} does not match labels {labels.shape}")
-    return float(np.mean(labels - k.T @ (alpha * labels)))
+    return offset(labels, k.T @ (alpha * labels))
 
 
-def paper_offset_and_energy(labels, ky, trace) -> tuple[float, float]:
-    """Offset and best energy of the ``paper`` QUBO at its optimum alpha = 1,
-    from K y and tr K alone.
-
-    For K in [0, 1] every coupling -1/2 (1 + y_m y_n K_mn) of
-    ``build_qubo_paper`` is <= 0, so all ones is a global minimum.  There
-    beta is ``compute_beta``'s mean(y - K^T y), taken as the sum over m
-    that ``np.mean`` computes, so that the same K y gives the same bits
-    without ``np.mean``'s Python wrapper, and the energy of all ones is
-    -1/2 (m (m - 1) + y^T K y - tr K).  No QUBO is built; ``labels @ ky``
-    raises ValueError unless K y has one entry per label.
-    """
+def paper_energy(labels, f, trace) -> float:
+    """Energy of the ``paper`` QUBO at its optimum alpha = 1, from f = K y
+    and tr K alone: for K in [0, 1] every coupling -1/2 (1 + y_m y_n K_mn)
+    of ``build_qubo_paper`` is <= 0, so all ones is a global minimum, of
+    energy -1/2 (m (m - 1) + y^T f - tr K).  No QUBO is built;
+    ``labels @ f`` raises ValueError unless f has one entry per label."""
     labels = np.asarray(labels, dtype=float)
     m = labels.size
-    energy = -0.5 * (m * (m - 1) + labels @ ky - trace)
-    return float((labels - ky).sum() / m), float(energy)
+    return float(-0.5 * (m * (m - 1) + labels @ f - trace))
 
 
 def decision_values(xs, model: TrainedModel) -> np.ndarray:

@@ -15,7 +15,8 @@ then prints, old against new:
 - whether the θ paths (every point COBYLA asked for) and the accuracy
   trajectories are equal;
 - each holdout accuracy;
-- the largest |Δβ|;
+- the largest |Δβ|, overall and per workload, with each workload's count
+  of differing model files;
 - the largest |Δ decision value| on the holdouts (the trained model) and
   on the ``predict-map`` grid (the model read back from its file, as
   ``triqsvm map`` scores it);
@@ -181,6 +182,12 @@ def compare(old_tree: Path, new_tree: Path) -> int:
     print(f"  largest |delta beta|: {beta:.3g}")
     print(f"  largest |delta decision value|: holdouts {holdout:.3g}, "
           f"predict-map grid {grid:.3g}")
+    print("per workload: model files differing, largest |delta beta|:")
+    same_model = set(counts["model file sha256"])
+    for name in dict.fromkeys(k.split("/")[0] for k in keys):
+        own = [k for k in keys if k.split("/")[0] == name]
+        differ = sum(k not in same_model for k in own)
+        print(f"  {name}: {differ}/{len(own)}, {_largest_gap(old, new, own, 'beta'):.3g}")
     print("holdout accuracy per split (old -> new where they differ):")
     rows = {}
     for k in keys:

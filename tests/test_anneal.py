@@ -340,6 +340,33 @@ class TestKernel:
         got = anneal._energies_c(anneal._kernel(), qm, states)
         assert got.tobytes() == want.tobytes()
 
+    def test_read_only_outputs_are_refused(self, needs_compiler):
+        # Each array the C code writes must be writeable: a read-only one
+        # is refused before the kernel runs, so it keeps its bytes.
+        kernel = anneal._kernel()
+        reads, count, n = 2, 3, 4
+        arrays = [np.ones(shape) for shape in [(reads, count, n), (count,), (n,), (n, n),
+                                               (reads, n), (reads, n), (reads,), (reads,),
+                                               (reads, n), (reads, count)]]
+        scratch = np.zeros(anneal._scratch_size(n, kernel.lanes))
+        pcg = np.vstack([pcg_words(np.random.PCG64(seed)) for seed in range(reads)])
+        out = np.zeros((reads, 5))
+        cases = [((pcg, out), lambda: anneal._uniforms_c(kernel, pcg, out)),
+                 ((scratch, *arrays[4:]),
+                  lambda: anneal._sweeps_c(kernel, kernel.lanes, scratch, 0, *arrays))]
+        for written, call in cases:
+            for array in written:
+                before = array.tobytes()
+                array.flags.writeable = False
+                with pytest.raises(ValueError, match="writeable"):
+                    call()
+                assert array.tobytes() == before
+                array.flags.writeable = True
+        # Read-only inputs stay accepted.
+        for array in arrays[:4]:
+            array.flags.writeable = False
+        anneal._sweeps_c(kernel, kernel.lanes, scratch, 0, *arrays)
+
     def test_energies_arguments_are_checked(self, needs_compiler):
         kernel = anneal._kernel()
         n = 4

@@ -784,27 +784,42 @@ class TestStatesBuilt:
         assert report.best_model.operator is None
 
 
+def trained_quantum_model(d, builder):
+    """The best model of a 4-pass quantum run on d qubits.  Random labels:
+    no iteration reaches the target."""
+    rng = np.random.default_rng(70 + d)
+    train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, d)),
+                        np.where(rng.random(12) < 0.5, 1, -1))
+    val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, d)),
+                      np.where(rng.random(8) < 0.5, 1, -1))
+    cfg = TrainConfig(solver_backend="greedy", qubo_builder=builder, max_iterations=4, seed=d)
+    report = train(train_set, val_set, cfg)
+    assert report.failures == []
+    return report.best_model
+
+
 class TestOneStatevectorPath:
     """A model trained from the run's kept phases has the operator that a
-    model rebuilt through ``feature_states`` builds, bit for bit."""
+    model rebuilt through ``feature_states`` builds, bit for bit, and the
+    β of the values that operator scores."""
 
     @pytest.mark.parametrize("builder", ["paper", "dual"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trained_operator_equals_rebuilt_ones(self, d, builder):
-        # Random labels: no iteration reaches the target.
-        rng = np.random.default_rng(70 + d)
-        train_set = Dataset(rng.uniform(0, 2 * np.pi, (12, d)),
-                            np.where(rng.random(12) < 0.5, 1, -1))
-        val_set = Dataset(rng.uniform(0, 2 * np.pi, (8, d)),
-                          np.where(rng.random(8) < 0.5, 1, -1))
-        cfg = TrainConfig(solver_backend="greedy", qubo_builder=builder, max_iterations=4,
-                          seed=d)
-        report = train(train_set, val_set, cfg)
-        assert report.failures == []
-        model = report.best_model
+        model = trained_quantum_model(d, builder)
         assert model.operator.shape == (2**d, 2**d)
         for rebuilt in (dataclasses.replace(model), model_from_dict(model_to_dict(model))):
             assert rebuilt.operator.tobytes() == model.operator.tobytes()
+
+    @pytest.mark.parametrize("builder", ["paper", "dual"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_beta_is_the_offset_of_the_scored_values(self, d, builder):
+        # f at the training points is what the model's operator scores
+        # there, on both builders; the Gram's K^T (α ⊙ y) rounds otherwise.
+        model = trained_quantum_model(d, builder)
+        f = qkernel.expectations(qkernel.feature_states(model.train_points, model.kernel),
+                                 model.operator)
+        assert model.beta == qubo.offset(model.train_labels, f)
 
 
 def spy_on_operators(monkeypatch):

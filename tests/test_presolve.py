@@ -23,6 +23,7 @@ from triqsvm.qubo import (
     build_qubo_paper,
     compute_beta,
     model_to_dict,
+    offset,
 )
 
 
@@ -254,15 +255,22 @@ class TestPersistency:
         assert info["residual_n"] == 2
 
 
-def qubo_path(kernel, points, states, labels, cfg):
-    """A ``paper`` pass as it ran before its closed form: Gram, QUBO,
-    annealer on the whole instance (no presolve), ``compute_beta``.  It
-    returns no operator, so its models build M from their points, as a
-    loaded model does."""
-    k = gram_from_states(states) if states is not None else kernel_gram(kernel, points)
-    sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
-    beta = compute_beta(sample.best_assignment, labels, k)
-    return sample.best_assignment, beta, {"best_energy": float(sample.best_energy)}, None
+def qubo_path(passes):
+    """A stand-in for ``optimize._paper_closed_form`` that solves each
+    ``paper`` pass as it ran before its closed form: Gram, QUBO, annealer
+    on the whole instance (no presolve), and ``compute_beta``.  It gives
+    the pass the annealer's energy, and appends to ``passes`` the
+    annealer's α, its β and the β the pass takes from f."""
+
+    def solve(labels, f, k, states, cfg):
+        if states is not None:
+            k = gram_from_states(states)
+        sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
+        alpha = sample.best_assignment
+        passes.append((alpha, compute_beta(alpha, labels, k), offset(labels, f)))
+        return {"best_energy": float(sample.best_energy)}
+
+    return solve
 
 
 def refuse(*args, **kwargs):
@@ -301,19 +309,23 @@ class TestTrainSkipsAnnealer:
         monkeypatch.setattr(optimize, "simulated_anneal", refuse)
         for kernel in ("quantum-zz", "rbf"):
             cfg = TrainConfig(seed=300, max_iterations=2, kernel_kind=kernel)
+            passes = []
             with monkeypatch.context() as patch:
-                patch.setattr(optimize, "_paper_closed_form", qubo_path)
+                patch.setattr(optimize, "_paper_closed_form", qubo_path(passes))
                 annealed = train(train_set, val_set, cfg)
             direct = train(train_set, val_set, cfg)
             assert direct.failures == annealed.failures == []
-            closed = model_to_dict(direct.best_model)
-            oracle = model_to_dict(annealed.best_model)
-            if kernel == "quantum-zz":
-                # The Gram and the states' operator round differently; on
-                # rbf both paths take K^T y from the same Gram.
-                assert closed.pop("beta") == pytest.approx(oracle.pop("beta"), rel=1e-12,
-                                                           abs=1e-12)
-            assert closed == oracle
+            # The stand-in solved every pass, and the annealer found α = 1.
+            assert len(passes) == annealed.iterations_used >= 1
+            for alpha, oracle_beta, beta in passes:
+                assert alpha.tolist() == [1] * 50
+                if kernel == "quantum-zz":
+                    # The Gram and the states' operator round differently;
+                    # on rbf both paths take K^T y from the same Gram.
+                    assert beta == pytest.approx(oracle_beta, rel=1e-12, abs=1e-12)
+                else:
+                    assert beta == oracle_beta
+            assert model_to_dict(direct.best_model) == model_to_dict(annealed.best_model)
             assert direct.accuracy_per_iteration == annealed.accuracy_per_iteration
             assert direct.solver["best_energy"] == pytest.approx(
                 annealed.solver["best_energy"], rel=1e-12)

@@ -9,7 +9,8 @@ import pytest
 from triqsvm.anneal import energy
 from triqsvm.kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_cross, kernel_gram
 from triqsvm.optimize import TrainConfig, _paper_closed_form, train
-from triqsvm.qkernel import FeatureMapSpec, feature_states, gram_from_states, weighted_operator
+from triqsvm.qkernel import (FeatureMapSpec, expectations, feature_states, gram_from_states,
+                             weighted_operator)
 from triqsvm.qubo import (
     QuboMatrix,
     TrainedModel,
@@ -21,7 +22,8 @@ from triqsvm.qubo import (
     load_model,
     model_from_dict,
     model_to_dict,
-    paper_offset_and_energy,
+    offset,
+    paper_energy,
     save_model,
 )
 from triqsvm.datagen import Dataset
@@ -150,19 +152,18 @@ class TestComputeBeta:
 
 def closed_form(kernel, points, labels):
     """β and best energy of a ``paper`` pass in closed form, as ``train``
-    takes them."""
-    states = feature_states(points, kernel) if isinstance(kernel, FeatureMapSpec) else None
-    alpha, beta, info, operator = _paper_closed_form(kernel, points, states, labels,
-                                                     TrainConfig())
-    assert alpha.tolist() == [1] * len(labels)
-    # The operator it returns is the one a model of these points builds.
-    model = TrainedModel(alpha=alpha, beta=beta, train_points=points, train_labels=labels,
-                         kernel=kernel)
-    if operator is None:
-        assert model.operator is None
+    takes them: α = 1, f = K y from the model's operator on the quantum
+    kernel and from the Gram on rbf, β = ``offset(y, f)``."""
+    model = TrainedModel(alpha=np.ones(len(labels), dtype=int), beta=0.0, train_points=points,
+                         train_labels=labels, kernel=kernel)
+    if model.operator is None:
+        states, k = None, kernel_gram(kernel, points)
+        f = k.T @ labels.astype(float)
     else:
-        assert operator.tobytes() == model.operator.tobytes()
-    return beta, info["best_energy"]
+        states, k = feature_states(points, kernel), None
+        f = expectations(states, model.operator)
+    info = _paper_closed_form(labels.astype(float), f, k, states, TrainConfig())
+    return offset(labels, f), info["best_energy"]
 
 
 def qubo_oracle(k, labels):
@@ -221,13 +222,14 @@ class TestPaperOffsetAndEnergy:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            paper_offset_and_energy(np.array([1, -1]), np.zeros(3), 3.0)
+            paper_energy(np.array([1, -1]), np.zeros(3), 3.0)
 
     @pytest.mark.parametrize("m", [1, 7, 200])
     def test_returns_python_floats(self, m):
         rng = np.random.default_rng(m)
         labels = rng.choice([-1, 1], size=m)
-        values = paper_offset_and_energy(labels, rng.uniform(-m, m, m), float(m))
+        f = rng.uniform(-m, m, m)
+        values = offset(labels, f), paper_energy(labels, f, float(m))
         assert [type(v) for v in values] == [float, float]
 
 
