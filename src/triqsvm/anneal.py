@@ -18,12 +18,21 @@ lockstep, one read per SIMD lane, as the numpy loop does: 8 lanes with
 AVX-512F and 4 with AVX2, the widest the CPU offers.  The reads left
 after the last full group of lanes, and every read on other CPUs, run
 one at a time.  The kernel also gives the reads' exact start and best
-energies, summed as ``energy`` sums them, and draws the reads' uniforms
-as numpy's PCG64 ``Generator.random`` does, up to 8 streams interleaved
-on any CPU.  Every path is bit-identical to the numpy loop, its own
+energies, summed as ``energy`` sums them; seeds the reads, their start
+bits and PCG64 streams as ``default_rng(seed + r)`` gives them, in one
+call; and draws the reads' uniforms as numpy's PCG64 ``Generator.random``
+does, up to 8 streams a call: as the lanes of one AVX-512 vector where
+the CPU has AVX-512F and DQ and the call more than 4 streams, and in turn
+otherwise.  Every path is bit-identical to the numpy loop, its own
 generators and ``energy``, which stay as the reference and are the path
 taken, after one RuntimeWarning, when the kernel cannot be built or
 loaded.
+
+The draws are lane-major: a group's chunk of draws is ``(count, n,
+reads)``, so the group's thresholds for one step lie side by side and the
+lockstep kernel loads them as one vector.  The buffer keeps log(u), and
+both loops take the threshold as log(u) / -beta, which has the bits of
+-log(u) / beta.
 
 With the kernel, the reads are split into contiguous blocks, one per
 usable CPU, and each block runs in its own thread: the kernel calls,
@@ -47,6 +56,7 @@ import concurrent.futures
 import ctypes
 import functools
 import hashlib
+import math
 import operator
 import os
 import platform
@@ -75,9 +85,12 @@ _KERNEL_SOURCE = Path(__file__).with_name("_metropolis.c")
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # Reads per lockstep group the kernel can run; 1 is the per-read loop.
 _LANE_WIDTHS = (1, 4, 8)
+# Streams per vector ``uniforms`` can step; 1 steps them in turn.
+_DRAW_WIDTHS = (1, 8)
 _FLOAT64 = np.dtype(np.float64)
 _UINT64 = np.dtype(np.uint64)
-# Most PCG64 streams one ``uniforms`` call interleaves.
+_UINT32 = np.dtype(np.uint32)
+# Most PCG64 streams one ``uniforms`` call draws.
 _MAX_STREAMS = 8
 
 
@@ -93,22 +106,21 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_reads < 1:
-            raise ValueError("num_reads must be >= 1")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
-        if not np.isfinite([self.beta_start, self.beta_end]).all():
+        # Python ints: ``seed + r`` on a numpy integer can wrap around.
+        for name, least in (("num_reads", 1), ("sweeps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                index = operator.index(value)
+            except TypeError:
+                index = None
+            if index is None or index < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+            object.__setattr__(self, name, index)
+        if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
             raise ValueError("beta_start and beta_end must be finite")
         if not 0.0 < self.beta_start < self.beta_end:
             raise ValueError("need 0 < beta_start < beta_end")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        # A Python int: ``seed + r`` on a numpy integer can wrap around.
-        object.__setattr__(self, "seed", seed)
 
 
 @dataclass
@@ -189,13 +201,29 @@ def _build_kernel() -> Path:
 
 
 class _Kernel(NamedTuple):
-    """The loaded Metropolis kernel, the widest lane width it runs on this
-    CPU, the exact energies of whole states and the PCG64 draws."""
+    """The loaded Metropolis kernel and the widest lane width it runs on
+    this CPU, the exact energies of whole states, the PCG64 draws and the
+    widest width they run, and the reads' seeding."""
 
     metropolis: Callable[..., None]
     lanes: int
     energies: Callable[..., None]
     uniforms: Callable[..., None]
+    draw_lanes: int
+    starts: Callable[..., None]
+
+
+def _load_kernel(path: Path) -> _Kernel:
+    """The kernel library at ``path``, its entry points typed for ctypes."""
+    library = ctypes.CDLL(str(path))
+    signatures = {"metropolis": (6, 11), "energies": (2, 3), "uniforms": (3, 2),
+                  "starts": (3, 3), "metropolis_lanes": (0, 0), "uniforms_lanes": (0, 0)}
+    for name, (longs, pointers) in signatures.items():
+        function = getattr(library, name)
+        function.argtypes = [ctypes.c_long] * longs + [ctypes.c_void_p] * pointers
+        function.restype = ctypes.c_long if name.endswith("_lanes") else None
+    return _Kernel(library.metropolis, library.metropolis_lanes(), library.energies,
+                   library.uniforms, library.uniforms_lanes(), library.starts)
 
 
 @functools.cache
@@ -203,28 +231,17 @@ def _kernel() -> _Kernel | None:
     """The compiled Metropolis kernel, or None when it cannot be built or
     loaded; the reason is given once, as a RuntimeWarning."""
     try:
-        library = ctypes.CDLL(str(_build_kernel()))
+        return _load_kernel(_build_kernel())
     except (OSError, subprocess.SubprocessError) as exc:
         warnings.warn(f"annealer kernel unavailable, using the numpy loop: {exc}",
                       RuntimeWarning, stacklevel=3)
         return None
-    function = library.metropolis
-    function.argtypes = [ctypes.c_long] * 6 + [ctypes.c_void_p] * 11
-    function.restype = None
-    library.metropolis_lanes.argtypes = []
-    library.metropolis_lanes.restype = ctypes.c_long
-    library.energies.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 3
-    library.energies.restype = None
-    library.uniforms.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 2
-    library.uniforms.restype = None
-    return _Kernel(function, library.metropolis_lanes(), library.energies, library.uniforms)
 
 
 def _scratch_size(n: int, lanes: int) -> int:
     """Doubles of lane-transposed scratch the kernel needs per block: x,
-    f, best states and one sweep's thresholds, plus one vector of slack
-    for alignment."""
-    return (4 * n + 1) * lanes
+    f and best states, plus one vector of slack for alignment."""
+    return (3 * n + 1) * lanes
 
 
 def _pointers(read, written) -> list:
@@ -258,47 +275,57 @@ def _energies_c(kernel, qm: np.ndarray, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uniforms_c(kernel, pcg: np.ndarray, out: np.ndarray) -> None:
-    """Fill each row of ``out`` with the next uniforms of the PCG64 stream
-    in the same row of ``pcg`` (state low, high, inc low, high) through
-    the C kernel, advancing the states in place, bit for bit as
-    ``Generator.random``."""
-    streams, count = out.shape
+def _uniforms_c(kernel, lanes: int, pcg: np.ndarray, out: np.ndarray) -> None:
+    """Fill each column of ``out`` with the next uniforms of the PCG64
+    stream in the same row of ``pcg`` (state low, high, inc low, high)
+    through the C kernel, ``lanes`` streams to a vector (1 = in turn), and
+    advance the states in place, bit for bit as ``Generator.random``: row
+    k of ``out`` holds every stream's k-th draw."""
+    count, streams = out.shape
+    if lanes not in _DRAW_WIDTHS or lanes > kernel.draw_lanes:
+        raise ValueError(f"draw width {lanes} is not available on this CPU "
+                         f"(widths {[w for w in _DRAW_WIDTHS if w <= kernel.draw_lanes]})")
     if not 1 <= streams <= _MAX_STREAMS:
         raise ValueError(f"{streams} streams: the kernel draws 1 to {_MAX_STREAMS} at a time")
-    kernel.uniforms(streams, count,
-                    *_pointers((), ((pcg, (streams, 4), _UINT64), (out, (streams, count)))))
+    kernel.uniforms(lanes, streams, count,
+                    *_pointers((), ((pcg, (streams, 4), _UINT64), (out, (count, streams)))))
 
 
-def _starts(seed: int, reads: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_width(kernel, streams: int) -> int:
+    """The width ``uniforms`` draws a group of ``streams`` at: 4 streams or
+    fewer draw faster in turn than as the lanes of a mostly idle vector."""
+    return kernel.draw_lanes if streams > _MAX_STREAMS // 2 else 1
+
+
+def _starts(kernel, seed: int, reads: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each read's start bits, ``(reads, n)`` floats, and its PCG64 stream
-    after them, ``(reads, 4)`` uint64 as ``_uniforms_c`` reads it.  Read
-    r's stream is ``Generator(PCG64(seed + r))``, the stream
-    ``default_rng(seed + r)`` gives, after ``integers(0, 2, n)``.
+    after them, ``(reads, 4)`` uint64 as ``_uniforms_c`` reads it, from
+    one C call.  Read r's stream is ``Generator(PCG64(seed + r))``, the
+    stream ``default_rng(seed + r)`` gives, after ``integers(0, 2, n)``.
     That call may leave half a 64-bit output buffered, which ``random``
-    never reads, so the state and increment are all that carry over."""
+    never reads, so the state and increment are all that carry over.
+    ``seed`` is any non-negative int; the C code takes it as 32-bit words,
+    as numpy's SeedSequence does."""
+    words = max(1, -(-(seed + reads - 1).bit_length() // 32))
+    entropy = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4").astype(_UINT32)
     bits = np.empty((reads, n))
     pcg = np.empty((reads, 4), dtype=np.uint64)
-    low = (1 << 64) - 1
-    for r in range(reads):
-        generator = np.random.Generator(np.random.PCG64(seed + r))
-        bits[r] = generator.integers(0, 2, size=n)
-        stream = generator.bit_generator.state["state"]
-        state, inc = stream["state"], stream["inc"]
-        pcg[r] = (state & low, state >> 64, inc & low, inc >> 64)
+    kernel.starts(reads, n, words, *_pointers((), (
+        (entropy, (words,), _UINT32), (bits, (reads, n)), (pcg, (reads, 4), _UINT64))))
     return bits, pcg
 
 
 def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state, field,
               running, best_energy, best_state, trace):
     """One chunk of sweeps through the C kernel, in place, ``lanes`` reads
-    at a time (1 = the per-read loop)."""
-    reads, count, n = log_u.shape
+    at a time (1 = the per-read loop); ``log_u`` is lane-major, ``(count,
+    n, reads)``."""
+    count, n, reads = log_u.shape
     if lanes not in _LANE_WIDTHS or lanes > kernel.lanes:
         raise ValueError(f"lane width {lanes} is not available on this CPU "
                          f"(widths {[w for w in _LANE_WIDTHS if w <= kernel.lanes]})")
     pointers = _pointers((
-        (diag, (n,)), (coupling, (n, n)), (log_u, (reads, count, n)), (betas, betas.shape[:1]),
+        (diag, (n,)), (coupling, (n, n)), (log_u, (count, n, reads)), (betas, betas.shape[:1]),
     ), (
         (state, (reads, n)), (field, (reads, n)), (running, (reads,)), (best_energy, (reads,)),
         (best_state, (reads, n)), (trace, (reads, betas.shape[0])),
@@ -312,14 +339,18 @@ def _sweeps_c(kernel, lanes, scratch, first, log_u, betas, diag, coupling, state
 def _sweeps_numpy(first, log_u, betas, diag, coupling, state, field, running,
                   best_energy, best_state, trace):
     """One chunk of sweeps with all reads in lockstep, in place: the
-    reference for the C kernel."""
-    n = log_u.shape[2]
-    for s in range(log_u.shape[1]):
-        threshold = log_u[:, s, :] / betas[first + s]
+    reference for the C kernel.  ``log_u`` is lane-major, ``(count, n,
+    reads)``."""
+    count, n, _ = log_u.shape
+    for s in range(count):
+        # log(u) / -beta as the acceptance threshold on the energy delta
+        # is equivalent to u < exp(-beta * delta) and needs no exp per
+        # step; it has the bits of -log(u) / beta.
+        threshold = log_u[s] / -betas[first + s]
         for i in range(n):
             sign = 1.0 - 2.0 * state[:, i]
             delta = sign * (diag[i] + field[:, i])
-            flip = sign * (delta < threshold[:, i])
+            flip = sign * (delta < threshold[i])
             state[:, i] += flip
             running += delta * np.abs(flip)
             field += flip[:, None] * coupling[i]
@@ -344,26 +375,30 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
     states with their incrementally tracked energies (the latter two exist
     so tests can check the incremental bookkeeping against energy()).
 
-    With the C kernel, each read's start bits and PCG64 stream come from
-    ``_starts``, and the streams advance as the reads draw; the numpy
-    loop seeds its own ``default_rng(seed + r)`` per read.
+    With the C kernel, every read's start bits and PCG64 stream come from
+    one ``_starts`` call, and the streams advance as the reads draw; the
+    numpy loop seeds its own ``default_rng(seed + r)`` per read.
     The reads run in contiguous blocks, one per usable CPU with the C
     kernel and a single block with the numpy loop.  A block runs its
     reads in groups of up to 8, as many streams as one ``uniforms`` call
-    interleaves (all its reads at once with the numpy loop), and each
-    group runs the schedule in chunks of sweeps: the group's uniforms for
-    one chunk are drawn into the front of the block's own slot of the
-    draw buffer, by one ``uniforms`` call for the group's interleaved
-    streams (by ``Generator.random`` per read with the numpy loop),
-    turned into -log(u) thresholds in place, then the kernel (``lanes``
-    reads at a time) or the numpy loop runs the chunk on the group's
-    rows.  The buffer, ``(workers, width * min(200, sweeps) * n)`` doubles
-    with ``width`` the group size, is made before the blocks start, like the
-    kernel's scratch and the streams, so the read threads allocate no
-    arrays.  The start and best states' exact energies come from the
-    kernel's ``energies`` in one call each (from ``energy`` per read with
-    the numpy loop).  Every block count, every lane width, and either loop,
-    gives bit-identical results.
+    draws (all its reads at once with the numpy loop), and each group
+    runs the schedule in chunks of sweeps: the group's uniforms for one
+    chunk are drawn lane-major, ``(count, n, width)`` with each step's
+    draws side by side, into the front of the block's own slot of the
+    draw buffer, by one ``uniforms`` call that steps the group's streams
+    as the lanes of one vector, two chains a lane, where the CPU has
+    AVX-512 and the group more than 4 streams, and in turn otherwise (by
+    ``Generator.random`` per read with the numpy loop).  They
+    are turned into log(u) in place, and the kernel (``lanes`` reads at a
+    time) or the numpy loop runs the chunk on the group's rows with
+    log(u) / -beta as each step's threshold.  The buffer, ``(workers,
+    width * min(200, sweeps) * n)`` doubles with ``width`` the group size,
+    is made before the blocks start, like the kernel's scratch and the
+    streams, so the read threads allocate no arrays.  The start and best
+    states' exact energies come from the kernel's ``energies`` in one call
+    each (from ``energy`` per read with the numpy loop).  Every block
+    count, every lane width, every draw width, and either loop, gives
+    bit-identical results.
     """
     qm = q.q
     n = qm.shape[0]
@@ -380,14 +415,15 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
             return np.array([energy(q, row) for row in states])
 
         def draw(g: int, h: int, out: np.ndarray) -> None:
-            for rng, row in zip(rngs[g:h], out):
-                rng.random(out=row)
+            out = out.reshape(-1, h - g)
+            for column, rng in enumerate(rngs[g:h]):
+                out[:, column] = rng.random(len(out))
     else:
-        state, pcg = _starts(schedule.seed, reads, n)
+        state, pcg = _starts(kernel, schedule.seed, reads, n)
         energies = functools.partial(_energies_c, kernel, np.ascontiguousarray(qm))
 
         def draw(g: int, h: int, out: np.ndarray) -> None:
-            _uniforms_c(kernel, pcg[g:h], out.reshape(h - g, -1))
+            _uniforms_c(kernel, _draw_width(kernel, h - g), pcg[g:h], out.reshape(-1, h - g))
 
     # Adding 0.0 turns -0.0 into +0.0.  Neither array can then hold a
     # negative zero, so the signed zero the numpy loop adds on a rejected
@@ -403,7 +439,7 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
         workers, width, block_sweeps = 1, reads, [_sweeps_numpy]
     else:
         workers = min(reads, _usable_cpus())
-        # A draw group: as many reads as one ``uniforms`` call interleaves,
+        # A draw group: as many reads as one ``uniforms`` call draws,
         # whatever the kernel's lane width, or a whole block when no block
         # is that wide.  The kernel runs the group ``lanes`` reads at a time.
         width = min(_MAX_STREAMS, -(-reads // workers))
@@ -426,12 +462,9 @@ def _anneal_reads(q: QuboMatrix, schedule: AnnealSchedule):
                     trace[g:h])
             for done in range(0, schedule.sweeps, chunk):
                 count = min(chunk, schedule.sweeps - done)
-                log_u = own[:(h - g) * count * n].reshape(h - g, count, n)
-                # -log(u)/beta as the acceptance threshold on the energy delta
-                # is equivalent to u < exp(-beta * delta) and needs no exp per
-                # step.
+                log_u = own[:count * n * (h - g)].reshape(count, n, h - g)
                 draw(g, h, log_u)
-                np.negative(np.log(log_u, out=log_u), out=log_u)
+                np.log(log_u, out=log_u)
                 sweeps(done, log_u, betas, diag, coupling, *rows)
 
     if workers == 1:

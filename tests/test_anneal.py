@@ -129,6 +129,21 @@ class TestSimulatedAnneal:
         schedule = AnnealSchedule(seed=seed)
         assert schedule.seed == seed and type(schedule.seed) is int
 
+    @pytest.mark.parametrize("field", ["num_reads", "sweeps"])
+    @pytest.mark.parametrize("value", [2.5, 3.5, float("nan"), 4.0, "4", None, np.float64(4.0),
+                                       0, -2, np.int64(0)])
+    def test_reads_and_sweeps_must_be_positive_integers(self, field, value):
+        # A float once passed and failed with a bare TypeError in the
+        # first anneal; the schedule names the field instead.
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            AnnealSchedule(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, 3, np.int64(4), np.uint8(2), np.int32(7)])
+    def test_integer_reads_and_sweeps_are_kept_as_ints(self, value):
+        schedule = AnnealSchedule(num_reads=value, sweeps=value)
+        for got in (schedule.num_reads, schedule.sweeps):
+            assert got == value and type(got) is int
+
     @pytest.mark.parametrize("bounds", [
         {"beta_end": float("inf")},
         {"beta_start": float("inf")},
@@ -233,15 +248,23 @@ def lane_widths(kernel) -> list[int]:
     return [lanes for lanes in anneal._LANE_WIDTHS if lanes <= kernel.lanes]
 
 
+def draw_widths(kernel) -> list[int]:
+    """Every width the draws run on this CPU, 1 (streams in turn) first."""
+    return [lanes for lanes in anneal._DRAW_WIDTHS if lanes <= kernel.draw_lanes]
+
+
 def assert_same_reads(q, schedule, reference, monkeypatch, message=""):
-    """_anneal_reads at every lane width gives the reference's bytes."""
+    """_anneal_reads at every lane width and every draw width gives the
+    reference's bytes."""
     kernel = anneal._kernel()
     assert kernel is not None
     for lanes in lane_widths(kernel):
-        monkeypatch.setattr(anneal, "_kernel", lambda lanes=lanes: kernel._replace(lanes=lanes))
-        for got, want in zip(_anneal_reads(q, schedule), reference):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), f"{lanes} lanes{message}"
+        for draw in draw_widths(kernel):
+            monkeypatch.setattr(anneal, "_kernel", lambda lanes=lanes, draw=draw:
+                                kernel._replace(lanes=lanes, draw_lanes=draw))
+            for got, want in zip(_anneal_reads(q, schedule), reference):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"{lanes} lanes, draw width {draw}{message}"
     monkeypatch.setattr(anneal, "_kernel", lambda: kernel)
 
 
@@ -280,14 +303,15 @@ class TestKernel:
     def test_kernel_arguments_are_checked(self, needs_compiler):
         reads, count, n = 2, 3, 4
         kernel = anneal._kernel()
-        arrays = [np.zeros(shape) for shape in [(reads, count, n), (count,), (n,), (n, n),
+        arrays = [np.zeros(shape) for shape in [(count, n, reads), (count,), (n,), (n, n),
                                                 (reads, n), (reads, n), (reads,), (reads,),
                                                 (reads, n), (reads, count)]]
         for lanes in lane_widths(kernel):
             anneal._sweeps_c(kernel, lanes, np.zeros(anneal._scratch_size(n, lanes)), 0, *arrays)
         lanes = kernel.lanes
         scratch = np.zeros(anneal._scratch_size(n, lanes))
-        for k, bad in [(0, arrays[0].astype(np.float32)), (3, np.zeros((n, n)).T),
+        for k, bad in [(0, arrays[0].astype(np.float32)), (0, np.zeros((reads, count, n))),
+                       (0, np.zeros((count, n, 2 * reads))[:, :, ::2]), (3, np.zeros((n, n)).T),
                        (3, np.zeros((n + 1, n + 1))), (4, np.zeros((2 * reads, n))[::2])]:
             wrong = list(arrays)
             wrong[k] = bad
@@ -345,13 +369,13 @@ class TestKernel:
         # is refused before the kernel runs, so it keeps its bytes.
         kernel = anneal._kernel()
         reads, count, n = 2, 3, 4
-        arrays = [np.ones(shape) for shape in [(reads, count, n), (count,), (n,), (n, n),
+        arrays = [np.ones(shape) for shape in [(count, n, reads), (count,), (n,), (n, n),
                                                (reads, n), (reads, n), (reads,), (reads,),
                                                (reads, n), (reads, count)]]
         scratch = np.zeros(anneal._scratch_size(n, kernel.lanes))
         pcg = np.vstack([pcg_words(np.random.PCG64(seed)) for seed in range(reads)])
-        out = np.zeros((reads, 5))
-        cases = [((pcg, out), lambda: anneal._uniforms_c(kernel, pcg, out)),
+        out = np.zeros((5, reads))
+        cases = [((pcg, out), lambda: anneal._uniforms_c(kernel, kernel.draw_lanes, pcg, out)),
                  ((scratch, *arrays[4:]),
                   lambda: anneal._sweeps_c(kernel, kernel.lanes, scratch, 0, *arrays))]
         for written, call in cases:
@@ -381,45 +405,63 @@ class TestKernel:
     @pytest.mark.parametrize("count", [0, 1, 37, 10_000])
     def test_uniforms_byte_identical_to_generator_random(self, needs_compiler, count):
         kernel = anneal._kernel()
-        for streams in range(1, 9):
-            seeds = range(100 * streams, 100 * streams + streams)
-            pcg = np.vstack([pcg_words(np.random.PCG64(seed)) for seed in seeds])
-            generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-            # Successive calls continue each stream where the last one left it.
-            for _ in range(3):
-                out = np.empty((streams, count))
-                anneal._uniforms_c(kernel, pcg, out)
-                want = np.stack([g.random(count) for g in generators])
-                assert out.tobytes() == want.tobytes(), f"{streams} streams"
-                assert pcg.tolist() == [pcg_words(g.bit_generator).tolist()
-                                        for g in generators]
+        for lanes in draw_widths(kernel):
+            for streams in range(1, 9):
+                seeds = range(100 * streams, 100 * streams + streams)
+                pcg = np.vstack([pcg_words(np.random.PCG64(seed)) for seed in seeds])
+                generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+                # Successive calls continue each stream where the last one
+                # left it; row k holds every stream's k-th draw.
+                for _ in range(3):
+                    out = np.empty((count, streams))
+                    anneal._uniforms_c(kernel, lanes, pcg, out)
+                    want = np.stack([g.random(count) for g in generators], axis=1)
+                    assert out.tobytes() == want.tobytes(), f"width {lanes}, {streams} streams"
+                    assert pcg.tolist() == [pcg_words(g.bit_generator).tolist()
+                                            for g in generators]
 
     def test_uniforms_arguments_are_checked(self, needs_compiler):
         kernel = anneal._kernel()
         streams, count = 2, 5
         pcg = np.vstack([pcg_words(np.random.PCG64(s)) for s in range(streams)])
-        anneal._uniforms_c(kernel, pcg, np.empty((streams, count)))
+        for lanes in draw_widths(kernel):
+            anneal._uniforms_c(kernel, lanes, pcg, np.empty((count, streams)))
+        lanes = kernel.draw_lanes
         for bad in [pcg.astype(np.int64), pcg.astype(np.float64), pcg[:, :3].copy(),
                     np.vstack([pcg, pcg])[::2], np.vstack([pcg, pcg])]:
             with pytest.raises(ValueError, match="C-contiguous uint64"):
-                anneal._uniforms_c(kernel, bad, np.empty((streams, count)))
-        for bad_out in [np.empty((streams, count), dtype=np.float32),
-                        np.empty((streams, 2 * count))[:, ::2]]:
+                anneal._uniforms_c(kernel, lanes, bad, np.empty((count, streams)))
+        for bad_out in [np.empty((count, streams), dtype=np.float32),
+                        np.empty((count, 2 * streams))[:, ::2]]:
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                anneal._uniforms_c(kernel, pcg, bad_out)
+                anneal._uniforms_c(kernel, lanes, pcg, bad_out)
         # Stream counts the C code has no room for.
         for bad in [0, 9, 16]:
             words = np.zeros((bad, 4), dtype=np.uint64)
             with pytest.raises(ValueError, match="streams"):
-                anneal._uniforms_c(kernel, words, np.empty((bad, count)))
+                anneal._uniforms_c(kernel, lanes, words, np.empty((count, bad)))
+        # Widths the draws have no body for, and the widths this CPU lacks.
+        missing = [0, 2, 4, 16, -8] + [w for w in anneal._DRAW_WIDTHS if w > kernel.draw_lanes]
+        for bad in missing:
+            with pytest.raises(ValueError, match="not available on this CPU"):
+                anneal._uniforms_c(kernel, bad, pcg, np.empty((count, streams)))
 
-    def test_starts_match_fresh_generators(self):
-        bits, pcg = anneal._starts(40, 5, 13)
-        assert bits.dtype == np.float64 and pcg.dtype == np.uint64
-        for r in range(5):
-            rng = np.random.default_rng(40 + r)
-            assert bits[r].tobytes() == rng.integers(0, 2, size=13).astype(float).tobytes()
-            assert pcg[r].tolist() == pcg_words(rng.bit_generator).tolist()
+    def test_starts_match_fresh_generators(self, needs_compiler):
+        kernel = anneal._kernel()
+        # Reads 0-2 of 2**32 - 3 are seeded with one 32-bit word and reads
+        # 3-5 with two; 2**200 + 7 has more words than SeedSequence's pool
+        # of 4.
+        for seed, reads in [(0, 5), (40, 5), (2**32 - 3, 6), (2**64 + 3, 4), (10**30, 3),
+                            (2**200 + 7, 3)]:
+            for n in (1, 2, 7, 13, 50):
+                bits, pcg = anneal._starts(kernel, seed, reads, n)
+                assert bits.dtype == np.float64 and pcg.dtype == np.uint64
+                assert bits.shape == (reads, n) and pcg.shape == (reads, 4)
+                for r in range(reads):
+                    rng = np.random.default_rng(seed + r)
+                    want = rng.integers(0, 2, size=n).astype(float)
+                    assert bits[r].tobytes() == want.tobytes(), f"seed {seed} + {r}, n {n}"
+                    assert pcg[r].tolist() == pcg_words(rng.bit_generator).tolist()
 
     def test_numpy_integer_seed_gives_the_int_seeds_reads(self, monkeypatch, needs_compiler):
         # np.uint32(2**32 - 1) + 1 wraps to 0.  The schedule keeps the seed
@@ -438,9 +480,63 @@ class TestKernel:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_undefined_behaviour_sanitizer_finds_nothing(self, tmp_path, needs_compiler):
+        # Every entry point, at every width this CPU runs, through a build
+        # that aborts on the first undefined behaviour, must give the
+        # normal build's bytes.  It runs in a subprocess, so that an abort
+        # cannot take the test process with it.
+        library = tmp_path / "sanitized.so"
+        proc = subprocess.run(["cc", *anneal._KERNEL_FLAGS, "-fsanitize=undefined",
+                               "-fno-sanitize-recover=all", str(anneal._KERNEL_SOURCE),
+                               "-o", str(library)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        script = """
+import hashlib, sys
+import numpy as np
+from triqsvm import anneal
+from triqsvm.anneal import AnnealSchedule, _anneal_reads
+from triqsvm.qubo import QuboMatrix
+
+def digest(kernel):
+    rng = np.random.default_rng(3)
+    q = QuboMatrix(rng.uniform(-1, 1, (13, 13)))
+    parts = []
+    anneal._usable_cpus = lambda: 2
+    for lanes in [w for w in anneal._LANE_WIDTHS if w <= kernel.lanes]:
+        for draw in [w for w in anneal._DRAW_WIDTHS if w <= kernel.draw_lanes]:
+            anneal._kernel = lambda: kernel._replace(lanes=lanes, draw_lanes=draw)
+            for reads in (1, 11):
+                schedule = AnnealSchedule(num_reads=reads, sweeps=250, seed=5)
+                parts += [a.tobytes() for a in _anneal_reads(q, schedule)]
+            for streams in range(1, 9):
+                pcg = np.array([[rng.integers(2**64, dtype=np.uint64) for _ in range(4)]
+                                for _ in range(streams)], dtype=np.uint64)
+                for count in (0, 1, 2, 37, 38):
+                    out = np.empty((count, streams))
+                    anneal._uniforms_c(kernel, draw, pcg, out)
+                    parts += [out.tobytes(), pcg.tobytes()]
+    # Reads whose seeds cross 2**32, 2**64 and 2**128.
+    for seed in (2**32 - 3, 2**64 - 3, 2**128 - 3, 2**200 + 7):
+        parts += [a.tobytes() for a in anneal._starts(kernel, seed, 6, 7)]
+    states = rng.integers(0, 2, (9, 13)).astype(float)
+    parts.append(anneal._energies_c(kernel, q.q, states).tobytes())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+normal, sanitized = anneal._kernel(), anneal._load_kernel(sys.argv[1])
+assert normal is not None
+print(digest(normal), digest(sanitized))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(library)], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "runtime error" not in proc.stderr, proc.stderr
+        normal, sanitized = proc.stdout.split()
+        assert sanitized == normal
+
     def test_delta_equal_to_threshold_is_rejected_at_every_width(self, needs_compiler):
-        # The threshold is the quotient -log(u) / beta.  For these values
-        # -log(u) * (1 / beta) rounds above it, so a kernel that multiplied
+        # The threshold is the quotient log(u) / -beta, which has the bits
+        # of -log(u) / beta.  For these values -log(u) * (1 / beta) rounds
+        # above it, so a kernel that multiplied
         # by 1 / beta, or compared with <=, would accept a flip whose energy
         # change equals the quotient.
         rng = np.random.default_rng(19)
@@ -454,7 +550,8 @@ class TestKernel:
             runs = []
             for run in (anneal._sweeps_numpy, functools.partial(
                     anneal._sweeps_c, kernel, lanes, np.zeros(anneal._scratch_size(1, lanes)))):
-                arrays = [np.full((reads, 1, 1), log_u), np.array([beta]),
+                # The buffer holds log(u), and the threshold is log(u) / -beta.
+                arrays = [np.full((1, 1, reads), -log_u), np.array([beta]),
                           np.array([log_u / beta]), np.zeros((1, 1)), np.zeros((reads, 1)),
                           np.zeros((reads, 1)), np.zeros(reads), np.zeros(reads),
                           np.zeros((reads, 1)), np.zeros((reads, 1))]
@@ -478,20 +575,30 @@ class TestKernel:
         if widest == 4 and "avx512f" in flags:
             widest = 8
         assert anneal._kernel().lanes == widest
+        # The vector draws convert with AVX-512DQ's vcvtqq2pd.
+        assert anneal._kernel().draw_lanes == (8 if {"avx512f", "avx512dq"} <= flags else 1)
 
     def test_reads_run_at_the_widest_width(self, monkeypatch, needs_compiler):
         kernel = anneal._kernel()
-        sweeps_c = anneal._sweeps_c
-        used = []
+        sweeps_c, uniforms_c = anneal._sweeps_c, anneal._uniforms_c
+        used, drawn = [], []
 
         def record(loaded, lanes, *args):
             used.append(lanes)
             sweeps_c(loaded, lanes, *args)
 
+        def record_draws(loaded, lanes, pcg, out):
+            drawn.append((out.shape[1], lanes))
+            uniforms_c(loaded, lanes, pcg, out)
+
         monkeypatch.setattr(anneal, "_sweeps_c", record)
+        monkeypatch.setattr(anneal, "_uniforms_c", record_draws)
         monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
         simulated_anneal(dual_instance(30), AnnealSchedule(num_reads=20, sweeps=450, seed=3))
         assert used and set(used) == {kernel.lanes}
+        # Blocks of 10 reads: a group of 8 at the widest draw width, and one
+        # of 2, which draws faster in turn.
+        assert sorted(set(drawn)) == [(2, 1), (8, kernel.draw_lanes)]
 
     def test_compiles_into_cache_and_reloads_without_compiler_run(
             self, monkeypatch, tmp_path, needs_compiler, fresh_kernel):
@@ -620,11 +727,13 @@ class TestParallelReads:
 
         def record(loaded, lanes, scratch, first, log_u, betas, diag, coupling, state,
                    field, running, best_energy, best_state, trace):
-            assert log_u.shape[0] <= anneal._MAX_STREAMS and lanes == kernel.lanes
+            # Lane-major draws: (count, n, reads).
+            assert log_u.shape[2] <= anneal._MAX_STREAMS and lanes == kernel.lanes
+            assert log_u.shape[1:] == (30, len(trace))
             # The group's first read, from where its rows start in the trace.
             g = (trace.ctypes.data - trace.base.ctypes.data) // trace.strides[0]
-            for r in range(g, g + log_u.shape[0]):
-                chunks[r].append((first, log_u.shape[1]))
+            for r in range(g, g + log_u.shape[2]):
+                chunks[r].append((first, log_u.shape[0]))
             sweeps_c(loaded, lanes, scratch, first, log_u, betas, diag, coupling, state,
                      field, running, best_energy, best_state, trace)
 
@@ -637,25 +746,30 @@ class TestParallelReads:
     def test_narrow_lanes_still_draw_eight_streams_a_call(self, monkeypatch, needs_compiler,
                                                           lanes):
         # The draws need no SIMD: on CPUs with 4 lanes or none, one call
-        # still interleaves up to 8 of a block's streams.
+        # still draws up to 8 of a block's streams, as the lanes of one
+        # vector or in turn.
         kernel = anneal._kernel()
         q = dual_instance(30)
         schedule = AnnealSchedule(num_reads=21, sweeps=250, seed=16)
         reference = numpy_reads(q, schedule, monkeypatch)
         uniforms_c = anneal._uniforms_c
-        streams = []
-
-        def record(loaded, pcg, out):
-            streams.append(out.shape[0])
-            uniforms_c(loaded, pcg, out)
-
-        monkeypatch.setattr(anneal, "_kernel", lambda: kernel._replace(lanes=lanes))
-        monkeypatch.setattr(anneal, "_uniforms_c", record)
         monkeypatch.setattr(anneal, "_usable_cpus", lambda: 2)
-        for got, want in zip(_anneal_reads(q, schedule), reference):
-            assert got.tobytes() == want.tobytes()
-        # Blocks of 10 and 11 reads: groups of 8 and the rest, two chunks each.
-        assert sorted(streams) == sorted([8, 8, 2, 2, 8, 8, 3, 3])
+        for draw_lanes in draw_widths(kernel):
+            streams = []
+
+            def record(loaded, width, pcg, out):
+                assert width == (draw_lanes if out.shape[1] > 4 else 1)
+                streams.append(out.shape[1])
+                uniforms_c(loaded, width, pcg, out)
+
+            monkeypatch.setattr(anneal, "_kernel", lambda draw_lanes=draw_lanes:
+                                kernel._replace(lanes=lanes, draw_lanes=draw_lanes))
+            monkeypatch.setattr(anneal, "_uniforms_c", record)
+            for got, want in zip(_anneal_reads(q, schedule), reference):
+                assert got.tobytes() == want.tobytes(), f"draw width {draw_lanes}"
+            # Blocks of 10 and 11 reads: groups of 8 and the rest, two
+            # chunks each.
+            assert sorted(streams) == sorted([8, 8, 2, 2, 8, 8, 3, 3])
 
     def test_draw_memory_does_not_grow_with_reads(self, monkeypatch, needs_compiler):
         # One chunk's draws for every read at once would take
