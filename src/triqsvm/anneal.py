@@ -57,7 +57,6 @@ import ctypes
 import functools
 import hashlib
 import math
-import operator
 import os
 import platform
 import shutil
@@ -71,6 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qkernel import integer_field
 from .qubo import QuboMatrix
 
 BRUTE_FORCE_MAX = 20
@@ -108,15 +108,7 @@ class AnnealSchedule:
     def __post_init__(self):
         # Python ints: ``seed + r`` on a numpy integer can wrap around.
         for name, least in (("num_reads", 1), ("sweeps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                index = operator.index(value)
-            except TypeError:
-                index = None
-            if index is None or index < least:
-                kind = "positive" if least else "non-negative"
-                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-            object.__setattr__(self, name, index)
+            integer_field(self, name, least)
         if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
             raise ValueError("beta_start and beta_end must be finite")
         if not 0.0 < self.beta_start < self.beta_end:
@@ -510,8 +502,15 @@ def brute_force(q: QuboMatrix) -> SampleResult:
     # so argmin's first-hit tie behaviour picks the smallest numeral.
     bits = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
     energies = ((bits @ q.q) * bits).sum(axis=1)
-    k = int(np.argmin(energies))
-    best = bits[k].astype(int)
+    # Those sums round otherwise than ``energy``'s, the one reported, by
+    # less than n²·eps·Σ|q|: rank the codes within 4× that of the minimum
+    # again by ``energy``'s left-to-right sum, one term at a time.
+    slack = 4.0 * n * n * np.finfo(float).eps * float(np.abs(q.q).sum())
+    near = bits[energies <= energies.min() + slack]
+    exact = np.zeros(len(near))
+    for i, j in np.ndindex(n, n):
+        exact += q.q[i, j] * (near[:, i] * near[:, j])
+    best = near[int(np.argmin(exact))].astype(int)
     e = energy(q, best)
     return SampleResult(best, e, np.array([e]))
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qkernel import FeatureMapSpec, expectation_zz, feature_states
+from .qkernel import FeatureMapSpec, expectation_zz, feature_states, integer_field
 
 DEFAULT_GAP = 0.6
 
@@ -86,12 +86,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_train < 1:
-            raise ValueError("n_train must be >= 1")
+        integer_field(self, "n_train", 1)
         if self.n_test is None:
             object.__setattr__(self, "n_test", self.n_train // 5)
-        if self.n_test < 0:
-            raise ValueError("n_test must be >= 0")
+        integer_field(self, "n_test", 0)
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

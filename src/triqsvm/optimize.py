@@ -11,12 +11,12 @@ abs, comparisons and products that round as numpy's do.  Dot products,
 the inverse and multi-element sums stay in numpy, whose bits depend on
 BLAS, LAPACK and its summation order, so the points it evaluates are
 those of the reference iteration in ``tests/oracles.py``, bit for bit.
-``train`` runs the outer cycle: find the binary weights α for the
-current parameters, compute the offset, score the validation set, and
-feed 1 - accuracy back to the optimizer, until the iteration cap or the
-target accuracy ends the run.  The pass that spends the cap ends the run
-itself, as the target does, so COBYLA builds no model or step for a
-point it may not evaluate.  α solves the QUBO of the kernel matrix, or
+``train`` runs the outer cycle as one pass loop over COBYLA's point
+generator (``_cobyla_points``): each pass takes θ from it, finds the
+binary weights α, the offset and the validation accuracy, and sends
+1 - accuracy back, until the cap, the target or COBYLA's own stop ends
+the run.  The passes that end it send nothing, so COBYLA builds no model
+or step for a point it may not evaluate.  α solves the QUBO of the kernel matrix, or
 is the known optimum 1 for the ``paper`` builder on a kernel in [0, 1]
 (quantum or rbf).  Then w = α ⊙ y, f = K^T w at the training points and
 β = ``offset(y, f)``, on every pass; on the quantum kernel f = <s|M|s>
@@ -33,9 +33,7 @@ from __future__ import annotations
 import ctypes
 import math
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,7 +50,8 @@ from .anneal import (
 from .datagen import Dataset
 from .kernels import LinearKernel, RbfKernel, default_rbf_gamma, kernel_gram
 from .qkernel import (THETA_BOUND, FeatureMapSpec, data_phases, expectations,
-                      gram_from_states, states_from_phases, weighted_operator)
+                      gram_from_states, integer_field, states_from_phases,
+                      weighted_operator)
 from .qubo import (
     TrainedModel,
     accuracy,
@@ -111,8 +110,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0.0 < self.rho_end < self.rho_begin:
             raise ValueError("need 0 < rho_end < rho_begin")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
+        integer_field(self, "max_evals", 1)
 
 
 @dataclass(frozen=True)
@@ -125,12 +123,6 @@ class MinimizeResult:
     fun: float
     evaluations: int
     converged: bool
-
-
-class _Stop(Exception):
-    """Raised by ``train``'s objective once the target accuracy is met or
-    the pass has spent the iteration budget; it ends the
-    ``cobyla_minimize`` run."""
 
 
 # Trust-region constants (PRIMA's defaults): a step whose actual over
@@ -371,10 +363,11 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
     ``rho_end`` on the values evaluated, even when the last value the
     budget allows completed that descent (then ``evaluations`` equals
     ``max_evals``).  A run whose iteration asked for a point beyond the
-    budget, whose simplex turned singular, or whose objective raised
-    ``_Stop`` reports ``converged=False``.  The result is the best point
-    evaluated (the earliest on ties), or ``x0`` with ``fun`` = inf when no
-    evaluation returned a value below inf.
+    budget, or whose simplex turned singular, reports ``converged=False``.
+    The result is the best point evaluated (the earliest on ties), or
+    ``x0`` with ``fun`` = inf when no evaluation returned a value below
+    inf.  It sends every value to ``_cobyla_points``, the budget's last
+    too; ``train`` drives that generator in its own pass loop instead.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -403,8 +396,6 @@ def cobyla_minimize(objective: Callable, x0, bounds, config: OptimizerConfig) ->
             x = points.send(value)
     except StopIteration as finished:
         converged = finished.value
-    except _Stop:
-        pass
     return MinimizeResult(x=best_x, fun=best_fun, evaluations=evaluations, converged=converged)
 
 
@@ -430,8 +421,7 @@ class TrainConfig:
     schedule: AnnealSchedule | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        integer_field(self, "max_iterations", 1)
         if not 0.0 <= self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in [0, 1]")
         if self.solver_backend not in BACKENDS:
@@ -538,23 +528,16 @@ def _paper_closed_form(labels, f, k, states, cfg: TrainConfig) -> dict:
     return _solver_info(cfg, m, 0, paper_energy(labels, f, trace), m)
 
 
-@lru_cache(maxsize=1)
-def _all_ones(m: int) -> np.ndarray:
-    """α = 1 over m points, read-only: a run's passes share one array, and
-    each model takes its own copy."""
-    ones = np.ones(m, dtype=int)
-    ones.flags.writeable = False
-    return ones
-
-
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
     """Run the outer training cycle and keep the best-scoring iteration.
 
-    Each objective evaluation is one full pass: α, offset, validation
-    accuracy.  The float labels are built once per run, and on the
-    quantum kernel so are the training points' θ-free phases E
-    (``qkernel.data_phases``).  Each quantum pass turns E into the
-    training states with ``qkernel.states_from_phases``, the routine
+    Each iteration is one full pass: α, offset, validation accuracy.  The
+    pass loop drives COBYLA's point generator (``_cobyla_points``): θ is
+    its first point, then the point it answers each pass's loss
+    1 - accuracy with.  The float labels, α = 1 and, on the quantum
+    kernel, the training points' θ-free phases E (``qkernel.data_phases``)
+    are built once per run.  Each quantum pass turns E into the training
+    states with ``qkernel.states_from_phases``, the routine
     ``feature_states`` calls, so they equal ``feature_states`` of the
     points bit for bit.  The ``paper`` builder on the quantum kernel or
     rbf takes α = 1 with no QUBO or backend (``_paper_closed_form``);
@@ -564,13 +547,16 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     scores, of the operator M built once from w, which the model takes.
     Validation is scored through ``accuracy(model, val_set)``, which
     simulates only its own circuits.
-    The run ends after ``max_iterations`` evaluations, or at the first one
-    that reaches ``target_accuracy``.  COBYLA evaluates θ only inside
+    The run ends after ``max_iterations`` passes, at the first one that
+    reaches ``target_accuracy``, or when COBYLA stops; neither of the
+    first two sends its loss, so COBYLA builds no model or step for a
+    point it may not evaluate.  COBYLA evaluates θ only inside
     [-2*pi, 2*pi]^p, so ``best_theta`` is the θ actually used.  A kernel
     without parameters (linear) has nothing to tune, so its run is one
-    pass with an empty θ and no optimizer.  An iteration that raises is
-    recorded with accuracy 0 and loss 1.  The config echo records the
-    ``triqsvm`` and numpy versions that trained.
+    pass with an empty θ, and the generator never starts.  An iteration
+    that raises is recorded with accuracy 0 and loss 1, and never meets
+    the target.  The config echo records the ``triqsvm`` and numpy
+    versions that trained.
     """
     if train_set.m == 0 or val_set.m == 0:
         raise ValueError("training and validation sets must be nonempty")
@@ -579,45 +565,50 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     d = train_set.d
     # θ: one angle per qubit; for rbf, gamma on a log scale around the
     # data-driven default; nothing for linear.
-    if cfg.kernel_kind == "quantum-zz":
+    quantum = cfg.kernel_kind == "quantum-zz"
+    if quantum:
         p, kernel_at = d, lambda theta: FeatureMapSpec(n=d, theta=theta)
     elif cfg.kernel_kind == "rbf":
         base_gamma = default_rbf_gamma(train_set.points)
         p, kernel_at = 1, lambda theta: RbfKernel(gamma=base_gamma * float(np.exp(theta[0])))
     else:
         p, kernel_at = 0, lambda theta: LinearKernel()
+    # On a kernel in [0, 1] the paper QUBO is optimal at α = 1.
+    closed = cfg.qubo_builder == "paper" and cfg.kernel_kind != "linear"
+    build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
 
     start = time.perf_counter()
     x0 = initial_theta(p, cfg.seed) if p else np.empty(0)
-    # What θ does not change, once per run: the training points' phases
-    # E (``qkernel.data_phases``) and the labels as floats.
-    phases = data_phases(train_set.points) if cfg.kernel_kind == "quantum-zz" else None
+    phases = data_phases(train_set.points) if quantum else None
     labels = train_set.labels.astype(float)
+    # Every closed-form model shares this α, and each takes its own copy.
+    ones = np.ones(train_set.m, dtype=int)
+    ones.flags.writeable = False
+    opt = OptimizerConfig(max_evals=cfg.max_iterations)
+    bound = np.full(p, THETA_BOUND)
+    points = _cobyla_points(x0.copy(), -bound, bound, opt.rho_begin, opt.rho_end)
+    theta = next(points) if p else x0
+    budget = cfg.max_iterations if p else 1
     accuracies: list[float] = []
     failures: list[str] = []
-    state = {"best_acc": -1.0, "best": None, "states_built": 0}
-
-    def objective(theta: np.ndarray) -> float:
-        iteration = len(accuracies) + 1
+    best_acc, best, states_built = -1.0, None, 0
+    for iteration in range(1, budget + 1):
         try:
             kernel = kernel_at(theta)
-            # On a kernel in [0, 1] the paper QUBO is optimal at α = 1.
-            closed = cfg.qubo_builder == "paper" and not isinstance(kernel, LinearKernel)
-            if isinstance(kernel, FeatureMapSpec):
+            if quantum:
                 states = states_from_phases(phases, kernel)
-                state["states_built"] += train_set.m
+                states_built += train_set.m
                 k = None if closed else gram_from_states(states)
             else:
                 states, k = None, kernel_gram(kernel, train_set.points)
             if closed:
-                alpha = _all_ones(train_set.m)
+                alpha = ones
             else:
-                build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
                 sample, solver_info = _solve_qubo(build(k, labels), cfg)
                 alpha = sample.best_assignment
             weights = alpha * labels
-            operator = None if states is None else weighted_operator(states, weights)
-            f = k.T @ weights if operator is None else expectations(states, operator)
+            operator = weighted_operator(states, weights) if quantum else None
+            f = expectations(states, operator) if quantum else k.T @ weights
             if closed:
                 solver_info = _paper_closed_form(labels, f, k, states, cfg)
             model = TrainedModel(
@@ -630,34 +621,27 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
                 built_operator=operator,
             )
             acc = accuracy(model, val_set)
-            if states is not None:
-                state["states_built"] += val_set.m
         except Exception as exc:  # noqa: BLE001 - failed iterations score 0
             failures.append(f"iteration {iteration}: {exc}")
             accuracies.append(0.0)
         else:
+            if quantum:
+                states_built += val_set.m
             accuracies.append(acc)
-            if acc > state["best_acc"]:
-                state["best_acc"] = acc
-                state["best"] = (np.array(theta, dtype=float), model, solver_info)
+            if acc > best_acc:
+                best_acc, best = acc, (theta.copy(), model, solver_info)
             if acc >= cfg.target_accuracy:
-                raise _Stop
-        # The pass that spends the budget ends the run as well, so COBYLA
-        # builds no model or step for a point it may not evaluate.
-        if iteration == cfg.max_iterations:
-            raise _Stop
-        return 1.0 - accuracies[-1]
+                break
+        if iteration == budget:
+            break
+        try:
+            theta = points.send(1.0 - accuracies[-1])
+        except StopIteration:
+            break
 
-    opt = OptimizerConfig(max_evals=cfg.max_iterations)
-    if p:
-        cobyla_minimize(objective, x0, [(-THETA_BOUND, THETA_BOUND)] * p, opt)
-    else:
-        with suppress(_Stop):
-            objective(x0)
-
-    if state["best"] is None:
+    if best is None:
         raise RuntimeError(f"every training iteration failed: {failures}")
-    best_theta, best_model, solver_info = state["best"]
+    best_theta, best_model, solver_info = best
     config_echo = {
         **_field_values(cfg),
         "schedule": _field_values(cfg.schedule) if cfg.schedule is not None else None,
@@ -670,10 +654,10 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     return TrainReport(
         best_theta=best_theta,
         best_model=best_model,
-        best_accuracy=state["best_acc"],
+        best_accuracy=best_acc,
         accuracy_per_iteration=accuracies,
         iterations_used=len(accuracies),
-        states_built=state["states_built"],
+        states_built=states_built,
         wall_time=time.perf_counter() - start,
         config=config_echo,
         solver=solver_info,

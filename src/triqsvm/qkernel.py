@@ -49,6 +49,7 @@ there is one path for every n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
@@ -82,6 +83,21 @@ def fields_equal(a, b):
             if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
                 return False
     return True
+
+
+def integer_field(instance, name: str, least: int) -> None:
+    """Check that field ``name`` of a frozen dataclass instance is an
+    integer (numpy's too) of at least ``least`` (0 or 1), and store it as
+    a Python int; a ValueError names the field otherwise."""
+    value = getattr(instance, name)
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    object.__setattr__(instance, name, index)
 
 
 # The caches below hand one array to every caller, so each is read-only.

@@ -12,8 +12,9 @@ then prints, old against new:
 
 - whether each split's inputs (points and labels by bytes) are equal;
 - whether each model file's sha256 is equal;
-- whether the θ paths (every point COBYLA asked for) and the accuracy
-  trajectories are equal;
+- whether the θ paths (every point COBYLA's generator ``_cobyla_points``
+  yielded, recorded by wrapping it) and the accuracy trajectories are
+  equal;
 - each holdout accuracy;
 - the largest |Δβ|, overall and per workload, with each workload's count
   of differing model files;
@@ -73,15 +74,19 @@ def record(tree: Path, out: Path) -> None:
     from tracing import Tracer
 
     paths = []
-    cobyla = optimize.cobyla_minimize
+    points = optimize._cobyla_points
 
-    def recorded(objective, x0, bounds, config):
-        def traced(x):
-            paths[-1].append(np.array(x, dtype=float))
-            return objective(x)
-        return cobyla(traced, x0, bounds, config)
+    def recorded(*args, **kwargs):
+        inner = points(*args, **kwargs)
+        try:
+            x = next(inner)
+            while True:
+                paths[-1].append(np.array(x, dtype=float))
+                x = inner.send((yield x))
+        except StopIteration as finished:
+            return finished.value
 
-    optimize.cobyla_minimize = recorded
+    optimize._cobyla_points = recorded
     arrays, keys = {}, []
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch)

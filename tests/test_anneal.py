@@ -2,6 +2,7 @@
 lane width, and its parallel read blocks."""
 
 import functools
+import itertools
 import os
 import platform
 import shutil
@@ -165,6 +166,36 @@ class TestBruteForce:
         result = brute_force(QuboMatrix(np.zeros((4, 4))))
         assert result.best_assignment.tolist() == [0, 0, 0, 0]
         assert result.best_energy == 0.0
+
+    def test_ranks_by_the_energy_it_reports(self):
+        # Summed as a matrix product, [1, 0, 0] comes first at -0.1; the
+        # left-to-right sum of ``energy`` puts [1, 1, 0] below it.
+        q = QuboMatrix(np.array([[-0.1, -0.2, -0.1], [0.1, 0.1, -0.4], [0.3, 0.7, 0.2]]))
+        result = brute_force(q)
+        assert result.best_assignment.tolist() == [1, 1, 0]
+        assert result.best_energy == energy(q, [1, 1, 0]) == -0.10000000000000003
+        assert energy(q, [1, 0, 0]) == -0.1
+
+    def test_ties_in_the_reported_energy_take_the_smallest_numeral(self):
+        # [1, 0, 0] and [1, 0, 1] tie at -0.4; summed as a matrix product,
+        # [1, 0, 1] is an ulp lower.
+        q = QuboMatrix(np.array([[-0.4, 0.7, -0.4], [0.2, 0.1, 0.7], [0.3, 0.2, 0.1]]))
+        assert energy(q, [1, 0, 0]) == energy(q, [1, 0, 1]) == -0.4
+        assert brute_force(q).best_assignment.tolist() == [1, 0, 0]
+
+    def test_picks_the_first_minimum_of_the_enumerated_energies(self):
+        # Entries from a small set make rounding ties common.
+        rng = np.random.default_rng(0)
+        values = [0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.7, -0.4]
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            q = QuboMatrix(rng.choice(values, size=(n, n)))
+            assignments = list(itertools.product((0, 1), repeat=n))
+            energies = [energy(q, a) for a in assignments]
+            k = energies.index(min(energies))
+            result = brute_force(q)
+            assert result.best_assignment.tolist() == list(assignments[k])
+            assert result.best_energy == energies[k]
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):

@@ -957,3 +957,90 @@ class TestLastPass:
         result = cobyla_minimize(objective, np.zeros(2), BOX, OptimizerConfig(max_evals=10))
         assert result.evaluations == events.count("pass") == 10
         assert after_last(events, "pass") == ["model"]
+
+
+class TestPassLoop:
+    """``train`` drives COBYLA's point generator in its own pass loop."""
+
+    def test_train_never_calls_cobyla_minimize(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("train called cobyla_minimize")
+
+        monkeypatch.setattr(optimize, "cobyla_minimize", refused)
+        train_set, val_set = random_label_sets(13)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=13))
+        assert report.iterations_used == 10 and report.failures == []
+
+    def test_theta_path_is_cobyla_minimize_path_on_the_same_losses(self, monkeypatch):
+        # The full-budget run of ``TestLastPass``: cobyla_minimize, fed the
+        # losses train saw, asks for the same θ in the same order.
+        seen = []
+        score = optimize.accuracy
+
+        def recorded(model, ds):
+            seen.append(model.kernel.theta.tobytes())
+            return score(model, ds)
+
+        monkeypatch.setattr(optimize, "accuracy", recorded)
+        train_set, val_set = random_label_sets(13)
+        report = train(train_set, val_set, TrainConfig(solver_backend="greedy", seed=13))
+        losses = iter([1.0 - a for a in report.accuracy_per_iteration])
+        replayed = []
+
+        def objective(x):
+            replayed.append(x.tobytes())
+            return next(losses)
+
+        cobyla_minimize(objective, initial_theta(2, 13), BOX, OptimizerConfig(max_evals=10))
+        assert len(seen) == 10
+        assert replayed == seen
+
+    def test_failed_first_pass_does_not_meet_a_zero_target(self, monkeypatch):
+        # A failed pass scores 0 with loss 1 but is no score at all, so
+        # even a target of 0 waits for the next pass.
+        score = optimize.accuracy
+        calls = []
+
+        def first_fails(model, ds):
+            calls.append(model)
+            if len(calls) == 1:
+                raise RuntimeError("scoring failed")
+            return score(model, ds)
+
+        monkeypatch.setattr(optimize, "accuracy", first_fails)
+        train_set, val_set = quick_sets()
+        cfg = TrainConfig(target_accuracy=0.0, solver_backend="greedy", seed=300)
+        report = train(train_set, val_set, cfg)
+        assert report.accuracy_per_iteration == [0.0, 1.0]
+        assert report.failures == ["iteration 1: scoring failed"]
+        assert report.best_model is calls[1]
+
+
+class TestIntegerCounts:
+    """Counts are integers, numpy's too, stored as Python ints, so the
+    iteration cap and the evaluation budget are hard."""
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_max_iterations(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            TrainConfig(max_iterations=value)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    def test_max_evals(self, value):
+        with pytest.raises(ValueError, match="max_evals must be a positive integer"):
+            OptimizerConfig(max_evals=value)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = TrainConfig(max_iterations=np.int64(3))
+        opt = OptimizerConfig(max_evals=np.int32(4))
+        assert type(cfg.max_iterations) is int and cfg.max_iterations == 3
+        assert type(opt.max_evals) is int and opt.max_evals == 4
+        spec = SplitSpec(np.int64(10), seed=0)
+        assert type(spec.n_train) is int and type(spec.n_test) is int
+        assert spec.n_test == 2
+
+    @pytest.mark.parametrize("sizes, name", [((2.5,), "n_train"), ((10, 1.5), "n_test"),
+                                             ((0,), "n_train"), ((10, -1), "n_test")])
+    def test_split_sizes(self, sizes, name):
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            SplitSpec(*sizes)
