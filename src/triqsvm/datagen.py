@@ -90,6 +90,7 @@ class SplitSpec:
         if self.n_test is None:
             object.__setattr__(self, "n_test", self.n_train // 5)
         integer_field(self, "n_test", 0)
+        integer_field(self, "seed", 0)
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -102,12 +102,13 @@ def kernel_from_dict(data: dict) -> Kernel:
     kind = data.get("kind")
     if kind == "quantum-zz":
         # The only circuit this package simulates: two repetitions of the
-        # zz-detune data map.  Model files naming any other are rejected.
-        if int(data.get("reps", 2)) != 2:
-            raise ValueError("the feature block is applied exactly twice (reps must be 2)")
+        # zz-detune data map.  Model files naming any other are rejected,
+        # and so are non-integer counts: "reps": 2.0 or "n": "2".
+        if not isinstance(reps := data.get("reps", 2), int) or reps != 2:
+            raise ValueError(f"reps must be 2 (the feature block is applied twice), got {reps!r}")
         if data.get("data_map", "zz-detune") != "zz-detune":
             raise ValueError(f"unknown data map {data['data_map']!r}")
-        return FeatureMapSpec(n=int(data["n"]), theta=np.asarray(data["theta"], dtype=float))
+        return FeatureMapSpec(n=data["n"], theta=np.asarray(data["theta"], dtype=float))
     if kind == "rbf":
         return RbfKernel(gamma=float(data["gamma"]))
     if kind == "linear":

@@ -16,7 +16,8 @@ generator (``_cobyla_points``): each pass takes θ from it, finds the
 binary weights α, the offset and the validation accuracy, and sends
 1 - accuracy back, until the cap, the target or COBYLA's own stop ends
 the run.  The passes that end it send nothing, so COBYLA builds no model
-or step for a point it may not evaluate.  α solves the QUBO of the kernel matrix, or
+or step for a point it may not evaluate.  α solves the QUBO of the
+kernel matrix with the backend ``train`` settles once (``_backend``), or
 is the known optimum 1 for the ``paper`` builder on a kernel in [0, 1]
 (quantum or rbf).  Then w = α ⊙ y, f = K^T w at the training points and
 β = ``offset(y, f)``, on every pass; on the quantum kernel f = <s|M|s>
@@ -422,6 +423,7 @@ class TrainConfig:
 
     def __post_init__(self):
         integer_field(self, "max_iterations", 1)
+        integer_field(self, "seed", 0)
         if not 0.0 <= self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in [0, 1]")
         if self.solver_backend not in BACKENDS:
@@ -472,60 +474,45 @@ def _field_values(config) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
-def _schedule(cfg: TrainConfig) -> AnnealSchedule:
-    return cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
-
-
-def _solver_info(cfg: TrainConfig, fixed: int, residual_n: int, best_energy: float,
-                 selected: int) -> dict:
-    """The solver info of one pass: the configured backend's fields, then
-    the variables presolve fixed, the size of what it left, and the best
-    assignment's energy and selected count."""
+def _backend(cfg: TrainConfig) -> tuple[Callable, dict]:
+    """The run's QUBO backend: a solver of what ``presolve`` leaves, and
+    the fields it adds to each pass's solver record.  ``schedule=None``
+    anneals with ``AnnealSchedule(seed=seed)``.  Each solver is looked up
+    in this module when a pass calls it."""
     if cfg.solver_backend == "anneal":
-        info = {"backend": "anneal", **_field_values(_schedule(cfg))}
-    elif cfg.solver_backend == "greedy":
-        info = {"backend": "greedy", "seed": cfg.seed}
-    else:
-        info = {"backend": "exact", "global_optimum": True}
-    return {**info, "presolve_fixed": fixed, "residual_n": residual_n,
-            "best_energy": best_energy, "selected": selected}
+        schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
+        return (lambda q: simulated_anneal(q, schedule),
+                {"backend": "anneal", **_field_values(schedule)})
+    if cfg.solver_backend == "greedy":
+        return lambda q: greedy_descent(q, seed=cfg.seed), {"backend": "greedy", "seed": cfg.seed}
+    # Persistency keeps an optimum, so brute force on the residual finds
+    # one of the whole instance.
+    return lambda q: brute_force(q), {"backend": "exact", "global_optimum": True}
 
 
-def _solve_qubo(q, cfg: TrainConfig) -> tuple[SampleResult, dict]:
-    """Run ``presolve``, then solve what it leaves with the configured
-    backend and put the fixed bits back; no backend runs when presolve
-    fixes every variable.  The solver info reports ``presolve_fixed`` and
-    ``residual_n``.
-    """
+def _solve_qubo(q, solve: Callable) -> tuple[SampleResult, int, int]:
+    """Run ``presolve``, solve what it leaves with ``solve`` and put the
+    fixed bits back; ``solve`` does not run when presolve fixes every
+    variable.  Returns the result, the count of fixed variables and the
+    size of the residual."""
     pre = presolve(q)
     residual = pre.residual
-    if cfg.solver_backend == "anneal":
-        sub = simulated_anneal(residual, _schedule(cfg)) if residual.n else None
-    elif cfg.solver_backend == "greedy":
-        sub = greedy_descent(residual, seed=cfg.seed) if residual.n else None
-    else:
-        # Persistency keeps an optimum, so brute force on the residual
-        # finds one of the whole instance.
-        sub = brute_force(residual) if residual.n else None
-    result = pre.complete(q, sub)
-    info = _solver_info(cfg, int(pre.fixed.sum()), residual.n, float(result.best_energy),
-                        int(result.best_assignment.sum()))
-    return result, info
+    result = pre.complete(q, solve(residual) if residual.n else None)
+    return result, int(pre.fixed.sum()), residual.n
 
 
-def _paper_closed_form(labels, f, k, states, cfg: TrainConfig) -> dict:
-    """The solver info of a ``paper`` pass at α = 1 on a kernel in [0, 1]
-    (quantum or rbf), where its QUBO is optimal: a fully presolved
-    instance's (``_solve_qubo``), its energy ``paper_energy`` of f = K y
-    and tr K, from the Gram on rbf and as Σ_n ||s_n||**4 on quantum."""
+def _paper_closed_form(labels, f, k, states) -> float:
+    """The energy of a ``paper`` pass at α = 1 on a kernel in [0, 1]
+    (quantum or rbf), where its QUBO is optimal: ``paper_energy`` of
+    f = K y and tr K, from the Gram on rbf and as Σ_n ||s_n||**4 on
+    quantum."""
     if states is None:
         trace = np.trace(k)
     else:
         pairs = states.view(float)
         norms = np.einsum("ni,ni->n", pairs, pairs)
         trace = norms @ norms
-    m = labels.size
-    return _solver_info(cfg, m, 0, paper_energy(labels, f, trace), m)
+    return paper_energy(labels, f, trace)
 
 
 def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -541,10 +528,14 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     ``feature_states`` calls, so they equal ``feature_states`` of the
     points bit for bit.  The ``paper`` builder on the quantum kernel or
     rbf takes α = 1 with no QUBO or backend (``_paper_closed_form``);
-    other passes solve the QUBO of the Gram.  Every pass then takes
-    w = α ⊙ y, f = K^T w at the training points and β = ``offset(y, f)``;
-    on the quantum kernel, f = ``qkernel.expectations``, the routine that
-    scores, of the operator M built once from w, which the model takes.
+    other passes solve the QUBO of the Gram with the backend settled once
+    per run (``_backend``).  A pass's solver record is that backend's
+    fields, then ``presolve_fixed``, ``residual_n``, ``best_energy`` and
+    ``selected`` (m, 0, ``paper_energy`` and m in closed form).  Every
+    pass then takes w = α ⊙ y, f = K^T w at the training points and
+    β = ``offset(y, f)``; on the quantum kernel, f is
+    ``qkernel.expectations``, the routine that scores, of the operator M
+    built once from w, which the model takes.
     Validation is scored through ``accuracy(model, val_set)``, which
     simulates only its own circuits.
     The run ends after ``max_iterations`` passes, at the first one that
@@ -576,6 +567,7 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
     # On a kernel in [0, 1] the paper QUBO is optimal at α = 1.
     closed = cfg.qubo_builder == "paper" and cfg.kernel_kind != "linear"
     build = build_qubo_paper if cfg.qubo_builder == "paper" else build_qubo_dual
+    solve, backend = _backend(cfg)
 
     start = time.perf_counter()
     x0 = initial_theta(p, cfg.seed) if p else np.empty(0)
@@ -602,15 +594,17 @@ def train(train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> TrainReport
             else:
                 states, k = None, kernel_gram(kernel, train_set.points)
             if closed:
-                alpha = ones
+                alpha, fixed, residual_n = ones, train_set.m, 0
             else:
-                sample, solver_info = _solve_qubo(build(k, labels), cfg)
+                sample, fixed, residual_n = _solve_qubo(build(k, labels), solve)
                 alpha = sample.best_assignment
             weights = alpha * labels
             operator = weighted_operator(states, weights) if quantum else None
             f = expectations(states, operator) if quantum else k.T @ weights
-            if closed:
-                solver_info = _paper_closed_form(labels, f, k, states, cfg)
+            energy = (_paper_closed_form(labels, f, k, states) if closed
+                      else float(sample.best_energy))
+            solver_info = {**backend, "presolve_fixed": fixed, "residual_n": residual_n,
+                           "best_energy": energy, "selected": int(alpha.sum())}
             model = TrainedModel(
                 alpha=alpha,
                 beta=offset(labels, f),

@@ -138,6 +138,7 @@ class FeatureMapSpec:
     def __post_init__(self):
         theta = _read_only(np.array(self.theta, dtype=float))
         object.__setattr__(self, "theta", theta)
+        integer_field(self, "n", 0)
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
         if theta.shape != (self.n,):

@@ -15,9 +15,12 @@ then prints, old against new:
 - whether the θ paths (every point COBYLA's generator ``_cobyla_points``
   yielded, recorded by wrapping it) and the accuracy trajectories are
   equal;
+- whether each training's report is equal: ``report_to_dict`` without
+  ``wall_time``, as JSON with its keys in order (the solver record,
+  ``states_built``, ``iterations_used``, ``failures``, the config echo);
 - each holdout accuracy;
 - the largest |Δβ|, overall and per workload, with each workload's count
-  of differing model files;
+  of differing model files and of equal reports;
 - the largest |Δ decision value| on the holdouts (the trained model) and
   on the ``predict-map`` grid (the model read back from its file, as
   ``triqsvm map`` scores it);
@@ -114,6 +117,9 @@ def record(tree: Path, out: Path) -> None:
                     arrays[f"{key}/model"] = np.array(hashlib.sha256(path.read_bytes()).hexdigest())
                     arrays[f"{key}/theta"] = np.array(paths[-1]).reshape(len(paths[-1]), -1)
                     arrays[f"{key}/accuracy"] = np.array(report.accuracy_per_iteration)
+                    reported = optimize.report_to_dict(report)
+                    del reported["wall_time"]
+                    arrays[f"{key}/report"] = np.array(json.dumps(reported, default=repr))
                     arrays[f"{key}/beta"] = np.array(model.beta)
                     arrays[f"{key}/holdout_acc"] = np.array(qubo.accuracy(model, holdout))
                     arrays[f"{key}/holdout_dv"] = qubo.decision_values(holdout.points, model)
@@ -176,6 +182,7 @@ def compare(old_tree: Path, new_tree: Path) -> int:
         "theta paths": equal("theta"),
         "accuracy trajectories": equal("accuracy"),
         "holdout accuracies": equal("holdout_acc"),
+        "reports (without wall_time)": equal("report"),
     }
     print(f"identity: {old_tree} (old) against {new_tree} (new), {len(keys)} trainings, "
           f"seeds {SEEDS[0]}-{SEEDS[-1]}")
@@ -187,12 +194,15 @@ def compare(old_tree: Path, new_tree: Path) -> int:
     print(f"  largest |delta beta|: {beta:.3g}")
     print(f"  largest |delta decision value|: holdouts {holdout:.3g}, "
           f"predict-map grid {grid:.3g}")
-    print("per workload: model files differing, largest |delta beta|:")
+    print("per workload: model files differing, reports equal, largest |delta beta|:")
     same_model = set(counts["model file sha256"])
+    same_report = set(counts["reports (without wall_time)"])
     for name in dict.fromkeys(k.split("/")[0] for k in keys):
         own = [k for k in keys if k.split("/")[0] == name]
         differ = sum(k not in same_model for k in own)
-        print(f"  {name}: {differ}/{len(own)}, {_largest_gap(old, new, own, 'beta'):.3g}")
+        reports = sum(k in same_report for k in own)
+        print(f"  {name}: {differ}/{len(own)}, {reports}/{len(own)}, "
+              f"{_largest_gap(old, new, own, 'beta'):.3g}")
     print("holdout accuracy per split (old -> new where they differ):")
     rows = {}
     for k in keys:

@@ -1030,13 +1030,21 @@ class TestIntegerCounts:
         with pytest.raises(ValueError, match="max_evals must be a positive integer"):
             OptimizerConfig(max_evals=value)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", -1])
+    def test_seeds(self, value):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrainConfig(seed=value)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SplitSpec(10, 2, seed=value)
+
     def test_numpy_integers_are_stored_as_python_ints(self):
-        cfg = TrainConfig(max_iterations=np.int64(3))
+        cfg = TrainConfig(max_iterations=np.int64(3), seed=np.int64(5))
         opt = OptimizerConfig(max_evals=np.int32(4))
         assert type(cfg.max_iterations) is int and cfg.max_iterations == 3
+        assert type(cfg.seed) is int and cfg.seed == 5
         assert type(opt.max_evals) is int and opt.max_evals == 4
-        spec = SplitSpec(np.int64(10), seed=0)
-        assert type(spec.n_train) is int and type(spec.n_test) is int
+        spec = SplitSpec(np.int64(10), seed=np.int32(0))
+        assert type(spec.n_train) is int and type(spec.n_test) is int and type(spec.seed) is int
         assert spec.n_test == 2
 
     @pytest.mark.parametrize("sizes, name", [((2.5,), "n_train"), ((10, 1.5), "n_test"),

@@ -1,5 +1,7 @@
 """First-order persistency presolve and its use in the training loop."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ def chain(n: int) -> QuboMatrix:
 def gap_sets(seed: int, delta: float = 0.6, n_train: int = 50, n_test: int = 10):
     ds = adhoc_generate(n_train + n_test, delta, seed=seed)
     return split(ds, SplitSpec(n_train, n_test, seed=seed))
+
+
+def backend_fields(cfg: TrainConfig) -> dict:
+    """The fields a backend opens each pass's solver record with."""
+    schedule = cfg.schedule if cfg.schedule is not None else AnnealSchedule(seed=cfg.seed)
+    return {"anneal": {"backend": "anneal", **asdict(schedule)},
+            "greedy": {"backend": "greedy", "seed": cfg.seed},
+            "exact": {"backend": "exact", "global_optimum": True}}[cfg.solver_backend]
+
+
+def solve_qubo(q, cfg: TrainConfig):
+    """``_solve_qubo`` of ``q`` with the backend ``train`` settles for ``cfg``."""
+    solve, fields = optimize._backend(cfg)
+    assert fields == backend_fields(cfg)
+    return _solve_qubo(q, solve)
 
 
 def assert_all_ones(pre: Presolved, q: QuboMatrix) -> None:
@@ -155,12 +172,12 @@ class TestPaperInstances:
             monkeypatch.setattr(optimize, name, refuse)
         for q in instances:
             for backend in optimize.BACKENDS:
-                result, info = _solve_qubo(q, TrainConfig(solver_backend=backend, seed=1))
+                cfg = TrainConfig(solver_backend=backend, seed=1)
+                result, fixed, residual_n = solve_qubo(q, cfg)
                 assert result.best_assignment.tolist() == [1] * q.n
                 assert result.best_energy == energy(q, np.ones(q.n))
-                assert info["presolve_fixed"] == q.n
-                assert info["residual_n"] == 0
-                assert info["selected"] == q.n
+                assert fixed == q.n
+                assert residual_n == 0
 
 
 class TestDualInstances:
@@ -174,13 +191,14 @@ class TestDualInstances:
         assert pre.residual is q
 
         schedule = AnnealSchedule(num_reads=8, sweeps=100, seed=5)
-        result, info = _solve_qubo(q, TrainConfig(seed=5, qubo_builder="dual", schedule=schedule))
+        cfg = TrainConfig(seed=5, qubo_builder="dual", schedule=schedule)
+        result, fixed, residual_n = solve_qubo(q, cfg)
         direct = simulated_anneal(q, schedule)
         assert np.array_equal(result.best_assignment, direct.best_assignment)
         assert result.best_energy == direct.best_energy
         assert np.array_equal(result.energies, direct.energies)
-        assert info["presolve_fixed"] == 0
-        assert info["residual_n"] == 30
+        assert fixed == 0
+        assert residual_n == 30
 
 
 class TestPersistency:
@@ -247,28 +265,30 @@ class TestPersistency:
         pre = presolve(QuboMatrix(q))
         assert pre.fixed.tolist() == [True, False, False]
         assert pre.residual.n == 2
-        result, info = _solve_qubo(QuboMatrix(q), TrainConfig(solver_backend="greedy", seed=3))
+        cfg = TrainConfig(solver_backend="greedy", seed=3)
+        result, fixed, residual_n = solve_qubo(QuboMatrix(q), cfg)
         exact = brute_force(QuboMatrix(q))
         assert result.best_energy == pytest.approx(exact.best_energy, abs=1e-12)
         assert result.best_assignment[0] == 1
-        assert info["presolve_fixed"] == 1
-        assert info["residual_n"] == 2
+        assert fixed == 1
+        assert residual_n == 2
 
 
-def qubo_path(passes):
+def qubo_path(passes, seed):
     """A stand-in for ``optimize._paper_closed_form`` that solves each
     ``paper`` pass as it ran before its closed form: Gram, QUBO, annealer
-    on the whole instance (no presolve), and ``compute_beta``.  It gives
-    the pass the annealer's energy, and appends to ``passes`` the
-    annealer's α, its β and the β the pass takes from f."""
+    seeded with ``seed`` on the whole instance (no presolve), and
+    ``compute_beta``.  It gives the pass the annealer's energy, and
+    appends to ``passes`` the annealer's α, its β and the β the pass
+    takes from f."""
 
-    def solve(labels, f, k, states, cfg):
+    def solve(labels, f, k, states):
         if states is not None:
             k = gram_from_states(states)
-        sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=cfg.seed))
+        sample = simulated_anneal(build_qubo_paper(k, labels), AnnealSchedule(seed=seed))
         alpha = sample.best_assignment
         passes.append((alpha, compute_beta(alpha, labels, k), offset(labels, f)))
-        return {"best_energy": float(sample.best_energy)}
+        return float(sample.best_energy)
 
     return solve
 
@@ -279,12 +299,11 @@ def refuse(*args, **kwargs):
 
 def paper_path_builds_no_qubo(monkeypatch, kernel, backend):
     """α = 1 is known in advance, so no QUBO, presolve, offset over K or
-    sampler runs, and no Gram from states; the solver info reads as a
-    fully presolved instance's.  rbf still builds its Gram."""
+    sampler runs, and no Gram from states; the solver record reads as a
+    fully presolved instance's, with its keys in the same order.  rbf
+    still builds its Gram."""
     train_set, val_set = gap_sets(600, delta=0.0)
     cfg = TrainConfig(seed=600, max_iterations=4, solver_backend=backend, kernel_kind=kernel)
-    q = build_qubo_paper(np.full((3, 3), 0.5), np.array([1, -1, 1]))
-    _, expected = _solve_qubo(q, cfg)
     for name in ("gram_from_states", "build_qubo_paper", "presolve", "compute_beta",
                  "simulated_anneal", "greedy_descent", "brute_force"):
         monkeypatch.setattr(optimize, name, refuse)
@@ -298,9 +317,10 @@ def paper_path_builds_no_qubo(monkeypatch, kernel, backend):
     else:
         k = kernel_gram(kernel, train_set.points)
     want = energy(build_qubo_paper(k, train_set.labels), np.ones(50))
-    expected.update(presolve_fixed=50, residual_n=0, selected=50,
-                    best_energy=pytest.approx(want, rel=1e-12))
+    expected = {**backend_fields(cfg), "presolve_fixed": 50, "residual_n": 0,
+                "best_energy": pytest.approx(want, rel=1e-12), "selected": 50}
     assert report.solver == expected
+    assert list(report.solver) == list(expected)
 
 
 class TestTrainSkipsAnnealer:
@@ -311,7 +331,7 @@ class TestTrainSkipsAnnealer:
             cfg = TrainConfig(seed=300, max_iterations=2, kernel_kind=kernel)
             passes = []
             with monkeypatch.context() as patch:
-                patch.setattr(optimize, "_paper_closed_form", qubo_path(passes))
+                patch.setattr(optimize, "_paper_closed_form", qubo_path(passes, cfg.seed))
                 annealed = train(train_set, val_set, cfg)
             direct = train(train_set, val_set, cfg)
             assert direct.failures == annealed.failures == []
@@ -356,3 +376,25 @@ class TestTrainSkipsAnnealer:
         report = train(train_set, val_set, cfg)
         assert report.failures == []
         assert calls == [20] * report.iterations_used
+
+
+class TestRunBackend:
+    def test_default_schedule_is_built_once_per_run(self, monkeypatch):
+        train_set, val_set = gap_sets(1000, delta=0.0, n_train=30)
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs)
+            return AnnealSchedule(**kwargs)
+
+        monkeypatch.setattr(optimize, "AnnealSchedule", counted)
+        cfg = TrainConfig(seed=7, max_iterations=3, qubo_builder="dual")
+        report = train(train_set, val_set, cfg)
+        assert report.failures == []
+        assert report.iterations_used == 3
+        assert built == [{"seed": 7}]
+        fields = backend_fields(cfg)
+        assert list(report.solver) == [*fields, "presolve_fixed", "residual_n", "best_energy",
+                                       "selected"]
+        assert report.solver.items() >= fields.items()
+        assert report.config["schedule"] is None

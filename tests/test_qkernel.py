@@ -100,6 +100,11 @@ class TestFeatureMapSpec:
         with pytest.raises(ValueError, match="qubit count"):
             FeatureMapSpec(n=0, theta=np.zeros(0))
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_qubit_count_is_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            FeatureMapSpec(n=n, theta=np.zeros(2))
+
     def test_reps_is_fixed_to_two(self):
         # Model files name the repetition count; only 2 is simulated.
         assert isinstance(kernel_from_dict(QUANTUM_KERNEL), FeatureMapSpec)

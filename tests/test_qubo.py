@@ -162,8 +162,7 @@ def closed_form(kernel, points, labels):
     else:
         states, k = feature_states(points, kernel), None
         f = expectations(states, model.operator)
-    info = _paper_closed_form(labels.astype(float), f, k, states, TrainConfig())
-    return offset(labels, f), info["best_energy"]
+    return offset(labels, f), _paper_closed_form(labels.astype(float), f, k, states)
 
 
 def qubo_oracle(k, labels):
@@ -558,6 +557,14 @@ class TestModelSerialization:
         text = json.dumps(model_to_dict(model)).replace("0.5", "Infinity")
         with pytest.raises(ValueError, match="invalid model data: gamma"):
             model_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("name, value", [("n", 2.5), ("n", "2"), ("n", 2.0),
+                                             ("reps", 2.7), ("reps", "2"), ("reps", 2.0)])
+    def test_non_integer_kernel_counts_rejected(self, name, value):
+        data = model_to_dict(self._model())
+        data["kernel"][name] = value
+        with pytest.raises(ValueError, match=f"invalid model data: {name} must be"):
+            model_from_dict(data)
 
     def test_quantum_model_of_the_wrong_dimension_rejected(self):
         data = model_to_dict(self._model())
