@@ -99,6 +99,8 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 
 
 def kernel_from_dict(data: dict) -> Kernel:
+    if not isinstance(data, dict):
+        raise ValueError(f"kernel must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "quantum-zz":
         # The only circuit this package simulates: two repetitions of the

@@ -54,6 +54,7 @@ from .qkernel import (THETA_BOUND, FeatureMapSpec, data_phases, expectations,
                       gram_from_states, integer_field, states_from_phases,
                       weighted_operator)
 from .qubo import (
+    BUILDERS,
     TrainedModel,
     accuracy,
     build_qubo_dual,
@@ -66,7 +67,6 @@ from .qubo import (
 )
 
 BACKENDS = ("anneal", "exact", "greedy")
-BUILDERS = ("paper", "dual")
 KERNEL_KINDS = ("quantum-zz", "rbf", "linear")
 
 

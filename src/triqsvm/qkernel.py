@@ -87,11 +87,11 @@ def fields_equal(a, b):
 
 def integer_field(instance, name: str, least: int) -> None:
     """Check that field ``name`` of a frozen dataclass instance is an
-    integer (numpy's too) of at least ``least`` (0 or 1), and store it as
-    a Python int; a ValueError names the field otherwise."""
+    integer (numpy's too, but not a bool) of at least ``least`` (0 or 1),
+    and store it as a Python int; a ValueError names the field otherwise."""
     value = getattr(instance, name)
     try:
-        index = operator.index(value)
+        index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         index = None
     if index is None or index < least:
@@ -247,42 +247,23 @@ class GramMatrix:
             raise ValueError(f"expected a {self.m}x{self.m} matrix, got {entries.shape}")
 
 
-# Rows per block of the Gram.  A (64, 2**(n+1)) x (2**(n+1), m) product
-# stays under OpenBLAS's threading threshold at n = 2 and m <= 500, so
-# small Grams do not pay for waking a second thread.
-_GRAM_BLOCK = 64
-# Strict lower triangle of a diagonal block; a smaller block takes its
-# top-left corner.
-_BELOW_DIAGONAL = np.tri(_GRAM_BLOCK, k=-1, dtype=bool)
-
-
 def gram_from_states(states: np.ndarray) -> np.ndarray:
     """Gram matrix |<s_i|s_j>|**2 over a batch of feature states, shape (m, m).
 
     With S = A + iB the states, <s_i|s_j> has real part [A B]_i . [A B]_j
-    and imaginary part [A B]_i . [B -A]_j, so the upper triangle is
-    computed from two real matrix products per block of rows and
-    K = re**2 + im**2.  Each block is mirrored into the lower triangle, so
-    the result is exactly symmetric.
+    and imaginary part [A B]_i . [B -A]_j, so K = re**2 + im**2 comes from
+    two real matrix products over all rows at once.  ``real @ real.T`` is
+    written so that numpy sends it to syrk.  The upper triangle is then
+    copied into the lower, so the result is exactly symmetric.
     """
-    m = states.shape[0]
     real = np.concatenate([states.real, states.imag], axis=1)
     turned = np.concatenate([states.imag, -states.real], axis=1)
-    k = np.empty((m, m))
-    for start in range(0, m, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, m)
-        re = real[start:stop] @ real[start:].T
-        im = real[start:stop] @ turned[start:].T
-        re *= re
-        im *= im
-        re += im
-        k[start:stop, start:] = re
-        # Lower triangle of the diagonal block from its upper triangle,
-        # then the rest of the block row mirrored below it.
-        block = k[start:stop, start:stop]
-        size = stop - start
-        np.copyto(block, block.T, where=_BELOW_DIAGONAL[:size, :size])
-        k[stop:, start:stop] = k[start:stop, stop:].T
+    k = real @ real.T
+    im = real @ turned.T
+    k *= k
+    im *= im
+    k += im
+    np.copyto(k, k.T, where=np.tri(len(k), k=-1, dtype=bool))
     return k
 
 

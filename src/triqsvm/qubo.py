@@ -29,6 +29,7 @@ from .qkernel import (FeatureMapSpec, expectations, feature_states, fields_equal
                       weighted_operator)
 
 MODEL_SCHEMA_VERSION = "1"
+BUILDERS = ("paper", "dual")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class TrainedModel:
     __eq__ = fields_equal
 
     def __post_init__(self, built_operator):
+        if self.builder not in BUILDERS:
+            raise ValueError(f"builder must be one of {BUILDERS}, got {self.builder!r}")
         alpha = np.asarray(self.alpha)
         labels = np.asarray(self.train_labels)
         # A copy: the model's operator must stay that of its points.
@@ -230,13 +233,15 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 def model_from_dict(data: dict) -> TrainedModel:
     try:
+        if (version := data.get("schema_version")) != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {MODEL_SCHEMA_VERSION!r}, got {version!r}")
         return TrainedModel(
             alpha=np.asarray(data["alpha"]),
             beta=float(data["beta"]),
             train_points=np.asarray(data["train_points"], dtype=float),
             train_labels=np.asarray(data["train_labels"]),
             kernel=kernel_from_dict(data["kernel"]),
-            builder=str(data.get("builder", "paper")),
+            builder=data.get("builder", "paper"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid model data: {exc}") from exc

@@ -7,8 +7,13 @@ subprocess per tree imports ``triqsvm`` from that tree's ``src/`` and the
 splits from its ``perfbench/workloads.py`` (``WORKLOADS``, ``make_split``),
 and trains every split of every benchmark workload at seeds 1-3 with the
 workload's config: 111 trainings.  ``predict-map`` contributes the stored
-model and the ``models - 1`` others that its references train.  The script
-then prints, old against new:
+model and the ``models - 1`` others that its references train.  The only
+Gram among them has 50 rows, so one more group, ``dual-gram``, trains the
+quantum kernel with the ``dual`` builder at m = 100 and 200: gap-0 data
+from ``adhoc_generate(m + m // 5, 0.0, seed=seed)``, split by
+``SplitSpec(m, m // 5, seed)``, at seeds 1-3 with the annealer and with
+greedy descent, three passes each: 12 trainings, whose validation rows
+are also their holdout.  The script then prints, old against new:
 
 - whether each split's inputs (points and labels by bytes) are equal;
 - whether each model file's sha256 is equal;
@@ -18,9 +23,10 @@ then prints, old against new:
 - whether each training's report is equal: ``report_to_dict`` without
   ``wall_time``, as JSON with its keys in order (the solver record,
   ``states_built``, ``iterations_used``, ``failures``, the config echo);
+- for each of these counts, the first eight trainings that differ;
 - each holdout accuracy;
-- the largest |Δβ|, overall and per workload, with each workload's count
-  of differing model files and of equal reports;
+- the largest |Δβ|, overall and per workload or group, with each one's
+  count of differing model files and of equal reports;
 - the largest |Δ decision value| on the holdouts (the trained model) and
   on the ``predict-map`` grid (the model read back from its file, as
   ``triqsvm map`` scores it);
@@ -47,6 +53,10 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+# Quantum ``dual`` trainings whose Gram has more than 64 rows; every
+# benchmark split's Gram has 50.
+DUAL_GRAM_GROUP = "dual-gram"
+DUAL_GRAM_SIZES = (100, 200)
 # The README's CLI quickstart, steps 1-4, and the files whose sha256 the
 # comparison prints (report.json holds timings, so it is left out).
 QUICKSTART = (
@@ -71,6 +81,7 @@ def record(tree: Path, out: Path) -> None:
     the comparison reads to ``out`` (an ``.npz`` of plain arrays)."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import numpy as np
+    import triqsvm.datagen as datagen
     import triqsvm.optimize as optimize
     import triqsvm.qubo as qubo
     import workloads
@@ -91,41 +102,52 @@ def record(tree: Path, out: Path) -> None:
 
     optimize._cobyla_points = recorded
     arrays, keys = {}, []
+
+    def trained(key, train_set, val_set, holdout, cfg, path, grid=None):
+        keys.append(key)
+        arrays[f"{key}/inputs"] = np.array(_sha256(
+            train_set.points, train_set.labels, val_set.points, val_set.labels,
+            holdout.points, holdout.labels))
+        paths.append([])
+        report = optimize.train(train_set, val_set, cfg)
+        model = report.best_model
+        qubo.save_model(model, path)
+        arrays[f"{key}/model"] = np.array(hashlib.sha256(path.read_bytes()).hexdigest())
+        arrays[f"{key}/theta"] = np.array(paths[-1]).reshape(len(paths[-1]), -1)
+        arrays[f"{key}/accuracy"] = np.array(report.accuracy_per_iteration)
+        reported = optimize.report_to_dict(report)
+        del reported["wall_time"]
+        arrays[f"{key}/report"] = np.array(json.dumps(reported, default=repr))
+        arrays[f"{key}/beta"] = np.array(model.beta)
+        arrays[f"{key}/holdout_acc"] = np.array(qubo.accuracy(model, holdout))
+        arrays[f"{key}/holdout_dv"] = qubo.decision_values(holdout.points, model)
+        if grid is not None:
+            arrays[f"{key}/grid_dv"] = qubo.decision_values(grid, qubo.load_model(path))
+
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch)
+        path = work / "model.json"
         for name, wl in workloads.WORKLOADS.items():
             predict = isinstance(wl, workloads.PredictWorkload)
             count = wl.models if predict else wl.splits
+            grid = None
             if predict:
                 axis = np.linspace(0.0, 2.0 * np.pi, wl.resolution)
                 grid = np.column_stack([np.repeat(axis, wl.resolution),
                                         np.tile(axis, wl.resolution)])
             for seed in SEEDS:
                 for j in range(count):
-                    key = f"{name}/{seed}/{j}"
-                    keys.append(key)
-                    split_seed, train_set, val_set, holdout = workloads.make_split(
-                        wl, seed, j, work, Tracer())
-                    arrays[f"{key}/inputs"] = np.array(_sha256(
-                        train_set.points, train_set.labels, val_set.points, val_set.labels,
-                        holdout.points, holdout.labels))
-                    paths.append([])
-                    report = optimize.train(train_set, val_set, wl.config(split_seed))
-                    model = report.best_model
-                    path = work / "model.json"
-                    qubo.save_model(model, path)
-                    arrays[f"{key}/model"] = np.array(hashlib.sha256(path.read_bytes()).hexdigest())
-                    arrays[f"{key}/theta"] = np.array(paths[-1]).reshape(len(paths[-1]), -1)
-                    arrays[f"{key}/accuracy"] = np.array(report.accuracy_per_iteration)
-                    reported = optimize.report_to_dict(report)
-                    del reported["wall_time"]
-                    arrays[f"{key}/report"] = np.array(json.dumps(reported, default=repr))
-                    arrays[f"{key}/beta"] = np.array(model.beta)
-                    arrays[f"{key}/holdout_acc"] = np.array(qubo.accuracy(model, holdout))
-                    arrays[f"{key}/holdout_dv"] = qubo.decision_values(holdout.points, model)
-                    if predict:
-                        loaded = qubo.load_model(path)
-                        arrays[f"{key}/grid_dv"] = qubo.decision_values(grid, loaded)
+                    split_seed, *sets = workloads.make_split(wl, seed, j, work, Tracer())
+                    trained(f"{name}/{seed}/{j}", *sets, wl.config(split_seed), path, grid)
+        for seed in SEEDS:
+            for m in DUAL_GRAM_SIZES:
+                ds = datagen.adhoc_generate(m + m // 5, 0.0, seed=seed)
+                train_set, val_set = datagen.split(ds, datagen.SplitSpec(m, m // 5, seed))
+                for backend in ("anneal", "greedy"):
+                    cfg = optimize.TrainConfig(max_iterations=3, solver_backend=backend,
+                                               qubo_builder="dual", seed=seed)
+                    trained(f"{DUAL_GRAM_GROUP}/{seed}/{m}-{backend}", train_set, val_set,
+                            val_set, cfg, path)
     arrays["keys"] = np.array(keys)
     np.savez(out, **arrays)
 
@@ -188,13 +210,18 @@ def compare(old_tree: Path, new_tree: Path) -> int:
           f"seeds {SEEDS[0]}-{SEEDS[-1]}")
     for label, matching in counts.items():
         print(f"  {label} equal: {len(matching)}/{len(keys)}")
+        same = set(matching)
+        differing = [k for k in keys if k not in same]
+        if differing:
+            print(f"    differ: {', '.join(differing[:8])}{' ...' if len(differing) > 8 else ''}")
     beta = _largest_gap(old, new, keys, "beta")
     holdout = _largest_gap(old, new, keys, "holdout_dv")
     grid = _largest_gap(old, new, keys, "grid_dv")
     print(f"  largest |delta beta|: {beta:.3g}")
     print(f"  largest |delta decision value|: holdouts {holdout:.3g}, "
           f"predict-map grid {grid:.3g}")
-    print("per workload: model files differing, reports equal, largest |delta beta|:")
+    print("per workload or group: model files differing, reports equal, "
+          "largest |delta beta|:")
     same_model = set(counts["model file sha256"])
     same_report = set(counts["reports (without wall_time)"])
     for name in dict.fromkeys(k.split("/")[0] for k in keys):

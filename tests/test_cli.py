@@ -384,6 +384,19 @@ class TestEvaluate:
         assert "invalid model data" in result.stderr
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("kernel", ["rbf", None])
+    def test_kernel_that_is_not_an_object_is_validation_error(self, tmp_path, kernel):
+        path = constant_positive_model(tmp_path)
+        data = json.loads(path.read_text())
+        data["kernel"] = kernel
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rows = tmp_path / "d.csv"
+        rows.write_text("f1,f2,label\n1,2,1\n", encoding="utf-8")
+        result = run_cli("evaluate", path, rows, "--out", tmp_path / "e.json")
+        assert result.returncode == 1, result.stderr
+        assert "invalid model data: kernel must be a JSON object" in result.stderr
+        assert not (tmp_path / "e.json").exists()
+
 
 class TestMap:
     def test_resolution_two_hits_corners(self, tmp_path):
@@ -671,27 +684,11 @@ class TestSweep:
         ("--delta", 0.1, 0.2),
         ("--max-iters", 1, 2),
         ("--target-acc", 1.0, 0.5),
-        ("--reads", 4, 5),
-        ("--sweeps", 40, 41),
-        ("--beta-start", 0.1, 0.2),
-        ("--beta-end", 10.0, 11.0),
     ])
     def test_each_training_flag_is_checked_on_resume(self, tmp_path, monkeypatch,
                                                       flag, before, after):
-        monkeypatch.setattr("triqsvm.cli.train", lambda train_set, val_set, cfg:
-                            SimpleNamespace(best_accuracy=0.5, iterations_used=1))
-        for name in ("a.csv", "b.csv"):
-            (tmp_path / name).write_text("f1,f2,label\n" + "1.0,1.0,1\n1.0,2.0,-1\n" * 6,
-                                         encoding="utf-8")
+        sweep = self._flag_sweep(tmp_path, monkeypatch, flag)
         out = tmp_path / "sweep.csv"
-
-        def sweep(value, seeds):
-            flags = {"--data": tmp_path / "a.csv", "--delta": 0.0,
-                     flag: tmp_path / value if flag == "--data" else value}
-            cli.main(args=["sweep", "--out", str(out), "--sizes", "10", "--seeds", seeds,
-                           "--methods", "qsvm", *map(str, itertools.chain(*flags.items()))],
-                     standalone_mode=False)
-
         sweep(before, "7")
         table = out.read_bytes()
         # Other seeds under the same flags resume.
@@ -702,6 +699,46 @@ class TestSweep:
             sweep(after, "7,8")
         assert out.read_bytes() == table
         assert out.with_name("sweep.csv.meta.json").read_bytes() == sidecar
+
+    @pytest.mark.parametrize("flag, before, after", [
+        ("--reads", 4, 5),
+        ("--sweeps", 40, 41),
+        ("--beta-start", 0.1, 0.2),
+        ("--beta-end", 10.0, 11.0),
+    ])
+    def test_anneal_flags_do_not_block_a_resume(self, tmp_path, monkeypatch,
+                                                flag, before, after):
+        # Every sweep row trains the paper builder in closed form, so no
+        # sampler runs and these flags decide no row.
+        sweep = self._flag_sweep(tmp_path, monkeypatch, flag)
+        out = tmp_path / "sweep.csv"
+        sweep(before, "7")
+        first_row = out.read_text(encoding="utf-8").splitlines()[1]
+        assert first_row == "10,2,qsvm,7,50.00,1"
+        sweep(after, "7,8")
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert rows[1:3] == [first_row, "10,2,qsvm,8,50.00,1"]
+        meta = json.loads(out.with_name("sweep.csv.meta.json").read_text(encoding="utf-8"))
+        assert meta["flags"][flag[2:].replace("-", "_")] == after
+
+    @staticmethod
+    def _flag_sweep(tmp_path, monkeypatch, flag):
+        """A sweep over a fake ``train`` that sets ``flag`` to a value."""
+        monkeypatch.setattr("triqsvm.cli.train", lambda train_set, val_set, cfg:
+                            SimpleNamespace(best_accuracy=0.5, iterations_used=1))
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("f1,f2,label\n" + "1.0,1.0,1\n1.0,2.0,-1\n" * 6,
+                                         encoding="utf-8")
+
+        def sweep(value, seeds):
+            flags = {"--data": tmp_path / "a.csv", "--delta": 0.0,
+                     flag: tmp_path / value if flag == "--data" else value}
+            cli.main(args=["sweep", "--out", str(tmp_path / "sweep.csv"), "--sizes", "10",
+                           "--seeds", seeds, "--methods", "qsvm",
+                           *map(str, itertools.chain(*flags.items()))],
+                     standalone_mode=False)
+
+        return sweep
 
     def test_table_with_a_byte_order_mark_resumes(self, tmp_path, monkeypatch):
         monkeypatch.setattr("triqsvm.cli.train", lambda train_set, val_set, cfg:

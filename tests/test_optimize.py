@@ -1037,6 +1037,16 @@ class TestIntegerCounts:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SplitSpec(10, 2, seed=value)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: TrainConfig(max_iterations=v), "max_iterations"),
+        (lambda v: TrainConfig(seed=v), "seed"),
+        (lambda v: OptimizerConfig(max_evals=v), "max_evals"),
+        (lambda v: SplitSpec(10, 2, seed=v), "seed"),
+    ], ids=["max_iterations", "train-seed", "max_evals", "split-seed"])
+    def test_bools_are_not_counts(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be a .* integer, got True"):
+            make(True)
+
     def test_numpy_integers_are_stored_as_python_ints(self):
         cfg = TrainConfig(max_iterations=np.int64(3), seed=np.int64(5))
         opt = OptimizerConfig(max_evals=np.int32(4))

@@ -494,11 +494,15 @@ def row_loop_gram(points, spec):
     return k
 
 
-# Sizes on both sides of every 64-row block edge.
+# Sizes on both sides of the edges of the 64-row blocks that the Gram was
+# once built in.
 BLOCK_EDGE_SIZES = (1, 2, 63, 64, 65, 129, 200, 500)
 
 
 class TestBlockedGram:
+    """The Gram over all rows at once, at sizes around the edges of the
+    64-row blocks it was once built in."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", BLOCK_EDGE_SIZES)
     def test_matches_row_loop(self, n, m):
@@ -522,8 +526,8 @@ class TestBlockedGram:
 
     @pytest.mark.parametrize("m", [65, 200])
     def test_rows_follow_a_permutation_of_the_points(self, m):
-        # Permuting the points moves every entry to another block, so
-        # another product computes it.
+        # Permuting the points moves every entry to another row and
+        # column of both products.
         rng = np.random.default_rng(m + 1)
         points = rng.uniform(0, 2 * np.pi, (m, 2))
         spec = spec2((1.7, -0.6))

@@ -558,13 +558,42 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="invalid model data: gamma"):
             model_from_dict(json.loads(text))
 
-    @pytest.mark.parametrize("name, value", [("n", 2.5), ("n", "2"), ("n", 2.0),
+    @pytest.mark.parametrize("name, value", [("n", 2.5), ("n", "2"), ("n", 2.0), ("n", True),
                                              ("reps", 2.7), ("reps", "2"), ("reps", 2.0)])
     def test_non_integer_kernel_counts_rejected(self, name, value):
         data = model_to_dict(self._model())
         data["kernel"][name] = value
         with pytest.raises(ValueError, match=f"invalid model data: {name} must be"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("kernel", ["rbf", None, 5, ["quantum-zz"]])
+    def test_kernel_that_is_not_an_object_rejected(self, kernel):
+        data = model_to_dict(self._model())
+        data["kernel"] = kernel
+        with pytest.raises(ValueError, match="invalid model data: kernel must be a JSON object"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("version", ["9", 1, ""])
+    def test_other_schema_versions_rejected(self, version):
+        data = model_to_dict(self._model())
+        data["schema_version"] = version
+        with pytest.raises(ValueError, match="invalid model data: schema_version must be '1'"):
+            model_from_dict(data)
+
+    def test_missing_schema_version_rejected(self):
+        data = model_to_dict(self._model())
+        del data["schema_version"]
+        with pytest.raises(ValueError, match="schema_version must be '1', got None"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("builder", ["banana", 5, "Paper", None])
+    def test_unknown_builders_rejected(self, builder):
+        data = model_to_dict(self._model())
+        data["builder"] = builder
+        with pytest.raises(ValueError, match="invalid model data: builder must be one of"):
+            model_from_dict(data)
+        with pytest.raises(ValueError, match="builder must be one of"):
+            dataclasses.replace(self._model(), builder=builder)
 
     def test_quantum_model_of_the_wrong_dimension_rejected(self):
         data = model_to_dict(self._model())
