@@ -9,19 +9,22 @@
  * division rounds the magnitude alike and takes the sign of the signs.
  *
  * On x86-64 CPUs with AVX2 the reads run in lockstep, one read per SIMD
- * lane (8 lanes under AVX-512F, 4 under AVX2), in the numpy loop's order:
- * every step computes flip = sign * (delta < threshold) and applies it to
- * all lanes, so a rejected flip adds the same signed zeros numpy adds.
- * metropolis_lanes() reports the widest width this CPU runs.  The
- * per-read loop serves the reads left over after the last full group of
- * lanes, and CPUs without AVX2, where lockstep was measured slower.  It
- * skips the updates of a rejected flip: numpy adds a signed zero there, a
- * no-op because the running energies and fields start free of negative
- * zeros.
+ * lane (8 lanes under AVX-512F, 4 under AVX2 with FMA), in the numpy
+ * loop's order: every step computes flip = sign * (delta < threshold) and
+ * applies it to all lanes, so a rejected flip adds the same signed zeros
+ * numpy adds.  metropolis_lanes() reports the widest width this CPU runs.
+ * The per-read loop serves the reads left over after the last full group
+ * of lanes, and CPUs without AVX2 or FMA; lockstep without wide vectors
+ * was measured slower.  It skips the updates of a rejected flip: numpy
+ * adds a signed zero there, a no-op because the running energies and
+ * fields start free of negative zeros.
  *
  * IEEE add, multiply, divide and compare round the same in every vector
- * width, and -ffp-contract=off stops multiply-add fusion, so every path
- * gives the numpy loop's bits.  The lockstep state is kept lane-transposed
+ * width.  The lockstep field update's FMAs are explicit intrinsics whose
+ * products are exact (flip is 0 or +-1), so each rounds as numpy's
+ * multiply then add; -ffp-contract=off stops the compiler from fusing any
+ * other multiply and add.  So every path gives the numpy loop's bits.
+ * The lockstep state is kept lane-transposed
  * in scratch the caller provides, (3 n + 1) * lanes doubles per thread;
  * the kernel allocates nothing.
  *
@@ -74,15 +77,46 @@ static void per_read(long r0, long reads, long n, long count, long first, long s
 }
 
 #if defined(__x86_64__)
+#include <immintrin.h>
+
 /* NAME runs reads 0 .. reads - reads % L in groups of L, lane l of a group
  * holding read g + l, and returns the first read it left.  Scratch holds,
  * one vector per bit, the states x, fields f and best states bx, from the
  * first vector-aligned address; each step's thresholds are one unaligned
- * load from the lane-major draws.  The field update is the hot loop;
- * unrolling it by 4 made the kernel about 1.5x faster at n = 50. */
-#define LOCKSTEP(NAME, L, ISA)                                                              \
+ * load from the lane-major draws.
+ *
+ * The field update is the hot loop, and a pass over the fields loads and
+ * stores each one, so the bits go in blocks of BLOCK: each bit of a block
+ * is decided on its field plus the block's earlier flips, summed as the
+ * pass will sum them, and then one pass adds the block's flips to every
+ * field, in bit order.  Each field thus sees the numpy loop's additions in
+ * its order.  A flip is 0 or +-1, so flip * c is exact and FMA(flip, c, f)
+ * rounds as f + flip * c, signed zeros included; SET1 broadcasts c with its
+ * sign, which (vec){0} + c would lose on -0.0.  The last n % BLOCK bits
+ * are updated one at a time.  At n = 50 blocks of 4 made the 8-lane
+ * kernel about 1.3x as fast as one bit a pass; blocks of 2 were no faster
+ * there, and blocks of 8 slower (BENCH_39.json). */
+#define BLOCK 4
+#define LOCKSTEP(NAME, L, ISA, FMA, SET1)                                                   \
 typedef double NAME##_vec __attribute__((vector_size(8 * (L))));                            \
 typedef long long NAME##_bits __attribute__((vector_size(8 * (L))));                        \
+/* Decides bit i in every lane on its field fi, flips it in xi, adds the                    \
+ * energy change to e and returns the flip. */                                              \
+__attribute__((target(ISA), always_inline)) static inline NAME##_vec NAME##_step(           \
+    NAME##_vec *xi, NAME##_vec fi, NAME##_vec *e, double diag, const double *lu, double beta) \
+{                                                                                           \
+    const NAME##_bits one = (NAME##_bits)((NAME##_vec){0} + 1.0);                           \
+    const NAME##_bits magnitude = (NAME##_bits){0} + INT64_MAX;                             \
+    NAME##_vec threshold;                                                                   \
+    memcpy(&threshold, lu, sizeof threshold);                                               \
+    threshold /= beta;                                                                      \
+    NAME##_vec sign = 1.0 - 2.0 * *xi;                                                      \
+    NAME##_vec delta = sign * (diag + fi);                                                  \
+    NAME##_vec flip = sign * (NAME##_vec)((NAME##_bits)(delta < threshold) & one);          \
+    *xi += flip;                                                                            \
+    *e += delta * (NAME##_vec)((NAME##_bits)flip & magnitude);                              \
+    return flip;                                                                            \
+}                                                                                           \
 __attribute__((target(ISA))) static long NAME(                                              \
     long reads, long n, long count, long first, long sweeps, const double *diag,            \
     const double *coupling, const double *log_u, const double *betas, double *state,        \
@@ -92,8 +126,6 @@ __attribute__((target(ISA))) static long NAME(                                  
     NAME##_vec *x = (NAME##_vec *)(((uintptr_t)scratch + sizeof(NAME##_vec) - 1)            \
                                    & -(uintptr_t)sizeof(NAME##_vec));                       \
     NAME##_vec *f = x + n, *bx = f + n;                                                     \
-    const NAME##_bits one = (NAME##_bits)((NAME##_vec){0} + 1.0);                           \
-    const NAME##_bits magnitude = (NAME##_bits){0} + INT64_MAX;                             \
     long g;                                                                                 \
     for (g = 0; g + (L) <= reads; g += (L)) {                                               \
         NAME##_vec e, best;                                                                 \
@@ -109,17 +141,29 @@ __attribute__((target(ISA))) static long NAME(                                  
         for (long s = 0; s < count; s++) {                                                  \
             double beta = -betas[first + s];                                                \
             const double *lu = log_u + s * n * reads + g;                                   \
-            for (long i = 0; i < n; i++) {                                                  \
+            long i;                                                                         \
+            for (i = 0; i + BLOCK <= n; i += BLOCK) {                                       \
                 const double *c = coupling + i * n;                                         \
-                NAME##_vec threshold;                                                       \
-                memcpy(&threshold, lu + i * reads, sizeof threshold);                       \
-                threshold /= beta;                                                          \
-                NAME##_vec sign = 1.0 - 2.0 * x[i];                                         \
-                NAME##_vec delta = sign * (diag[i] + f[i]);                                 \
-                NAME##_vec flip = sign * (NAME##_vec)((NAME##_bits)(delta < threshold)      \
-                                                      & one);                               \
-                x[i] += flip;                                                               \
-                e += delta * (NAME##_vec)((NAME##_bits)flip & magnitude);                   \
+                NAME##_vec flip[BLOCK];                                                     \
+                for (long k = 0; k < BLOCK; k++) {                                          \
+                    NAME##_vec fk = f[i + k];                                               \
+                    for (long m = 0; m < k; m++)                                            \
+                        fk = FMA(flip[m], SET1(c[m * n + i + k]), fk);                      \
+                    flip[k] = NAME##_step(x + i + k, fk, &e, diag[i + k],                   \
+                                          lu + (i + k) * reads, beta);                      \
+                }                                                                           \
+                _Pragma("GCC unroll 2")                                                     \
+                for (long j = 0; j < n; j++) {                                              \
+                    NAME##_vec fj = f[j];                                                   \
+                    for (long m = 0; m < BLOCK; m++)                                        \
+                        fj = FMA(flip[m], SET1(c[m * n + j]), fj);                          \
+                    f[j] = fj;                                                              \
+                }                                                                           \
+            }                                                                               \
+            for (; i < n; i++) {                                                            \
+                const double *c = coupling + i * n;                                         \
+                NAME##_vec flip = NAME##_step(x + i, f[i], &e, diag[i], lu + i * reads,     \
+                                              beta);                                        \
                 _Pragma("GCC unroll 4")                                                     \
                 for (long j = 0; j < n; j++)                                                \
                     f[j] += flip * c[j];                                                    \
@@ -145,8 +189,8 @@ __attribute__((target(ISA))) static long NAME(                                  
     return g;                                                                               \
 }
 
-LOCKSTEP(lockstep8, 8, "avx512f")
-LOCKSTEP(lockstep4, 4, "avx2")
+LOCKSTEP(lockstep8, 8, "avx512f", _mm512_fmadd_pd, _mm512_set1_pd)
+LOCKSTEP(lockstep4, 4, "avx2,fma", _mm256_fmadd_pd, _mm256_set1_pd)
 #endif
 
 /* The widest lane count metropolis() runs on this CPU: 8, 4, or 1 for
@@ -154,8 +198,12 @@ LOCKSTEP(lockstep4, 4, "avx2")
 long metropolis_lanes(void)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2"))
-        return __builtin_cpu_supports("avx512f") ? 8 : 4;
+    if (__builtin_cpu_supports("avx2")) {
+        if (__builtin_cpu_supports("avx512f"))
+            return 8;
+        if (__builtin_cpu_supports("fma"))
+            return 4;
+    }
 #endif
     return 1;
 }
@@ -245,8 +293,6 @@ static void uniforms_scalar(long streams, long count, uint64_t *pcg, double *out
 }
 
 #if defined(__x86_64__)
-#include <immintrin.h>
-
 #define PCG8 __attribute__((target("avx512f,avx512dq")))
 
 /* One 128-bit state per 64-bit lane, as its low and high words. */

@@ -15,9 +15,9 @@ The Metropolis sweeps run in a small C kernel (``_metropolis.c``),
 compiled with the system ``cc`` on first use into a per-user cache and
 loaded with ctypes.  On x86-64 CPUs with AVX2 it runs the reads in
 lockstep, one read per SIMD lane, as the numpy loop does: 8 lanes with
-AVX-512F and 4 with AVX2, the widest the CPU offers.  The reads left
-after the last full group of lanes, and every read on other CPUs, run
-one at a time.  The kernel also gives the reads' exact start and best
+AVX-512F and 4 with AVX2 and FMA, the widest the CPU offers.  The reads
+left after the last full group of lanes, and every read on other CPUs,
+run one at a time.  The kernel also gives the reads' exact start and best
 energies, summed as ``energy`` sums them; seeds the reads, their start
 bits and PCG64 streams as ``default_rng(seed + r)`` gives them, in one
 call; and draws the reads' uniforms as numpy's PCG64 ``Generator.random``
@@ -80,8 +80,11 @@ BRUTE_FORCE_MAX = 20
 _SWEEP_CHUNK = 200
 
 _KERNEL_SOURCE = Path(__file__).with_name("_metropolis.c")
-# No fused multiply-add (some targets contract a * b + c by default) and no
-# fast-math or -march=native: the kernel must round exactly as numpy does.
+# The compiler fuses no multiply-add (some targets contract a * b + c by
+# default), and there is no fast-math or -march=native: the kernel must
+# round exactly as numpy does.  Its only FMAs are explicit intrinsics in the
+# lockstep field update, fma(flip, c, f) with flip 0 or +-1: the product is
+# exact, so the FMA rounds as numpy's f + flip * c.
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # Reads per lockstep group the kernel can run; 1 is the per-read loop.
 _LANE_WIDTHS = (1, 4, 8)

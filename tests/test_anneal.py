@@ -323,9 +323,16 @@ class TestKernel:
         (lambda: QuboMatrix(np.random.default_rng(8).integers(-1, 2, (12, 12)).astype(float)),
          AnnealSchedule(num_reads=25, sweeps=450, seed=9)),
         (lambda: dual_instance(200), AnnealSchedule(num_reads=9, sweeps=450, seed=10)),
+        # n % 4 == 3: the lockstep kernel decides 4 bits a pass and updates
+        # the last 3 one at a time.  The integer instance gives many deltas
+        # of exactly zero, in the blocks and in the tail.
+        (lambda: dual_instance(7), AnnealSchedule(num_reads=20, sweeps=450, seed=11)),
+        (lambda: dual_instance(51), AnnealSchedule(num_reads=20, sweeps=450, seed=12)),
+        (lambda: QuboMatrix(np.random.default_rng(13).integers(-1, 2, (15, 15)).astype(float)),
+         AnnealSchedule(num_reads=20, sweeps=450, seed=13)),
     ], ids=["dual-50", "dual-200", "integer-12", "n-1", "one-read", "reads-3", "reads-7",
             "reads-8", "reads-9", "reads-25", "reads-61", "n-1-nine-reads",
-            "integer-12-25-reads", "dual-200-partial-chunk"])
+            "integer-12-25-reads", "dual-200-partial-chunk", "dual-7", "dual-51", "integer-15"])
     def test_byte_identical_to_numpy_loop(self, monkeypatch, needs_compiler, make_q, schedule):
         q = make_q()
         assert anneal._kernel() is not None
@@ -522,7 +529,7 @@ class TestKernel:
                                "-o", str(library)], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         script = """
-import hashlib, sys
+import hashlib, itertools, sys
 import numpy as np
 from triqsvm import anneal
 from triqsvm.anneal import AnnealSchedule, _anneal_reads
@@ -531,14 +538,17 @@ from triqsvm.qubo import QuboMatrix
 def digest(kernel):
     rng = np.random.default_rng(3)
     q = QuboMatrix(rng.uniform(-1, 1, (13, 13)))
+    # n = 13 and n = 7 end the lockstep kernel's 4-bit blocks in tails of
+    # 1 and 3 bits.
+    tail3 = QuboMatrix(rng.uniform(-1, 1, (7, 7)))
     parts = []
     anneal._usable_cpus = lambda: 2
     for lanes in [w for w in anneal._LANE_WIDTHS if w <= kernel.lanes]:
         for draw in [w for w in anneal._DRAW_WIDTHS if w <= kernel.draw_lanes]:
             anneal._kernel = lambda: kernel._replace(lanes=lanes, draw_lanes=draw)
-            for reads in (1, 11):
+            for instance, reads in itertools.product((q, tail3), (1, 11)):
                 schedule = AnnealSchedule(num_reads=reads, sweeps=250, seed=5)
-                parts += [a.tobytes() for a in _anneal_reads(q, schedule)]
+                parts += [a.tobytes() for a in _anneal_reads(instance, schedule)]
             for streams in range(1, 9):
                 pcg = np.array([[rng.integers(2**64, dtype=np.uint64) for _ in range(4)]
                                 for _ in range(streams)], dtype=np.uint64)
@@ -575,22 +585,24 @@ print(digest(normal), digest(sanitized))
             log_u, beta = rng.uniform(0.1, 5.0, 2)
             if log_u * (1.0 / beta) > log_u / beta:
                 break
+        # With no couplings every bit's delta equals its threshold; n = 5
+        # reaches the lockstep kernel's 4-bit block and a 1-bit tail.
         kernel = anneal._kernel()
         reads = 9
-        for lanes in lane_widths(kernel):
+        for n, lanes in itertools.product((1, 5), lane_widths(kernel)):
             runs = []
             for run in (anneal._sweeps_numpy, functools.partial(
-                    anneal._sweeps_c, kernel, lanes, np.zeros(anneal._scratch_size(1, lanes)))):
+                    anneal._sweeps_c, kernel, lanes, np.zeros(anneal._scratch_size(n, lanes)))):
                 # The buffer holds log(u), and the threshold is log(u) / -beta.
-                arrays = [np.full((1, 1, reads), -log_u), np.array([beta]),
-                          np.array([log_u / beta]), np.zeros((1, 1)), np.zeros((reads, 1)),
-                          np.zeros((reads, 1)), np.zeros(reads), np.zeros(reads),
-                          np.zeros((reads, 1)), np.zeros((reads, 1))]
+                arrays = [np.full((1, n, reads), -log_u), np.array([beta]),
+                          np.full(n, log_u / beta), np.zeros((n, n)), np.zeros((reads, n)),
+                          np.zeros((reads, n)), np.zeros(reads), np.zeros(reads),
+                          np.zeros((reads, n)), np.zeros((reads, 1))]
                 run(0, *arrays)
                 runs.append(arrays)
-            assert runs[0][4].tolist() == [[0.0]] * reads
+            assert runs[0][4].tolist() == [[0.0] * n] * reads
             for got, want in zip(*runs):
-                assert got.tobytes() == want.tobytes(), f"{lanes} lanes"
+                assert got.tobytes() == want.tobytes(), f"n = {n}, {lanes} lanes"
 
     def test_lanes_follow_the_cpu(self, needs_compiler):
         flags = set()
@@ -602,9 +614,12 @@ print(digest(normal), digest(sanitized))
                         break
         if not flags or platform.machine() not in ("x86_64", "AMD64"):
             pytest.skip("CPU flags are read from /proc/cpuinfo on x86-64")
-        widest = 4 if "avx2" in flags else 1
-        if widest == 4 and "avx512f" in flags:
+        # The 4-lane field update runs on FMA instructions.
+        widest = 1
+        if {"avx2", "avx512f"} <= flags:
             widest = 8
+        elif {"avx2", "fma"} <= flags:
+            widest = 4
         assert anneal._kernel().lanes == widest
         # The vector draws convert with AVX-512DQ's vcvtqq2pd.
         assert anneal._kernel().draw_lanes == (8 if {"avx512f", "avx512dq"} <= flags else 1)
