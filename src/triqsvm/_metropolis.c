@@ -22,8 +22,9 @@
  * IEEE add, multiply, divide and compare round the same in every vector
  * width.  The lockstep field update's FMAs are explicit intrinsics whose
  * products are exact (flip is 0 or +-1), so each rounds as numpy's
- * multiply then add; -ffp-contract=off stops the compiler from fusing any
- * other multiply and add.  So every path gives the numpy loop's bits.
+ * multiply then add, and the zero flips of the bits past n - 1 leave the
+ * fields as they are; -ffp-contract=off stops the compiler from fusing
+ * any other multiply and add.  So every path gives the numpy loop's bits.
  * The lockstep state is kept lane-transposed
  * in scratch the caller provides, (3 n + 1) * lanes doubles per thread;
  * the kernel allocates nothing.
@@ -92,10 +93,12 @@ static void per_read(long r0, long reads, long n, long count, long first, long s
  * field, in bit order.  Each field thus sees the numpy loop's additions in
  * its order.  A flip is 0 or +-1, so flip * c is exact and FMA(flip, c, f)
  * rounds as f + flip * c, signed zeros included; SET1 broadcasts c with its
- * sign, which (vec){0} + c would lose on -0.0.  The last n % BLOCK bits
- * are updated one at a time.  At n = 50 blocks of 4 made the 8-lane
- * kernel about 1.3x as fast as one bit a pass; blocks of 2 were no faster
- * there, and blocks of 8 slower (BENCH_39.json). */
+ * sign, which (vec){0} + c would lose on -0.0.  The last block decides its
+ * n - i real bits alike; each bit it lacks takes flip +0 against row i, a
+ * real row, and its FMA gives f + (+-0) = f, as the couplings are finite
+ * (QuboMatrix bounds their sum) and no field holds -0.0.  At n = 50 blocks
+ * of 4 made the 8-lane kernel about 1.3x as fast as one bit a pass; blocks
+ * of 2 were no faster there, and blocks of 8 slower (BENCH_39.json). */
 #define BLOCK 4
 #define LOCKSTEP(NAME, L, ISA, FMA, SET1)                                                   \
 typedef double NAME##_vec __attribute__((vector_size(8 * (L))));                            \
@@ -141,32 +144,27 @@ __attribute__((target(ISA))) static long NAME(                                  
         for (long s = 0; s < count; s++) {                                                  \
             double beta = -betas[first + s];                                                \
             const double *lu = log_u + s * n * reads + g;                                   \
-            long i;                                                                         \
-            for (i = 0; i + BLOCK <= n; i += BLOCK) {                                       \
-                const double *c = coupling + i * n;                                         \
+            for (long i = 0; i < n; i += BLOCK) {                                           \
+                const double *c[BLOCK];                                                     \
                 NAME##_vec flip[BLOCK];                                                     \
                 for (long k = 0; k < BLOCK; k++) {                                          \
-                    NAME##_vec fk = f[i + k];                                               \
-                    for (long m = 0; m < k; m++)                                            \
-                        fk = FMA(flip[m], SET1(c[m * n + i + k]), fk);                      \
-                    flip[k] = NAME##_step(x + i + k, fk, &e, diag[i + k],                   \
-                                          lu + (i + k) * reads, beta);                      \
+                    c[k] = coupling + (i + k < n ? i + k : i) * n;                          \
+                    flip[k] = (NAME##_vec){0};                                              \
+                    if (i + k < n) {                                                        \
+                        NAME##_vec fk = f[i + k];                                           \
+                        for (long m = 0; m < k; m++)                                        \
+                            fk = FMA(flip[m], SET1(c[m][i + k]), fk);                       \
+                        flip[k] = NAME##_step(x + i + k, fk, &e, diag[i + k],               \
+                                              lu + (i + k) * reads, beta);                  \
+                    }                                                                       \
                 }                                                                           \
                 _Pragma("GCC unroll 2")                                                     \
                 for (long j = 0; j < n; j++) {                                              \
                     NAME##_vec fj = f[j];                                                   \
                     for (long m = 0; m < BLOCK; m++)                                        \
-                        fj = FMA(flip[m], SET1(c[m * n + j]), fj);                          \
+                        fj = FMA(flip[m], SET1(c[m][j]), fj);                               \
                     f[j] = fj;                                                              \
                 }                                                                           \
-            }                                                                               \
-            for (; i < n; i++) {                                                            \
-                const double *c = coupling + i * n;                                         \
-                NAME##_vec flip = NAME##_step(x + i, f[i], &e, diag[i], lu + i * reads,     \
-                                              beta);                                        \
-                _Pragma("GCC unroll 4")                                                     \
-                for (long j = 0; j < n; j++)                                                \
-                    f[j] += flip * c[j];                                                    \
             }                                                                               \
             NAME##_bits better = (NAME##_bits)(e < best);                                   \
             best = (NAME##_vec)(((NAME##_bits)e & better) | ((NAME##_bits)best & ~better)); \

@@ -526,7 +526,7 @@ def greedy_descent(q: QuboMatrix, seed: int = 0) -> SampleResult:
     coupling = _coupling(qm)
     state = np.random.default_rng(seed).integers(0, 2, size=n).astype(float)
     field = coupling @ state
-    while True:
+    while n:
         sign = 1.0 - 2.0 * state
         deltas = sign * (diag + field)
         i = int(np.argmin(deltas))

@@ -35,7 +35,14 @@ BUILDERS = ("paper", "dual")
 @dataclass(frozen=True)
 class QuboMatrix:
     """Coefficient matrix q with energy E(alpha) = sum_ij q[i][j] a_i a_j
-    over binary assignments."""
+    over binary assignments.
+
+    sum_ij |q[i][j]| must be at most ``np.finfo(float).max / 16``, which
+    NaN and inf fail.  Every field, energy change and energy the samplers
+    form is a sum of distinct entries of q, so none of them overflows, and
+    every sampler path gives the same bits.  ``presolve``'s residual sums
+    no more than its instance does.
+    """
 
     q: np.ndarray
 
@@ -44,8 +51,11 @@ class QuboMatrix:
         object.__setattr__(self, "q", q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"coefficient matrix must be square, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("coefficient matrix must be finite")
+        with np.errstate(over="ignore"):
+            total = np.abs(q).sum()
+        if not total <= np.finfo(float).max / 16:
+            raise ValueError("coefficient matrix must be finite, with sum |q| at most "
+                             "np.finfo(float).max / 16")
 
     @property
     def n(self) -> int:

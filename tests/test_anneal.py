@@ -23,6 +23,7 @@ from triqsvm.anneal import (
     brute_force,
     energy,
     greedy_descent,
+    presolve,
     simulated_anneal,
 )
 from triqsvm.datagen import adhoc_generate
@@ -244,6 +245,31 @@ class TestGreedyDescent:
         assert schedule_wins >= 45
 
 
+@pytest.mark.parametrize("solver", ["brute-force", "greedy", "anneal", "anneal-numpy",
+                                    "presolve"])
+def test_no_variables_give_the_empty_assignment(monkeypatch, solver):
+    q = QuboMatrix(np.empty((0, 0)))
+    if solver == "anneal-numpy":
+        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+    result = {
+        "brute-force": lambda: brute_force(q),
+        "greedy": lambda: greedy_descent(q, seed=3),
+        "anneal": lambda: simulated_anneal(q, AnnealSchedule(num_reads=3, sweeps=5)),
+        "presolve": lambda: presolve(q).complete(q, None),
+    }[solver.removesuffix("-numpy")]()
+    assert result.best_assignment.shape == (0,)
+    assert result.best_energy == 0.0 and not np.signbit(result.best_energy)
+
+
+def negative_zero_couplings(n: int, seed: int) -> QuboMatrix:
+    """Integer entries in {-1, 0, 1} above the diagonal and -0.0 elsewhere
+    off it, so that every zero of the couplings q + q^T off the diagonal is
+    -0.0."""
+    q = np.triu(np.random.default_rng(seed).integers(-1, 2, (n, n)).astype(float))
+    q[q == 0] = -0.0
+    return QuboMatrix(q)
+
+
 def dual_instance(m: int) -> QuboMatrix:
     ds = adhoc_generate(m, 0.0, seed=1)
     spec = FeatureMapSpec(n=2, theta=np.array([0.3, -1.2]))
@@ -305,6 +331,49 @@ def numpy_reads(q, schedule, monkeypatch):
         return _anneal_reads(q, schedule)
 
 
+# Digests of every kernel entry point's outputs, at every width this CPU
+# runs, through the normal build and the build named on the command line.
+SANITIZED_DIGESTS = """
+import hashlib, itertools, sys
+import numpy as np
+from triqsvm import anneal
+from triqsvm.anneal import AnnealSchedule, _anneal_reads
+from triqsvm.qubo import QuboMatrix
+
+def digest(kernel):
+    rng = np.random.default_rng(3)
+    q = QuboMatrix(rng.uniform(-1, 1, (13, 13)))
+    # n = 13 and n = 7 end the lockstep kernel's 4-bit blocks in a last
+    # block of 1 and of 3 real bits.
+    q7 = QuboMatrix(rng.uniform(-1, 1, (7, 7)))
+    parts = []
+    anneal._usable_cpus = lambda: 2
+    for lanes in [w for w in anneal._LANE_WIDTHS if w <= kernel.lanes]:
+        for draw in [w for w in anneal._DRAW_WIDTHS if w <= kernel.draw_lanes]:
+            anneal._kernel = lambda: kernel._replace(lanes=lanes, draw_lanes=draw)
+            for instance, reads in itertools.product((q, q7), (1, 11)):
+                schedule = AnnealSchedule(num_reads=reads, sweeps=250, seed=5)
+                parts += [a.tobytes() for a in _anneal_reads(instance, schedule)]
+            for streams in range(1, 9):
+                pcg = np.array([[rng.integers(2**64, dtype=np.uint64) for _ in range(4)]
+                                for _ in range(streams)], dtype=np.uint64)
+                for count in (0, 1, 2, 37, 38):
+                    out = np.empty((count, streams))
+                    anneal._uniforms_c(kernel, draw, pcg, out)
+                    parts += [out.tobytes(), pcg.tobytes()]
+    # Reads whose seeds cross 2**32, 2**64 and 2**128.
+    for seed in (2**32 - 3, 2**64 - 3, 2**128 - 3, 2**200 + 7):
+        parts += [a.tobytes() for a in anneal._starts(kernel, seed, 6, 7)]
+    states = rng.integers(0, 2, (9, 13)).astype(float)
+    parts.append(anneal._energies_c(kernel, q.q, states).tobytes())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+normal, sanitized = anneal._kernel(), anneal._load_kernel(sys.argv[1])
+assert normal is not None
+print(digest(normal), digest(sanitized))
+"""
+
+
 class TestKernel:
     @pytest.mark.parametrize("make_q, schedule", [
         (lambda: dual_instance(50), AnnealSchedule(num_reads=50, sweeps=1000, seed=1)),
@@ -323,16 +392,22 @@ class TestKernel:
         (lambda: QuboMatrix(np.random.default_rng(8).integers(-1, 2, (12, 12)).astype(float)),
          AnnealSchedule(num_reads=25, sweeps=450, seed=9)),
         (lambda: dual_instance(200), AnnealSchedule(num_reads=9, sweeps=450, seed=10)),
-        # n % 4 == 3: the lockstep kernel decides 4 bits a pass and updates
-        # the last 3 one at a time.  The integer instance gives many deltas
-        # of exactly zero, in the blocks and in the tail.
+        # n % 4 == 3: the lockstep kernel decides 4 bits a pass, and its
+        # last block holds 3 real bits and one zero flip.  The integer
+        # instance gives many deltas of exactly zero, in every block.
         (lambda: dual_instance(7), AnnealSchedule(num_reads=20, sweeps=450, seed=11)),
         (lambda: dual_instance(51), AnnealSchedule(num_reads=20, sweeps=450, seed=12)),
         (lambda: QuboMatrix(np.random.default_rng(13).integers(-1, 2, (15, 15)).astype(float)),
          AnnealSchedule(num_reads=20, sweeps=450, seed=13)),
+        # Last blocks of 1, 2 and 3 bits whose missing bits add zero flips
+        # against rows whose zero couplings are -0.0.
+        *[(lambda n=n: negative_zero_couplings(n, 14), AnnealSchedule(num_reads=20, sweeps=450,
+                                                                      seed=n))
+          for n in (5, 6, 7)],
     ], ids=["dual-50", "dual-200", "integer-12", "n-1", "one-read", "reads-3", "reads-7",
             "reads-8", "reads-9", "reads-25", "reads-61", "n-1-nine-reads",
-            "integer-12-25-reads", "dual-200-partial-chunk", "dual-7", "dual-51", "integer-15"])
+            "integer-12-25-reads", "dual-200-partial-chunk", "dual-7", "dual-51", "integer-15",
+            "negative-zero-5", "negative-zero-6", "negative-zero-7"])
     def test_byte_identical_to_numpy_loop(self, monkeypatch, needs_compiler, make_q, schedule):
         q = make_q()
         assert anneal._kernel() is not None
@@ -521,58 +596,50 @@ class TestKernel:
     def test_undefined_behaviour_sanitizer_finds_nothing(self, tmp_path, needs_compiler):
         # Every entry point, at every width this CPU runs, through a build
         # that aborts on the first undefined behaviour, must give the
-        # normal build's bytes.  It runs in a subprocess, so that an abort
-        # cannot take the test process with it.
+        # normal build's bytes.
+        self.assert_sanitized_build_agrees(
+            tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"], {})
+
+    def test_address_sanitizer_finds_nothing(self, tmp_path, needs_compiler):
+        # The same runs through a build that aborts on the first read or
+        # write outside an array, which the UBSan build cannot see.  Python
+        # itself is not built with ASan, so its runtime is preloaded.
+        runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True, timeout=60).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("cc has no AddressSanitizer runtime")
+        self.assert_sanitized_build_agrees(
+            tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"],
+            {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"})
+
+    @staticmethod
+    def assert_sanitized_build_agrees(tmp_path, flags, env):
+        """Build the kernel with ``flags`` and run the digest script in a
+        subprocess with ``env`` added, so that an abort cannot take the
+        test process with it; the sanitized build must give the normal
+        build's digest."""
         library = tmp_path / "sanitized.so"
-        proc = subprocess.run(["cc", *anneal._KERNEL_FLAGS, "-fsanitize=undefined",
-                               "-fno-sanitize-recover=all", str(anneal._KERNEL_SOURCE),
+        proc = subprocess.run(["cc", *anneal._KERNEL_FLAGS, *flags, str(anneal._KERNEL_SOURCE),
                                "-o", str(library)], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        script = """
-import hashlib, itertools, sys
-import numpy as np
-from triqsvm import anneal
-from triqsvm.anneal import AnnealSchedule, _anneal_reads
-from triqsvm.qubo import QuboMatrix
-
-def digest(kernel):
-    rng = np.random.default_rng(3)
-    q = QuboMatrix(rng.uniform(-1, 1, (13, 13)))
-    # n = 13 and n = 7 end the lockstep kernel's 4-bit blocks in tails of
-    # 1 and 3 bits.
-    tail3 = QuboMatrix(rng.uniform(-1, 1, (7, 7)))
-    parts = []
-    anneal._usable_cpus = lambda: 2
-    for lanes in [w for w in anneal._LANE_WIDTHS if w <= kernel.lanes]:
-        for draw in [w for w in anneal._DRAW_WIDTHS if w <= kernel.draw_lanes]:
-            anneal._kernel = lambda: kernel._replace(lanes=lanes, draw_lanes=draw)
-            for instance, reads in itertools.product((q, tail3), (1, 11)):
-                schedule = AnnealSchedule(num_reads=reads, sweeps=250, seed=5)
-                parts += [a.tobytes() for a in _anneal_reads(instance, schedule)]
-            for streams in range(1, 9):
-                pcg = np.array([[rng.integers(2**64, dtype=np.uint64) for _ in range(4)]
-                                for _ in range(streams)], dtype=np.uint64)
-                for count in (0, 1, 2, 37, 38):
-                    out = np.empty((count, streams))
-                    anneal._uniforms_c(kernel, draw, pcg, out)
-                    parts += [out.tobytes(), pcg.tobytes()]
-    # Reads whose seeds cross 2**32, 2**64 and 2**128.
-    for seed in (2**32 - 3, 2**64 - 3, 2**128 - 3, 2**200 + 7):
-        parts += [a.tobytes() for a in anneal._starts(kernel, seed, 6, 7)]
-    states = rng.integers(0, 2, (9, 13)).astype(float)
-    parts.append(anneal._energies_c(kernel, q.q, states).tobytes())
-    return hashlib.sha256(b"".join(parts)).hexdigest()
-
-normal, sanitized = anneal._kernel(), anneal._load_kernel(sys.argv[1])
-assert normal is not None
-print(digest(normal), digest(sanitized))
-"""
-        proc = subprocess.run([sys.executable, "-c", script, str(library)], capture_output=True,
-                              text=True, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", SANITIZED_DIGESTS, str(library)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, **env})
         assert proc.returncode == 0, proc.stderr
         assert "runtime error" not in proc.stderr, proc.stderr
         normal, sanitized = proc.stdout.split()
         assert sanitized == normal
+
+    def test_near_the_sum_bound_every_path_agrees(self, monkeypatch, needs_compiler):
+        # sum |q| = 1e306, a tenth of the bound QuboMatrix sets: fields and
+        # energies reach about 1e306, and the numpy loop and the kernel
+        # still give the same bytes.  Presolve fixes 4 variables, and the
+        # QuboMatrix of the other 5 is accepted.
+        qm = np.random.default_rng(7).normal(size=(9, 9))
+        q = QuboMatrix(qm * (1e306 / np.abs(qm).sum()))
+        schedule = AnnealSchedule(num_reads=9, sweeps=20, seed=2)
+        assert_same_reads(q, schedule, numpy_reads(q, schedule, monkeypatch), monkeypatch)
+        assert presolve(q).residual.n == 5
 
     def test_delta_equal_to_threshold_is_rejected_at_every_width(self, needs_compiler):
         # The threshold is the quotient log(u) / -beta, which has the bits
@@ -586,7 +653,8 @@ print(digest(normal), digest(sanitized))
             if log_u * (1.0 / beta) > log_u / beta:
                 break
         # With no couplings every bit's delta equals its threshold; n = 5
-        # reaches the lockstep kernel's 4-bit block and a 1-bit tail.
+        # reaches a full 4-bit block of the lockstep kernel and a last block
+        # of 1 real bit.
         kernel = anneal._kernel()
         reads = 9
         for n, lanes in itertools.product((1, 5), lane_widths(kernel)):

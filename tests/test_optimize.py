@@ -995,6 +995,26 @@ class TestPassLoop:
         assert len(seen) == 10
         assert replayed == seen
 
+    def test_cobyla_stopping_ends_the_run(self, monkeypatch):
+        # A generator that returns, as COBYLA does once rho reaches
+        # rho_end, ends the run after the pass of its last point.
+        chosen = [np.array([0.5, -0.5]), np.array([1.0, 0.25]), np.array([-1.5, 2.0])]
+        losses = []
+
+        def three_points(x0, lower, upper, rho_begin, rho_end):
+            for x in chosen:
+                losses.append((yield x.copy()))
+            return True
+
+        monkeypatch.setattr(optimize, "_cobyla_points", three_points)
+        train_set, val_set = random_label_sets(13)
+        cfg = TrainConfig(solver_backend="greedy", seed=13, max_iterations=10)
+        report = train(train_set, val_set, cfg)
+        assert report.iterations_used == 3 and report.failures == []
+        assert len(report.accuracy_per_iteration) == 3
+        assert losses == [1.0 - a for a in report.accuracy_per_iteration]
+        assert any(report.best_theta.tobytes() == x.tobytes() for x in chosen)
+
     def test_failed_first_pass_does_not_meet_a_zero_target(self, monkeypatch):
         # A failed pass scores 0 with loss 1 but is no score at all, so
         # even a target of 0 waits for the next pass.

@@ -480,6 +480,23 @@ class TestQuboMatrixType:
         with pytest.raises(ValueError, match="finite"):
             QuboMatrix(np.array([[np.inf]]))
 
+    def test_rejects_finite_entries_whose_sums_overflow(self):
+        # Every entry is finite, but fields and energies would sum past the
+        # largest double; the kernel and the numpy loop then disagreed.
+        q = np.random.default_rng(3).normal(size=(9, 9))
+        q[2, 5] = q[5, 2] = 1e308
+        q[0, 7], q[7, 0] = 1.5e308, 1e308
+        assert np.isfinite(q).all()
+        for bad in (q, np.array([[np.nan]])):
+            with pytest.raises(ValueError, match="finite"):
+                QuboMatrix(bad)
+
+    def test_absolute_sum_bound_is_inclusive(self):
+        bound = np.finfo(float).max / 16
+        assert QuboMatrix(np.array([[0.5 * bound, -0.5 * bound], [0.0, 0.0]])).n == 2
+        with pytest.raises(ValueError, match="finite"):
+            QuboMatrix(np.array([[np.nextafter(bound, np.inf)]]))
+
 
 class TestModelEquality:
     def test_equal_fields_compare_equal(self):
